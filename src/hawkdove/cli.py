@@ -175,9 +175,11 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
         cv.line(*_project_xy(0, 1, (ox, oy), panel), *_project_xy(1, 0, (ox, oy), panel),
                 stroke="gray", width=0.8, dash="4 3")
         for traj in trajectories:
-            pts = [_project_xy(row[1 + ia], row[1 + ib], (ox, oy), panel)
-                   for row in traj.samples]
-            cv.polyline(pts, stroke="steelblue", width=0.9, opacity=0.75)
+            # _project_xy on whole sample columns: the same arithmetic per point
+            xs = ox + traj.samples[:, 1 + ia] * panel
+            ys = (oy + panel) - traj.samples[:, 1 + ib] * panel
+            cv.polyline(zip(xs.tolist(), ys.tolist()), stroke="steelblue", width=0.9,
+                        opacity=0.75)
         for s in starts:
             sx, sy = _project_xy(s[ia], s[ib], (ox, oy), panel)
             cv.circle(sx, sy, 2.2, fill="seagreen")
@@ -433,9 +435,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--opt -1e-07" as "--opt=-1e-07".
+
+    argparse reads only plain negative decimals such as -0.5 as values; a
+    token like -1e-07 or -inf is taken for an unknown option, so
+    "--v -1e-07" would fail with "expected one argument".
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return out + argv[i:]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and "=" not in tok and nxt.startswith("-")
+                and _is_float(nxt)):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     return args.func(args, parser)
 
 

@@ -1,39 +1,53 @@
 """Adaptive trajectory integration of the reduced replicator field.
 
-A Dormand-Prince 5(4) embedded explicit pair drives the stepping: the
-fifth-order solution is propagated and the fourth-order difference gives
-the local error estimate, kept below atol + rtol * |state| per step.  The
-field is a cubic polynomial with moderate Lipschitz constants at desk
-scale, so an explicit pair is ample; the contract is tolerance-based, not
-tied to any particular solver brand.
+A Dormand-Prince 5(4) embedded explicit pair drives the stepping
+(Dormand & Prince 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4): the fifth-order solution is propagated and the fourth-order
+difference gives the local error estimate, kept below
+atol + rtol * |state| per step.  The field is a cubic polynomial with
+moderate Lipschitz constants at desk scale, so an explicit pair is ample.
 
-States are tuples of plain floats and every arithmetic step has a fixed
-order of operations, so identical inputs produce bitwise-identical
-trajectories on a fixed platform.  Because each field component carries
-its own share as an exact factor, a share that starts at exactly zero
-stays exactly zero: boundary faces are invariant to the last bit, and the
-negativity clamp never activates on them.
+``batch_integrate`` advances every start at once, one lane per row of
+(N, 3) NumPy arrays.  Each lane keeps its own time and step size and is
+accepted or rejected on its own; the stage-7 derivative becomes the next
+first stage (FSAL) except on a lane that was just projected.  A lane
+leaves the batch when it converges, reaches the time limit or its step
+size underflows.  ``integrate`` is a batch of one.
+
+Every operation on a lane is elementwise and in the scalar order of
+``adaptive_integrate``, and the step-size factor uses the scalar libm
+``pow``.  So a lane's bits do not depend on which other starts share its
+batch, fixed inputs give bitwise-identical trajectories on a fixed
+platform, and swapping y and z in a start swaps those sample columns bit
+for bit.  Because each field component carries its own share as an exact
+factor, a share that starts at exactly zero stays exactly zero: boundary
+faces are invariant to the last bit.
 
 After each accepted step, shares that went negative by no more than the
-simplex tolerance are clamped back to zero (and counted); integration
-stops once the field's sup norm falls below the convergence threshold,
-at the time limit, or on step-size underflow.
+simplex tolerance are clamped to zero, and a share sum above 1 by no more
+than the tolerance is rescaled to 1; both count as clamps.
+
+``adaptive_integrate`` is the scalar driver over tuples.  It runs the 1D
+two-strategy oracle and is the reference the lockstep stepper is tested
+against.  The oracle stays scalar: it integrates one start per call, and
+for a single lane NumPy's per-call overhead makes a step several times
+slower than the scalar loop.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-import math
+from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidStartError
-from .equilibrium_catalog import EquilibriumId, catalog
+from .equilibrium_catalog import EquilibriumId, equilibrium_coords
 from .game_core import Params, TOL_SIMPLEX
-from .replicator_field import Reduced, ReducedState, field_3d, on_reduced_simplex
+from .replicator_field import Reduced, ReducedState, field_3d_rows, on_reduced_simplex
 
 __all__ = [
     "IntegrationConfig",
@@ -43,11 +57,9 @@ __all__ = [
     "batch_integrate",
     "adaptive_integrate",
     "clamp_negatives",
-    "simplex_project",
     "random_interior_starts",
     "write_trajectory_csv",
     "trajectory_sidecar",
-    "write_trajectory_sidecar",
     "DEFAULT_SEED",
 ]
 
@@ -122,16 +134,6 @@ def _norm_inf(vec: Sequence[float]) -> float:
     return max(abs(t) for t in vec)
 
 
-def _stage_state(y, h, ks, coeffs):
-    out = []
-    for i, yi in enumerate(y):
-        acc = 0.0
-        for a, k in zip(coeffs, ks):
-            acc += a * k[i]
-        out.append(yi + h * acc)
-    return tuple(out)
-
-
 def clamp_negatives(y, tol=TOL_SIMPLEX):
     """Zero out components in [-tol, 0); counts how many were touched."""
     clamped = 0
@@ -143,19 +145,10 @@ def clamp_negatives(y, tol=TOL_SIMPLEX):
     return tuple(out), clamped
 
 
-def simplex_project(y, tol=TOL_SIMPLEX):
-    """Clamp tiny negative shares and rescale a within-tolerance w overshoot."""
-    out, clamped = clamp_negatives(y, tol)
-    s = out[0] + out[1] + out[2]
-    if 1.0 < s <= 1.0 + tol:
-        out = (out[0] / s, out[1] / s, out[2] / s)
-        clamped += 1
-    return out, clamped
-
-
 def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig,
                        project: Callable = clamp_negatives):
-    """Generic adaptive embedded-pair driver shared by the 3D and 1D paths.
+    """Scalar adaptive embedded-pair driver: the 1D oracle's stepper, and the
+    reference for the lockstep stepper behind ``batch_integrate``.
 
     ``project`` is applied after every accepted step to pull round-off
     noise back onto the admissible region; it must return (state, n_fixed).
@@ -183,8 +176,14 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
             return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
 
         ks = [k1]
-        for stage in range(1, 7):
-            ys = _stage_state(y, h, ks, _STAGE_A[stage])
+        for coeffs in _STAGE_A[1:]:
+            ys = []
+            for i, yi in enumerate(y):
+                acc = 0.0
+                for a, k in zip(coeffs, ks):
+                    acc += a * k[i]
+                ys.append(yi + h * acc)
+            ys = tuple(ys)
             ks.append(tuple(float(g) for g in rate(ys)))
         y_new = ys  # stage 7 state uses the fifth-order weights
         k7 = ks[6]
@@ -223,57 +222,194 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
         h *= factor
 
 
-def integrate(p: Params, s0: Reduced, cfg: Optional[IntegrationConfig] = None) -> Trajectory:
-    """Integrate from s0 until convergence, the time limit, or step failure.
+def _step_factors(ratio: np.ndarray) -> np.ndarray:
+    """Per-lane step-size multipliers after an attempt with these error ratios.
 
-    Convergence means the reduced field's sup norm fell below
-    cfg.convergence_eps; the nearest defined catalog point within 1e-3
-    (Euclidean, reduced coordinates) is then attached, if any.
+    Equal, value for value, to ``adaptive_integrate``'s
+    ``min(5.0, max(0.2, 0.9 * ratio ** -0.2))`` (5.0 at ratio 0).  The power
+    is the scalar libm ``pow``, as there: NumPy's vectorised ``power`` may
+    round differently, and then a lane's bits would depend on its batch.
+    ``fmax`` returns 0.2 for a NaN, as ``max(0.2, nan)`` does.
     """
-    p = Params(*p).validate()
-    cfg = (cfg or IntegrationConfig()).validate()
-    if not on_reduced_simplex(s0):
-        raise InvalidStartError(f"start {tuple(float(t) for t in s0)!r} is off the simplex")
-    start = ReducedState(*(float(t) for t in s0))
+    safe = np.where(ratio == 0.0, 1.0, ratio).tolist()
+    powered = np.fromiter(map(pow, safe, repeat(-0.2)), float, len(safe))
+    return np.where(ratio == 0.0, 5.0, np.minimum(5.0, np.fmax(0.2, 0.9 * powered)))
 
-    def rate(y):
-        return field_3d(p, y)
 
-    samples_raw, terminal, (accepted, rejected), clamps = adaptive_integrate(
-        rate, start, cfg, project=simplex_project)
+# Nonzero (coefficient, stage) pairs of each stage row and of the error row.
+# Dropping the zero terms and the 0.0 a scalar sum starts from changes only
+# the sign of a zero sum, which cannot reach a state once -0.0 is gone from
+# the starts (see _lockstep).
+_STAGE_TERMS = tuple(tuple((a, j) for j, a in enumerate(row) if a) for row in _STAGE_A[1:])
+_ERR_TERMS = tuple((e, j) for j, e in enumerate(_ERR) if e)
 
-    data = np.empty((len(samples_raw), 5))
-    for i, (t, (x, y, z)) in enumerate(samples_raw):
-        data[i] = (t, x, y, z, 1.0 - x - y - z)
-    data.flags.writeable = False
 
-    nearest = None
-    if terminal is Terminal.CONVERGED:
-        final = np.array(samples_raw[-1][1])
-        best_d = math.inf
-        for rec in catalog(p):
-            if not rec.defined:
-                continue
-            d = float(np.linalg.norm(final - np.array(rec.coords)))
-            if d < best_d:
-                best_d, nearest = d, rec.id
-        if best_d > 1e-3:
-            nearest = None
+def _combine(terms, ks):
+    """The sum of a * ks[j] over ``terms``, left to right."""
+    (a, j), *rest = terms
+    acc = a * ks[j]
+    for a, j in rest:
+        acc = acc + a * ks[j]
+    return acc
 
-    return Trajectory(samples=data, terminal=terminal, nearest=nearest,
-                      clamp_count=clamps, steps=accepted, rejected=rejected)
+
+def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
+    """Dormand-Prince 5(4) on every start at once, one lane per row.
+
+    Each lane keeps its own t and h and takes exactly the steps
+    ``adaptive_integrate`` takes from that start with the clamp-and-rescale
+    projection: every operation is elementwise, in the scalar order, so a
+    lane's bits do not depend on which other starts share the batch.  A
+    lane retires on convergence, at the time limit or on step underflow.
+
+    Returns per start (samples (n, 5), terminal, accepted, rejected, clamps).
+    """
+    n = len(starts)
+    out: list = [None] * n
+    # Samples as flat (t, x, y, z) runs; the first is the start as given.
+    bufs = [array("d", (0.0, *row)) for row in starts.tolist()]
+
+    def retire(idx, terminal):
+        for i in idx.tolist():
+            data = np.frombuffer(bufs[i]).reshape(-1, 4)
+            samples = np.empty((len(data), 5))
+            samples[:, :4] = data
+            samples[:, 4] = 1.0 - data[:, 1] - (data[:, 2] + data[:, 3])
+            samples.flags.writeable = False
+            out[lane[i]] = (samples, terminal, int(accepted[i]), int(rejected[i]),
+                            int(clamps[i]))
+
+    # +0.0 turns -0.0 into 0.0; the scalar path does that in its first step.
+    y = starts + 0.0
+    k1 = field_3d_rows(p, y)
+    lane = np.arange(n)
+    t = np.zeros(n)
+    last = np.zeros(n)        # time of each lane's latest sample
+    accepted = np.zeros(n, dtype=np.int64)
+    rejected = np.zeros(n, dtype=np.int64)
+    clamps = np.zeros(n, dtype=np.int64)
+    norm_k1 = np.abs(k1).max(axis=1)
+    h = np.minimum(min(cfg.max_step, cfg.t_end), 0.01 / (1.0 + norm_k1))
+    keep = ~(norm_k1 < cfg.convergence_eps)
+    retire(np.flatnonzero(~keep), Terminal.CONVERGED)
+    time_eps = 1e-13 * max(1.0, cfg.t_end)
+
+    while True:
+        if not keep.all():
+            lane, t, last, h, y, k1 = lane[keep], t[keep], last[keep], h[keep], y[keep], k1[keep]
+            accepted, rejected, clamps = accepted[keep], rejected[keep], clamps[keep]
+            bufs = list(compress(bufs, keep.tolist()))
+        if not len(lane):
+            return out
+        remaining = cfg.t_end - t
+        h = np.minimum(np.minimum(h, cfg.max_step), remaining)
+        out_of_time = remaining <= time_eps
+        stop = out_of_time | (h < _H_UNDERFLOW)
+        if stop.any():
+            retire(np.flatnonzero(out_of_time), Terminal.TIME_LIMIT)
+            retire(np.flatnonzero(stop & ~out_of_time), Terminal.STEP_FAILURE)
+            keep = ~stop
+            continue
+
+        hh = h[:, None]
+        ks = [k1]
+        for terms in _STAGE_TERMS:
+            y_new = y + hh * _combine(terms, ks)
+            ks.append(field_3d_rows(p, y_new))
+        k7 = ks[6]      # FSAL: the derivative at y_new
+        err = np.abs(hh * _combine(_ERR_TERMS, ks)).max(axis=1)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y).max(axis=1),
+                                                 np.abs(y_new).max(axis=1))
+        ratio = err / scale
+        factor = _step_factors(ratio)
+        ok = ~(ratio > 1.0)
+        rejected += ~ok
+        accepted += ok
+        t = np.where(ok, t + h, t)
+
+        # Clamp shares in [-tol, 0) to zero, then rescale a sum in (1, 1 + tol].
+        clip = (y_new >= -TOL_SIMPLEX) & (y_new < 0.0)
+        y_new[clip] = 0.0
+        total = y_new[:, 0] + (y_new[:, 1] + y_new[:, 2])
+        over = (total > 1.0) & (total <= 1.0 + TOL_SIMPLEX)
+        if over.any():
+            y_new[over] /= total[over, None]
+        fixed = np.where(ok, clip.sum(axis=1) + over, 0)
+        clamps += fixed
+        redo = fixed > 0
+        if redo.any():
+            k7[redo] = field_3d_rows(p, y_new[redo])
+        y = np.where(ok[:, None], y_new, y)
+        k1 = np.where(ok[:, None], k7, k1)
+
+        record = ok if cfg.record_stride is None else \
+            ok & (t - last >= cfg.record_stride - 1e-12)
+        converged = ok & (np.abs(k1).max(axis=1) < cfg.convergence_eps)
+        finished = converged | (ok & (t >= cfg.t_end))
+        # A finishing lane always ends on a sample at its final time.
+        record = record | (finished & (last != t))
+        if record.any():
+            rows = np.concatenate((t[:, None], y), axis=1)
+            for buf, row in zip(compress(bufs, record.tolist()), rows[record].tolist()):
+                buf.extend(row)
+            last = np.where(record, t, last)
+        h = h * factor
+        keep = ~finished
+        if finished.any():
+            retire(np.flatnonzero(converged), Terminal.CONVERGED)
+            retire(np.flatnonzero(finished & ~converged), Terminal.TIME_LIMIT)
+
+
+def _equilibrium_table(p: Params):
+    """Ids and (k, 3) coordinates of the catalog points defined at ``p``."""
+    ids, coords = [], []
+    for eq in EquilibriumId:
+        x, y, z, defined = equilibrium_coords(eq, p.v, p.c)
+        if defined:
+            ids.append(eq)
+            coords.append((float(x), float(y), float(z)))
+    return ids, np.array(coords)
 
 
 def batch_integrate(p: Params, starts: Sequence[Reduced],
                     cfg: Optional[IntegrationConfig] = None) -> list[Trajectory]:
-    """Integrate a batch of starts; order-preserving and identical to
-    individual ``integrate`` calls."""
+    """Integrate every start in one lockstep batch, in input order.
+
+    Each trajectory runs until convergence (the reduced field's sup norm
+    below cfg.convergence_eps), the time limit, or step failure.  On
+    convergence the nearest defined catalog point within 1e-3 (Euclidean,
+    reduced coordinates) is attached, if any.  A trajectory does not
+    depend on which other starts share the batch.
+    """
     p = Params(*p).validate()
+    cfg = (cfg or IntegrationConfig()).validate()
     for idx, s0 in enumerate(starts):
         if not on_reduced_simplex(s0):
             raise InvalidStartError(f"start #{idx} {tuple(float(t) for t in s0)!r} "
                                     "is off the simplex")
-    return [integrate(p, s0, cfg) for s0 in starts]
+    if not len(starts):
+        return []
+    lanes = _lockstep(p, np.array([[float(t) for t in s0] for s0 in starts]), cfg)
+
+    ids, coords = _equilibrium_table(p)
+    finals = np.array([samples[-1, 1:4] for samples, *_ in lanes])
+    diff = finals[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+                   + diff[..., 2] * diff[..., 2])
+    best = dist.argmin(axis=1)
+    out = []
+    for i, (samples, terminal, accepted, rejected, clamps) in enumerate(lanes):
+        nearest = None
+        if terminal is Terminal.CONVERGED and dist[i, best[i]] <= 1e-3:
+            nearest = ids[best[i]]
+        out.append(Trajectory(samples=samples, terminal=terminal, nearest=nearest,
+                              clamp_count=clamps, steps=accepted, rejected=rejected))
+    return out
+
+
+def integrate(p: Params, s0: Reduced, cfg: Optional[IntegrationConfig] = None) -> Trajectory:
+    """Integrate one start: ``batch_integrate`` on a batch of one."""
+    return batch_integrate(p, [s0], cfg)[0]
 
 
 def random_interior_starts(n: int, seed: int = DEFAULT_SEED) -> list[ReducedState]:
@@ -307,8 +443,3 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
         "rejected_steps": traj.rejected,
     }
 
-
-def write_trajectory_sidecar(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory_sidecar(traj), fh, indent=2)
-        fh.write("\n")

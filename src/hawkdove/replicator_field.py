@@ -35,6 +35,7 @@ from .game_core import Params, TOL_SIMPLEX, average_payoff
 __all__ = [
     "ReducedState",
     "field_3d",
+    "field_3d_rows",
     "field_4d",
     "consistency_residual",
     "lift",
@@ -66,6 +67,24 @@ def on_reduced_simplex(s: Reduced, tol: float = TOL_SIMPLEX) -> bool:
     return min(x, y, z) >= -tol and x + y + z <= 1.0 + tol
 
 
+def _field_3d_terms(v, c, x, y, z):
+    """The reduced field's three components on floats or equal-shape arrays.
+
+    Elementwise arithmetic in one fixed order, so a point gets the same
+    bits whether it is evaluated alone or as one row of a batch.  Shared
+    subexpressions are computed once, and 2a is written a + a: exact, like
+    2.0 * a, but cheaper on arrays.
+    """
+    syz = y + z   # shared so the y<->z swap symmetry holds bitwise
+    x2, y2 = x + x, y + y
+    x2s = x2 + syz
+    common = v * (x2s - 1.0)
+    dx = 0.25 * x * (c * (x2 * x + x2 * (syz - 1.0) + y2 * z - syz) - v * (x2s - 2.0))
+    dy = -0.25 * y * (common - c * (x2 + y2 - 1.0) * (x + z))
+    dz = -0.25 * z * (common - c * (x2 + (z + z) - 1.0) * (x + y))
+    return dx, dy, dz
+
+
 def field_3d(p: Params, s: Reduced) -> tuple[float, float, float]:
     """Reduced replicator field (dx/dt, dy/dt, dz/dt).
 
@@ -75,13 +94,18 @@ def field_3d(p: Params, s: Reduced) -> tuple[float, float, float]:
     """
     v, c = p
     x, y, z = (float(t) for t in s)
-    syz = y + z   # shared so the y<->z swap symmetry holds bitwise
-    dx = 0.25 * x * (c * (2.0 * x * x + 2.0 * x * (syz - 1.0) + 2.0 * y * z - syz)
-                     - v * (2.0 * x + syz - 2.0))
-    common = v * (2.0 * x + syz - 1.0)
-    dy = -0.25 * y * (common - c * (2.0 * x + 2.0 * y - 1.0) * (x + z))
-    dz = -0.25 * z * (common - c * (2.0 * x + 2.0 * z - 1.0) * (x + y))
-    return (dx, dy, dz)
+    return _field_3d_terms(v, c, x, y, z)
+
+
+def field_3d_rows(p: Params, s: np.ndarray) -> np.ndarray:
+    """``field_3d`` at every row of an (N, 3) state array; returns (N, 3).
+
+    Row i is bit-identical to ``field_3d(p, s[i])``.
+    """
+    v, c = p
+    out = np.empty_like(s)
+    out[:, 0], out[:, 1], out[:, 2] = _field_3d_terms(v, c, s[:, 0], s[:, 1], s[:, 2])
+    return out
 
 
 def field_4d(p: Params, s) -> tuple[float, float, float, float]:

@@ -35,7 +35,8 @@ class Canvas:
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"{d}/>')
 
     def polyline(self, points, stroke="steelblue", width=1.0, opacity=1.0):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        # the same text as _fmt on each coordinate, in one format call per point
+        pts = " ".join("%.6g,%.6g" % pair for pair in points)
         self._parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" stroke-opacity="{_fmt(opacity)}"/>')

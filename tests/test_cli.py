@@ -66,6 +66,22 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_scientific_values_follow_their_option(capsys):
+    # argparse alone takes "-1e-07" for an option flag
+    for command in ("equilibria", "nash"):
+        spaced = run(capsys, command, "--v", "-1e-07", "--c", "2e-07")
+        joined = run(capsys, command, "--v=-1e-07", "--c=2e-07")
+        assert spaced == joined
+        assert spaced[0] == 0
+    code, text = run(capsys, "equilibria", "--v", "-1e-07", "--c", "-2E+3", "--format", "json")
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["v"], payload["c"]) == (-1e-07, -2000.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["equilibria", "--v", "-inf", "--c", "0.1"])
+    assert exc.value.code == 2
+
+
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

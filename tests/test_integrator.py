@@ -4,20 +4,38 @@ import numpy as np
 import pytest
 
 from hawkdove import (
+    TOL_SIMPLEX,
     IntegrationConfig,
     Params,
     Terminal,
     batch_integrate,
+    field_3d,
     integrate,
     random_interior_starts,
 )
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.errors import InvalidStartError
 from hawkdove.integrator import (
+    adaptive_integrate,
+    clamp_negatives,
     trajectory_sidecar,
     write_trajectory_csv,
-    write_trajectory_sidecar,
 )
+
+
+def _clamp_and_rescale(y):
+    """Scalar reference for the integrator's simplex projection."""
+    out, fixed = clamp_negatives(y)
+    total = out[0] + (out[1] + out[2])
+    if 1.0 < total <= 1.0 + TOL_SIMPLEX:
+        out, fixed = tuple(t / total for t in out), fixed + 1
+    return out, fixed
+
+
+def _same_bits(a, b):
+    """Equal shape and identical bytes: tells -0.0 from 0.0, unlike ==."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_start_at_equilibrium_converges_immediately():
@@ -88,6 +106,46 @@ def test_batch_matches_individual_calls_and_preserves_order():
         assert np.array_equal(got.samples, ref.samples)
         assert got.nearest == ref.nearest
 
+    # Mixed lanes: converged at step 0 (P2), a y = 0 face start (as -0.0)
+    # and interior starts, at a preset, at the (2, 3) preset whose lanes end
+    # at the time limit, and under a step size that underflows.  Comparing a
+    # batch of five with batches of one and with the scalar driver also
+    # checks the ratio ** -0.2 step factor, which a vectorised pow may round
+    # differently.
+    starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11)]
+    seen = set()
+    for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
+                   (Params(2.0, 3.0), IntegrationConfig()),
+                   (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15))):
+        batch = batch_integrate(p, starts, cfg)
+        for s0, got in zip(starts, batch):
+            alone = integrate(p, s0, cfg)
+            assert _same_bits(got.samples, alone.samples)
+            assert (got.terminal, got.nearest, got.steps, got.rejected, got.clamp_count) == \
+                (alone.terminal, alone.nearest, alone.steps, alone.rejected, alone.clamp_count)
+
+            ref, terminal, (accepted, rejected), clamps = adaptive_integrate(
+                lambda y: field_3d(p, y), s0, cfg, project=_clamp_and_rescale)
+            assert (got.terminal, got.steps, got.rejected, got.clamp_count) == \
+                (terminal, accepted, rejected, clamps)
+            np.testing.assert_allclose(got.samples[-1, 1:4], ref[-1][1], rtol=0, atol=1e-9)
+            assert _same_bits(got.samples[:, :4], [(t, *y) for t, y in ref])
+            seen.add(got.terminal)
+    assert seen == set(Terminal)
+
+
+def test_swapping_y_and_z_swaps_trajectories_bitwise():
+    twin = {EquilibriumId.P1: EquilibriumId.P4, EquilibriumId.P4: EquilibriumId.P1}
+    for k, p in enumerate((Params(0.1, 0.2), Params(0.2, 0.3), Params(-0.2, -0.1),
+                           Params(1.0, 2.0))):
+        starts = random_interior_starts(30, seed=100 + k)
+        swapped = [(x, z, y) for x, y, z in starts]
+        for a, b in zip(batch_integrate(p, starts), batch_integrate(p, swapped)):
+            assert _same_bits(b.samples, a.samples[:, [0, 1, 3, 2, 4]])
+            assert (b.terminal, b.steps, b.rejected, b.clamp_count) == \
+                (a.terminal, a.steps, a.rejected, a.clamp_count)
+            assert b.nearest == twin.get(a.nearest, a.nearest)
+
 
 def test_batch_empty_and_duplicates():
     assert batch_integrate(Params(0.1, 0.2), []) == []
@@ -146,9 +204,7 @@ def test_csv_and_sidecar_round_trip(tmp_path):
     parsed = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed, traj.samples)
 
-    side = tmp_path / "traj.json"
-    write_trajectory_sidecar(traj, side)
-    payload = json.loads(side.read_text())
+    payload = json.loads(json.dumps(trajectory_sidecar(traj)))
     assert payload == trajectory_sidecar(traj)
     assert payload["terminal"] == "ConvergedToEquilibrium"
     assert payload["nearest_equilibrium"] in {"P1", "P4"}
