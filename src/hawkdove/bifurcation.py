@@ -8,6 +8,13 @@ Degenerate by the catalog's zero-count upgrade, so a region-to-region
 change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
+The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
+rows (about ``_CHUNK_NODES`` nodes each) into one preallocated int8 array,
+so its temporaries stay bounded on any grid.  ``transition_pairs`` finds
+the changed edges by comparing shifted code arrays and attributes lines
+only on those.  ``write_region_csv`` formats each axis value and each
+distinct tag row once; its bytes match a cell-by-cell writer's.
+
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
 P6 equation (returned as an affine term); they back the destabilization
@@ -98,31 +105,34 @@ class RegionMap:
         return self.tag(i, j, eq) is not Classification.UNDEFINED
 
 
-def _scan_rows(v_slice: np.ndarray, c_values: np.ndarray) -> np.ndarray:
-    vv, cc = np.meshgrid(v_slice, c_values, indexing="ij")
-    block = np.empty(vv.shape + (7,), dtype=np.int8)
-    for k, eq in enumerate(_EQ_ORDER):
-        block[..., k] = classification_codes(eq, vv, cc)
-    return block
+# Nodes classified per chunk of whole rows: bounds the scan's temporaries
+# (a few hundred bytes per node) whatever the grid size.
+_CHUNK_NODES = 8192
 
 
 def scan(spec: GridSpec = DEFAULT_GRID, workers: int = 1) -> RegionMap:
     """Classify all seven equilibria at every grid node.
 
-    Pure per-node computation assembled in row order: the output is
-    identical for any worker count, and two scans of one grid agree
-    bitwise.
+    The grid is classified in chunks of whole v rows (about _CHUNK_NODES
+    nodes, at least one row), each written into its slice of one
+    preallocated int8 array; ``workers`` threads share the same chunk
+    list.  Classification is per node, so the output is identical for any
+    worker count, and two scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = np.linspace(spec.v_min, spec.v_max, spec.n_v)
     c_values = np.linspace(spec.c_min, spec.c_max, spec.n_c)
-    if workers <= 1 or spec.n_v < 2 * workers:
-        codes = _scan_rows(v_values, c_values)
-    else:
-        chunks = np.array_split(np.arange(spec.n_v), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda idx: _scan_rows(v_values[idx], c_values), chunks))
-        codes = np.concatenate(blocks, axis=0)
+    codes = np.empty((spec.n_v, spec.n_c, 7), dtype=np.int8)
+    rows = max(1, _CHUNK_NODES // spec.n_c)
+
+    def classify_rows(start: int) -> None:
+        stop = min(start + rows, spec.n_v)
+        vv, cc = np.meshgrid(v_values[start:stop], c_values, indexing="ij")
+        for k, eq in enumerate(_EQ_ORDER):
+            codes[start:stop, :, k] = classification_codes(eq, vv, cc)
+
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        list(pool.map(classify_rows, range(0, spec.n_v, rows)))
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
@@ -163,27 +173,35 @@ def _crossed_lines(a: tuple[float, float], b: tuple[float, float]) -> tuple[Line
 
 
 def transition_pairs(m: RegionMap) -> Iterator[TransitionPair]:
-    """All adjacent-node classification changes with their crossed lines."""
+    """All adjacent-node classification changes with their crossed lines.
+
+    Changed edges are found by whole-array comparison; lines are attributed
+    only on those.  Pairs come row-major in the lower node (i, j), the edge
+    to (i + 1, j) before the edge to (i, j + 1), equilibria in catalog order.
+    """
+    codes = m.codes
     n_v, n_c = m.spec.n_v, m.spec.n_c
-    for i in range(n_v):
-        for j in range(n_c):
-            a = (float(m.v_values[i]), float(m.c_values[j]))
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 >= n_v or j2 >= n_c:
-                    continue
-                b = (float(m.v_values[i2]), float(m.c_values[j2]))
-                ca = m.codes[i, j]
-                cb = m.codes[i2, j2]
-                if np.array_equal(ca, cb):
-                    continue
-                lines = _crossed_lines(a, b)
-                for k, eq in enumerate(_EQ_ORDER):
-                    if ca[k] != cb[k]:
-                        yield TransitionPair(
-                            node_a=a, node_b=b, eq=eq,
-                            tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
-                            lines=lines)
+    v_step = np.zeros((n_v, n_c), dtype=bool)
+    c_step = np.zeros((n_v, n_c), dtype=bool)
+    v_step[:-1] = (codes[1:] != codes[:-1]).any(axis=-1)
+    c_step[:, :-1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
+    v_list = m.v_values.tolist()
+    c_list = m.c_values.tolist()
+    for i, j in np.argwhere(v_step | c_step).tolist():
+        a = (v_list[i], c_list[j])
+        ca = codes[i, j].tolist()
+        for i2, j2, changed in ((i + 1, j, v_step[i, j]), (i, j + 1, c_step[i, j])):
+            if not changed:
+                continue
+            b = (v_list[i2], c_list[j2])
+            cb = codes[i2, j2].tolist()
+            lines = _crossed_lines(a, b)
+            for k, eq in enumerate(_EQ_ORDER):
+                if ca[k] != cb[k]:
+                    yield TransitionPair(
+                        node_a=a, node_b=b, eq=eq,
+                        tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
+                        lines=lines)
 
 
 @dataclass(frozen=True)
@@ -266,11 +284,21 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
 
 
 def write_region_csv(m: RegionMap, path) -> None:
-    """Region map as CSV: header v,c,P1..P7, row-major in v then c."""
+    """Region map as CSV: header v,c,P1..P7, row-major in v then c.
+
+    Each axis value is formatted once and each distinct row of seven tags
+    is joined once, so a row of output is string concatenation only.
+    """
+    flat = m.codes.reshape(-1, 7)
+    # one int64 key per node: np.unique over rows (axis=0) is ~10x slower
+    key = flat.astype(np.int64) @ (len(CLASS_BY_CODE) ** np.arange(7, dtype=np.int64))
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n"
+                for row in flat[first].tolist()]
+    c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
+    which = which.reshape(m.spec.n_v, m.spec.n_c).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in _EQ_ORDER) + "\n")
-        for i in range(m.spec.n_v):
-            v = m.v_values[i]
-            for j in range(m.spec.n_c):
-                tags = ",".join(CLASS_BY_CODE[k].value for k in m.codes[i, j])
-                fh.write(f"{v:.17g},{m.c_values[j]:.17g},{tags}\n")
+        for v, row in zip(m.v_values.tolist(), which):
+            v_text = f"{v:.17g}"
+            fh.write("".join([v_text + ct + tag_text[t] for ct, t in zip(c_text, row)]))

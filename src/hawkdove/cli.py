@@ -249,16 +249,18 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
     dv = size / spec.n_v
     dc = size / spec.n_c
     k = list(EquilibriumId).index(eq)
-    for i in range(spec.n_v):
-        for j in range(spec.n_c):
-            tag = CLASS_BY_CODE[m.codes[i, j, k]]
-            x = margin + i * dv
-            y = margin + size - (j + 1) * dc
-            cv.rect(x, y, dv + 0.5, dc + 0.5, fill=_REGION_COLORS[tag])
+    cv.rect_grid([margin + i * dv for i in range(spec.n_v)],
+                 [margin + size - (j + 1) * dc for j in range(spec.n_c)],
+                 dv + 0.5, dc + 0.5, m.codes[:, :, k].tolist(),
+                 [_REGION_COLORS[tag] for tag in CLASS_BY_CODE])
+
+    def frac(t, lo, hi):
+        # a zero-width axis (a 1-D sweep) maps to the middle of the panel
+        return (t - lo) / (hi - lo) if hi > lo else 0.5
 
     def to_canvas(v, c):
-        fx = (v - spec.v_min) / (spec.v_max - spec.v_min)
-        fy = (c - spec.c_min) / (spec.c_max - spec.c_min)
+        fx = frac(v, spec.v_min, spec.v_max)
+        fy = frac(c, spec.c_min, spec.c_max)
         return margin + fx * size, margin + size - fy * size
 
     # the four destabilization lines, clipped to the grid box

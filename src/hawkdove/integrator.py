@@ -428,8 +428,8 @@ def random_interior_starts(n: int, seed: int = DEFAULT_SEED) -> list[ReducedStat
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,y,z,w\n")
-        for row in traj.samples:
-            fh.write(",".join(f"{t:.17g}" for t in row) + "\n")
+        fh.writelines(["%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+                       for row in traj.samples.tolist()])
 
 
 def trajectory_sidecar(traj: Trajectory) -> dict:

@@ -19,7 +19,6 @@ picking a side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .equilibrium_catalog import catalog
@@ -41,7 +40,6 @@ __all__ = [
     "nash_via_stability",
     "discrepancy_notes",
     "reports_to_json",
-    "write_reports_json",
 ]
 
 
@@ -140,9 +138,3 @@ def reports_to_json(p: Params, reports: list[NashReport]) -> dict:
         ],
         "notes": discrepancy_notes(p),
     }
-
-
-def write_reports_json(p: Params, reports: list[NashReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(reports_to_json(p, reports), fh, indent=2)
-        fh.write("\n")

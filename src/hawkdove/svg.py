@@ -28,6 +28,20 @@ class Canvas:
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>')
 
+    def rect_grid(self, xs, ys, width, height, fill_index, fills):
+        """One rect per cell (xs[i], ys[j]) with fill ``fills[fill_index[i][j]]``.
+
+        Cells come row-major in i then j.  Each cell is the text ``rect``
+        writes for it with the default stroke; every coordinate and fill is
+        formatted once, not once per cell.
+        """
+        y_text = [f'{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" fill="'
+                  for y in ys]
+        tails = [f'{fill}" stroke="none" stroke-width="{_fmt(0.0)}"/>' for fill in fills]
+        for x, row in zip(xs, fill_index):
+            head = f'<rect x="{_fmt(x)}" y="'
+            self._parts.extend([head + yt + tails[k] for yt, k in zip(y_text, row)])
+
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self._parts.append(

@@ -1,11 +1,29 @@
+import sys
+
 import numpy as np
 import pytest
 
 from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
-from hawkdove.bifurcation import GridSpec, LineId, transition_pairs, write_region_csv
-from hawkdove.equilibrium_catalog import CLASS_BY_CODE, CODE_BY_CLASS, EquilibriumId
+from hawkdove.bifurcation import (
+    _CHUNK_NODES,
+    DEFAULT_GRID,
+    GridSpec,
+    LineId,
+    TransitionPair,
+    _crossed_lines,
+    transition_pairs,
+    write_region_csv,
+)
+from hawkdove.cli import _REGION_COLORS, _region_svg
+from hawkdove.equilibrium_catalog import (
+    CLASS_BY_CODE,
+    CODE_BY_CLASS,
+    EquilibriumId,
+    classification_codes,
+)
 from hawkdove.errors import UndefinedPointError
 from hawkdove.linear_analysis import Classification
+from hawkdove.svg import Canvas
 
 C = Classification
 EQS = list(EquilibriumId)
@@ -43,6 +61,21 @@ def test_scan_determinism_and_parallel_consistency():
     par = scan(spec, workers=3)
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.codes, par.codes)
+
+
+def test_scan_chunks_match_one_whole_grid_classification():
+    spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 101)
+    assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # three chunks, the last short
+    vv, cc = np.meshgrid(np.linspace(-0.3, 0.3, 201), np.linspace(-0.3, 0.3, 101),
+                         indexing="ij")
+    whole = np.stack([classification_codes(eq, vv, cc) for eq in EQS], axis=-1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # threads interleave as often as they can
+    try:
+        for workers in (1, 2, 3):
+            assert np.array_equal(scan(spec, workers=workers).codes, whole)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scan_homogeneity_power_of_two():
@@ -182,3 +215,120 @@ def test_linearized_undefined_at_zero_cost():
     for eq in (EquilibriumId.P3, EquilibriumId.P6):
         with pytest.raises(UndefinedPointError):
             linearized_field(Params(0.2, 0.0), eq)
+
+
+# -- the per-cell writers the array versions replaced, kept as references ----
+
+def reference_transition_pairs(m):
+    n_v, n_c = m.spec.n_v, m.spec.n_c
+    for i in range(n_v):
+        for j in range(n_c):
+            a = (float(m.v_values[i]), float(m.c_values[j]))
+            for di, dj in ((1, 0), (0, 1)):
+                i2, j2 = i + di, j + dj
+                if i2 >= n_v or j2 >= n_c:
+                    continue
+                b = (float(m.v_values[i2]), float(m.c_values[j2]))
+                ca = m.codes[i, j]
+                cb = m.codes[i2, j2]
+                if np.array_equal(ca, cb):
+                    continue
+                lines = _crossed_lines(a, b)
+                for k, eq in enumerate(EQS):
+                    if ca[k] != cb[k]:
+                        yield TransitionPair(
+                            node_a=a, node_b=b, eq=eq,
+                            tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
+                            lines=lines)
+
+
+def reference_region_csv(m, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("v,c," + ",".join(eq.value for eq in EQS) + "\n")
+        for i in range(m.spec.n_v):
+            v = m.v_values[i]
+            for j in range(m.spec.n_c):
+                tags = ",".join(CLASS_BY_CODE[k].value for k in m.codes[i, j])
+                fh.write(f"{v:.17g},{m.c_values[j]:.17g},{tags}\n")
+
+
+def reference_region_svg(m, eq, path):
+    """One Canvas.rect per cell; a 1-D sweep stops after the cells, since
+    this writer divided by the zero axis width when drawing the lines."""
+    size, margin = 420, 40
+    cv = Canvas(size + 2 * margin, size + 2 * margin)
+    spec = m.spec
+    dv = size / spec.n_v
+    dc = size / spec.n_c
+    k = EQS.index(eq)
+    for i in range(spec.n_v):
+        for j in range(spec.n_c):
+            tag = CLASS_BY_CODE[m.codes[i, j, k]]
+            x = margin + i * dv
+            y = margin + size - (j + 1) * dc
+            cv.rect(x, y, dv + 0.5, dc + 0.5, fill=_REGION_COLORS[tag])
+    if spec.v_min < spec.v_max and spec.c_min < spec.c_max:
+        def to_canvas(v, c):
+            fx = (v - spec.v_min) / (spec.v_max - spec.v_min)
+            fy = (c - spec.c_min) / (spec.c_max - spec.c_min)
+            return margin + fx * size, margin + size - fy * size
+
+        for (v1, c1), (v2, c2) in (
+                ((spec.v_min, spec.v_min), (spec.v_max, spec.v_max)),
+                ((spec.v_min, 0.0), (spec.v_max, 0.0)),
+                ((0.0, spec.c_min), (0.0, spec.c_max)),
+                ((spec.c_min / 2, spec.c_min), (spec.c_max / 2, spec.c_max))):
+            cv.line(*to_canvas(v1, c1), *to_canvas(v2, c2), stroke="black", width=1.2)
+        cv.text(margin, margin - 8, f"{eq.value} classification over (v, c)", size=12)
+    cv.write(path)
+
+
+REFERENCE_GRIDS = {
+    "5x5-on-diagonal": (GridSpec(0.05, 0.25, 0.05, 0.25, 5, 5), EquilibriumId.P1),
+    "13x7": (GridSpec(-0.3, 0.3, -0.3, 0.3, 13, 7), EquilibriumId.P3),
+    "1x9": (GridSpec(0.1, 0.1, -0.3, 0.3, 1, 9), EquilibriumId.P6),
+    "9x1": (GridSpec(-0.3, 0.3, 0.2, 0.2, 9, 1), EquilibriumId.P5),
+    "37x23-origin": (GridSpec(-0.018, 0.018, -0.011, 0.011, 37, 23), EquilibriumId.P7),
+    "default": (DEFAULT_GRID, EquilibriumId.P2),
+}
+
+
+def assert_same_lines(new: bytes, ref: bytes):
+    # names the first differing line; a plain == on megabytes of text makes
+    # pytest's failure diff run for minutes
+    new_lines, ref_lines = new.splitlines(keepends=True), ref.splitlines(keepends=True)
+    for k, (a, b) in enumerate(zip(new_lines, ref_lines)):
+        assert a == b, f"line {k} differs"
+    assert len(new_lines) == len(ref_lines)
+
+
+@pytest.fixture(scope="module", params=list(REFERENCE_GRIDS), ids=list(REFERENCE_GRIDS))
+def reference_case(request):
+    spec, eq = REFERENCE_GRIDS[request.param]
+    return scan(spec), eq
+
+
+def test_transition_pairs_match_reference_loop(reference_case):
+    m, _ = reference_case
+    assert list(transition_pairs(m)) == list(reference_transition_pairs(m))
+
+
+def test_region_csv_matches_reference_writer(reference_case, tmp_path):
+    m, _ = reference_case
+    write_region_csv(m, tmp_path / "new.csv")
+    reference_region_csv(m, tmp_path / "ref.csv")
+    assert_same_lines((tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes())
+
+
+def test_region_svg_matches_reference_writer(reference_case, tmp_path):
+    m, eq = reference_case
+    _region_svg(m, eq, tmp_path / "new.svg")
+    reference_region_svg(m, eq, tmp_path / "ref.svg")
+    new = (tmp_path / "new.svg").read_bytes()
+    ref = (tmp_path / "ref.svg").read_bytes()
+    if m.spec.v_min < m.spec.v_max and m.spec.c_min < m.spec.c_max:
+        assert_same_lines(new, ref)
+    else:
+        rects = [line for line in new.splitlines() if line.startswith(b"<rect ")]
+        assert rects == [line for line in ref.splitlines() if line.startswith(b"<rect ")]
+        assert len(rects) == m.spec.n_v * m.spec.n_c

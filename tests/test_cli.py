@@ -165,6 +165,21 @@ def test_bifurcation_accepts_1d_sweep(tmp_path, capsys):
     assert len((out / "region_map.csv").read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("flat", [
+    ("--v-min", "0.1", "--v-max", "0.1", "--nv", "1", "--nc", "9"),
+    ("--c-min", "0.2", "--c-max", "0.2", "--nc", "1", "--nv", "9"),
+], ids=["flat-v", "flat-c"])
+def test_bifurcation_svg_of_1d_sweep(tmp_path, capsys, flat):
+    out = tmp_path / "sweep"
+    code, report = run(capsys, "bifurcation", *flat, "--svg", "--point", "P3",
+                       "--out-dir", str(out))
+    assert code == 0
+    assert json.loads(report)["svg"] == str(out / "region_P3.svg")
+    svg = (out / "region_P3.svg").read_text()
+    assert svg.count("<rect ") == 9
+    assert len((out / "region_map.csv").read_text().splitlines()) == 10
+
+
 def test_nash_reports(capsys):
     code, out = run(capsys, "nash", "--v", "0.1", "--c", "0.2")
     assert code == 0

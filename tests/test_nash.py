@@ -5,7 +5,7 @@ import pytest
 
 from hawkdove import Params, best_response_check, build_payoff_matrix, nash_via_stability
 from hawkdove.game_core import strategy_payoff
-from hawkdove.nash import discrepancy_notes, nash_tol, reports_to_json, write_reports_json
+from hawkdove.nash import discrepancy_notes, nash_tol, reports_to_json
 
 from util import rand_params
 
@@ -100,12 +100,10 @@ def test_discrepancy_note_only_in_disputed_region():
     assert not discrepancy_notes(Params(0.2, -0.1))
 
 
-def test_json_export_round_trip(tmp_path):
+def test_json_export_round_trip():
     p = Params(0.2, 0.1)
     reports = nash_via_stability(p)
-    path = tmp_path / "nash.json"
-    write_reports_json(p, reports, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(reports_to_json(p, reports)))
     assert payload["v"] == 0.2 and payload["c"] == 0.1
     assert len(payload["reports"]) == 1
     rep = payload["reports"][0]
