@@ -9,11 +9,17 @@ P3 and P6 divide by c and are undefined at c = 0; degeneracy is data, not
 an error.  Out-of-simplex points are still analyzed: they shape boundary
 dynamics.
 
-Classification upgrade: ``classify`` never emits DEGENERATE on its own.
-The catalog knows each point's structural zero-eigenvalue count (P3 has
-one, P6 has two, the rest none) and raises the tag to DEGENERATE whenever
-the numeric zero count exceeds it, i.e. exactly when (v, c) sits on a
-local bifurcation line for that point.
+Classification upgrade: the stability code table never emits DEGENERATE
+on its own.  The catalog knows each point's structural zero-eigenvalue
+count (P3 has one, P6 has two, the rest none) and raises the tag to
+DEGENERATE whenever the numeric zero count exceeds it, i.e. exactly when
+(v, c) sits on a local bifurcation line for that point.
+
+The scalar catalog and the grid scan classify through one routine,
+``_tag_codes``: LAPACK eigenvalues of the stacked Jacobians, real parts
+against the zero threshold ``zero_tol(v, c)``.  ``catalog`` is a stack of
+seven Jacobians, one per point; ``classification_codes`` is a stack of one
+point's Jacobians over a parameter grid.
 """
 
 from __future__ import annotations
@@ -27,16 +33,16 @@ import numpy as np
 from .errors import NoConvergenceError, SingularJacobianError
 from .game_core import Params, TOL_SIMPLEX
 from .linear_analysis import (
+    CLASS_BY_CODE,
+    CODE_BY_CLASS,
     Classification,
     EigenTriple,
-    char_coefficients,
-    classify,
-    count_zero_eigs,
-    cubic_roots,
-    eig_zero_tol,
-    eigenvalues,
+    eigvals,
     jacobian,
     jacobian_entries,
+    sorted_eigvals,
+    stability_codes,
+    zero_tol,
 )
 from .replicator_field import Reduced, ReducedState, field_3d, lift
 
@@ -79,8 +85,8 @@ STRUCTURAL_ZERO_EIGS = {
     EquilibriumId.P7: 0,
 }
 
-CLASS_BY_CODE = list(Classification)
-CODE_BY_CLASS = {cls: i for i, cls in enumerate(CLASS_BY_CODE)}
+_IDS = tuple(EquilibriumId)
+_STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in _IDS])
 
 #: Known gaps in the literal predicate transcription, surfaced in reports
 #: instead of silently corrected.
@@ -177,45 +183,41 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     raise ValueError(f"unknown equilibrium {eq!r}")
 
 
+def _jacobian_stack(v, c, x, y, z) -> np.ndarray:
+    """Jacobians (..., 3, 3) at broadcast parameters and coordinates."""
+    entries = np.broadcast_arrays(*jacobian_entries(v, c, x, y, z))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+
+
+def _tag_codes(re, v, c, structural, defined) -> np.ndarray:
+    """Catalog class codes from eigenvalue real parts ``re`` (..., 3).
+
+    The stability code, raised to DEGENERATE where more real parts are zero
+    than the point's ``structural`` count, and UNDEFINED where the point is
+    not defined or its Jacobian overflowed (NaN eigenvalues).
+    """
+    codes, zeros = stability_codes(re, zero_tol(v, c))
+    codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
+    defined = defined & ~np.isnan(re).any(axis=-1)
+    return np.where(defined, codes, CODE_BY_CLASS[Classification.UNDEFINED]).astype(np.int8)
+
+
 def classification_codes(eq: EquilibriumId, v, c) -> np.ndarray:
     """Vectorized classification of ``eq`` over parameter arrays.
 
     Returns integer codes indexing CLASS_BY_CODE, including the DEGENERATE
     upgrade at bifurcation lines and UNDEFINED where the point's formula
-    divides by zero.  The scalar catalog path and the bifurcation grid
-    scan share this routine.
+    divides by zero.  The codes equal the catalog's tags at the same
+    (v, c): both take the real parts of one LAPACK solve per Jacobian
+    through ``_tag_codes``.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     x, y, z, defined = equilibrium_coords(eq, v, c)
-    vv, cc = np.broadcast_arrays(v, c)
-    vv = np.broadcast_to(vv, x.shape)
-    cc = np.broadcast_to(cc, x.shape)
-    entries = np.stack(jacobian_entries(vv, cc, x, y, z), axis=-1).reshape(x.shape + (3, 3))
-    a2, a1, a0 = char_coefficients(entries)
-    roots = cubic_roots(a2, a1, a0)
-
-    absmax = np.abs(roots).max(axis=-1)
-    tol = 1e-9 * (1.0 + absmax)
-    re = roots.real
-    zeros = count_zero_eigs(roots, tol)
-    neg = (re < -tol[..., None]).sum(axis=-1)
-    pos = (re > tol[..., None]).sum(axis=-1)
-
-    codes = np.full(x.shape, CODE_BY_CLASS[Classification.SADDLE], dtype=np.int8)
-    codes = np.where((zeros == 0) & (neg == 3), CODE_BY_CLASS[Classification.STABLE_NODE], codes)
-    codes = np.where((zeros == 0) & (pos == 3), CODE_BY_CLASS[Classification.UNSTABLE_NODE], codes)
-    codes = np.where((zeros == 1) & (neg == 2),
-                     CODE_BY_CLASS[Classification.NORMALLY_HYPERBOLIC_STABLE], codes)
-    codes = np.where((zeros == 1) & (pos == 2),
-                     CODE_BY_CLASS[Classification.NORMALLY_HYPERBOLIC_UNSTABLE], codes)
-    codes = np.where((zeros == 1) & (pos == 1) & (neg == 1),
-                     CODE_BY_CLASS[Classification.NORMALLY_HYPERBOLIC_SADDLE], codes)
-    codes = np.where(zeros >= 2, CODE_BY_CLASS[Classification.NON_HYPERBOLIC], codes)
-    codes = np.where(zeros > STRUCTURAL_ZERO_EIGS[eq],
-                     CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    codes = np.where(defined, codes, CODE_BY_CLASS[Classification.UNDEFINED])
-    return codes.astype(np.int8)
+    vv = np.broadcast_to(v, x.shape)
+    cc = np.broadcast_to(c, x.shape)
+    re = eigvals(_jacobian_stack(vv, cc, x, y, z)).real
+    return _tag_codes(re, vv, cc, STRUCTURAL_ZERO_EIGS[eq], defined)
 
 
 @dataclass(frozen=True)
@@ -243,22 +245,24 @@ def _in_simplex(coords: ReducedState) -> bool:
 
 
 def catalog(p: Params) -> list[EquilibriumRecord]:
-    """All seven equilibrium records at parameters ``p``."""
+    """All seven equilibrium records at parameters ``p``.
+
+    One eigenvalue solve over the seven stacked Jacobians; the tags come
+    from the same ``_tag_codes`` as the grid scan's.
+    """
     p = Params(*p).validate()
+    x, y, z, defined = (np.array(col) for col in zip(
+        *(equilibrium_coords(eq, p.v, p.c) for eq in _IDS)))
+    eigs = sorted_eigvals(_jacobian_stack(p.v, p.c, x, y, z), max(abs(p.v), abs(p.c)))
+    codes = _tag_codes(eigs.real, p.v, p.c, _STRUCTURAL, defined)
     records = []
-    for eq in EquilibriumId:
-        x, y, z, defined = equilibrium_coords(eq, p.v, p.c)
-        coords = ReducedState(float(x), float(y), float(z))
-        if bool(defined):
-            j = jacobian(p, coords)
-            eigs = eigenvalues(j)
-            base = classify(eigs)
-            tol = eig_zero_tol(eigs)
-            zeros = int(count_zero_eigs(eigs.as_array(), np.asarray(tol)))
-            tag = Classification.DEGENERATE if zeros > STRUCTURAL_ZERO_EIGS[eq] else base
+    for k, eq in enumerate(_IDS):
+        coords = ReducedState(float(x[k]), float(y[k]), float(z[k]))
+        if defined[k]:
             rec = EquilibriumRecord(
                 id=eq, coords=coords, defined=True, in_simplex=_in_simplex(coords),
-                eigenvalues=eigs, classification=tag,
+                eigenvalues=EigenTriple(*(complex(l) for l in eigs[k])),
+                classification=CLASS_BY_CODE[codes[k]],
                 paper_region_class=region_predicate(eq, p))
         else:
             rec = EquilibriumRecord(

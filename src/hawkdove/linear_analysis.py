@@ -1,19 +1,22 @@
 """Jacobian, eigenvalues and stability classification for the reduced field.
 
 The Jacobian of the reduced replicator field is a 3x3 matrix with
-closed-form polynomial entries.  Its eigenvalues are computed from the
-characteristic cubic with an analytic solver plus a Newton polish rather
-than an iterative QR sweep: the matrix is fixed-size and determinism
-matters for golden tests.
+closed-form polynomial entries.  Its eigenvalues come from LAPACK
+(``numpy.linalg.eigvals``), one batched call over a stack of matrices.
+Every catalog Jacobian is diagonalizable, so its eigenvalues are well
+conditioned even where they repeat (P5 and P7 always carry a double
+eigenvalue); roots of the characteristic cubic are not, which is why the
+eigenvalues do not come from it.  LAPACK returns the two members of a
+complex pair with bit-identical real parts, so a classification from real
+parts cannot split a pair.
 
-The analytic route has one genuine numerical wrinkle: a root computed
-from the cubic's coefficients is only sqrt(eps)-accurate when it is (near)
-repeated, and several catalog equilibria have exactly repeated
-eigenvalues.  Clusters of raw roots are therefore re-anchored on the
-derivative polynomial (whose matching root is simple, hence well
-conditioned) before polishing; the guards below only accept the cluster
-root when the cubic's residual is at coefficient-noise level, so merely
-close-but-distinct roots are left alone.
+Classification reads only real-part signs against a zero threshold that
+scales with the problem: ``ZERO_REL * max(|v|, |c|)`` for the catalog and
+the grid scan, and ``ZERO_REL * max|lambda|`` for a bare eigenvalue triple.
+A relative threshold makes every tag invariant under (v, c) -> k (v, c),
+which scales every eigenvalue by k.  Counts of zero, negative and
+positive real parts map to a class through one code table,
+``stability_codes``, which the catalog and the scan share.
 """
 
 from __future__ import annotations
@@ -29,19 +32,24 @@ from .replicator_field import Reduced
 __all__ = [
     "Classification",
     "EigenTriple",
+    "CLASS_BY_CODE",
+    "CODE_BY_CLASS",
+    "ZERO_REL",
     "jacobian",
     "eigenvalues",
+    "eigvals",
+    "sorted_eigvals",
+    "stability_codes",
     "classify",
     "eig_zero_tol",
+    "zero_tol",
     "char_coefficients",
-    "cubic_roots",
 ]
 
-_EPS = float(np.finfo(float).eps)
-# Raw closed-form roots of an exactly repeated pair are ~sqrt(eps) off; the
-# cluster window must catch them while leaving separated roots untouched.
-_CLUSTER_REL = 1e-5
-_RESIDUAL_REL = 64.0 * _EPS
+#: A real part counts as zero when |Re l| <= ZERO_REL * scale.
+ZERO_REL = 1e-9
+# Imaginary parts this small relative to the scale are rounding noise.
+_IMAG_REL = 1e-13
 
 
 class Classification(enum.Enum):
@@ -75,6 +83,25 @@ class EigenTriple(NamedTuple):
         return (self.lam1.real, self.lam2.real, self.lam3.real)
 
 
+CLASS_BY_CODE = list(Classification)
+CODE_BY_CLASS = {cls: i for i, cls in enumerate(CLASS_BY_CODE)}
+
+
+def _code_table() -> np.ndarray:
+    C = Classification
+    table = np.full((4, 4), CODE_BY_CLASS[C.NON_HYPERBOLIC], dtype=np.int8)
+    # [zero count, negative count]; the rest of the real parts are positive
+    table[0] = [CODE_BY_CLASS[t] for t in (
+        C.UNSTABLE_NODE, C.SADDLE, C.SADDLE, C.STABLE_NODE)]
+    table[1, :3] = [CODE_BY_CLASS[t] for t in (
+        C.NORMALLY_HYPERBOLIC_UNSTABLE, C.NORMALLY_HYPERBOLIC_SADDLE,
+        C.NORMALLY_HYPERBOLIC_STABLE)]
+    return table
+
+
+_CODE_TABLE = _code_table()
+
+
 def jacobian_entries(v, c, x, y, z):
     """The nine closed-form Jacobian entries, row major, broadcastable.
 
@@ -104,8 +131,8 @@ def jacobian(p: Params, s: Reduced) -> np.ndarray:
 def char_coefficients(j: np.ndarray):
     """Monic characteristic coefficients (a2, a1, a0): l^3 + a2 l^2 + a1 l + a0.
 
-    Works elementwise when the entries are arrays (used by the bifurcation
-    grid scan); for a plain 3x3 matrix pass ``j`` directly.
+    Works elementwise over stacked matrices (..., 3, 3).  Classification
+    does not use it; it states the residual contract of ``eigenvalues``.
     """
     j = np.asarray(j, dtype=float)
     J = [[j[..., r, k] for k in range(3)] for r in range(3)]
@@ -119,170 +146,93 @@ def char_coefficients(j: np.ndarray):
     return -tr, minors, -det
 
 
-def _raw_cubic_roots(a2, a1, a0) -> np.ndarray:
-    """Closed-form complex roots of l^3 + a2 l^2 + a1 l + a0, unordered."""
-    d0 = a2 * a2 - 3.0 * a1
-    d1 = 2.0 * a2 ** 3 - 9.0 * a2 * a1 + 27.0 * a0
-    sq = np.sqrt((d1 * d1 - 4.0 * d0 ** 3).astype(complex))
-    cp = 0.5 * (d1 + sq)
-    cm = 0.5 * (d1 - sq)
-    cube = np.where(np.abs(cp) >= np.abs(cm), cp, cm)  # avoid cancellation
-    big = cube ** (1.0 / 3.0)
-    degenerate = big == 0.0  # d0 = d1 = 0: triple root
-    safe = np.where(degenerate, 1.0, big)
-    omega = np.exp(2j * np.pi / 3.0)
-    roots = np.empty(np.shape(a2) + (3,), dtype=complex)
-    for k in range(3):
-        wk = safe * omega ** k
-        lam = -(a2 + wk + d0 / wk) / 3.0
-        roots[..., k] = np.where(degenerate, -a2 / 3.0, lam)
-    return roots
+def _tidy_and_sort(roots: np.ndarray, scale) -> np.ndarray:
+    """Zero imaginary parts within _IMAG_REL * scale, then sort each row.
 
-
-def _polyval(roots, a2, a1, a0):
-    return ((roots + a2[..., None]) * roots + a1[..., None]) * roots + a0[..., None]
-
-
-def _refit_clusters(roots: np.ndarray, a2, a1, a0) -> np.ndarray:
-    """Re-anchor (near-)repeated roots on the derivative polynomial.
-
-    Triple clusters collapse onto -a2/3; pair clusters onto the nearer root
-    of p'(l) = 3 l^2 + 2 a2 l + a1.  A candidate is accepted only when the
-    cubic's residual there is at rounding level, so genuinely separated
-    roots never get merged.
+    Rows come in EigenTriple order: descending real part, ties by
+    descending imaginary part.  ``scale`` broadcasts over the rows.
     """
-    scale = 1.0 + np.abs(roots).max(axis=-1)
-    res_tol = _RESIDUAL_REL * scale ** 3
-    d01 = np.abs(roots[..., 0] - roots[..., 1])
-    d02 = np.abs(roots[..., 0] - roots[..., 2])
-    d12 = np.abs(roots[..., 1] - roots[..., 2])
-
-    # Triple root: p and p' must both vanish at -a2/3 (p'' does automatically).
-    t = -a2 / 3.0 + 0.0j
-    p_t = ((t + a2) * t + a1) * t + a0
-    dp_t = (3.0 * t + 2.0 * a2) * t + a1
-    triple = ((np.maximum(np.maximum(d01, d02), d12) < _CLUSTER_REL * scale)
-              & (np.abs(p_t) <= res_tol)
-              & (np.abs(dp_t) <= _RESIDUAL_REL * scale ** 2))
-
-    # Closest pair -> candidate double root from p' (Vieta for the other root).
-    dmin = np.minimum(np.minimum(d01, d02), d12)
-    pair_mean = np.where(
-        d01 == dmin, 0.5 * (roots[..., 0] + roots[..., 1]),
-        np.where(d02 == dmin, 0.5 * (roots[..., 0] + roots[..., 2]),
-                 0.5 * (roots[..., 1] + roots[..., 2])))
-    sq = np.sqrt((a2 * a2 - 3.0 * a1).astype(complex))
-    n_plus = -a2 + sq
-    n_minus = -a2 - sq
-    u1 = np.where(np.abs(n_minus) >= np.abs(n_plus), n_minus, n_plus) / 3.0
-    u1_safe = np.where(u1 == 0.0, 1.0, u1)
-    u2 = np.where(u1 == 0.0, 0.0, a1 / (3.0 * u1_safe))
-    double = np.where(np.abs(u1 - pair_mean) <= np.abs(u2 - pair_mean), u1, u2)
-    p_d = ((double + a2) * double + a1) * double + a0
-    pair = (~triple) & (dmin < _CLUSTER_REL * scale) & (np.abs(p_d) <= res_tol)
-
-    out = roots.copy()
-    third = np.where(d01 == dmin, roots[..., 2],
-                     np.where(d02 == dmin, roots[..., 1], roots[..., 0]))
-    for k in range(3):
-        out[..., k] = np.where(triple, t, out[..., k])
-    pair_roots = np.stack([double, double, third], axis=-1)
-    for k in range(3):
-        out[..., k] = np.where(pair, pair_roots[..., k], out[..., k])
-    return out
-
-
-def _polish(roots: np.ndarray, a2, a1, a0) -> np.ndarray:
-    """One guarded Newton iteration per root on the characteristic cubic."""
-    scale = 1.0 + np.abs(roots).max(axis=-1, keepdims=True)
-    p = _polyval(roots, np.asarray(a2), np.asarray(a1), np.asarray(a0))
-    dp = (3.0 * roots + 2.0 * np.asarray(a2)[..., None]) * roots + np.asarray(a1)[..., None]
-    # Near a repeated root p' ~ 0 and the quotient is noise; skip those.
-    ok = np.abs(dp) > 1e-12 * scale ** 2
-    step = np.where(ok, p / np.where(ok, dp, 1.0), 0.0)
-    return roots - step
-
-
-def _tidy_and_sort(roots: np.ndarray) -> np.ndarray:
-    scale = 1.0 + np.abs(roots).max(axis=-1, keepdims=True)
-    im = np.where(np.abs(roots.imag) <= 1e-13 * scale, 0.0, roots.imag)
-    roots = roots.real + 1j * im
-    # A real cubic's complex roots are conjugates; enforce that exactly so the
-    # descending-(re, im) ordering cannot flip on ulp-level noise.
-    nz = roots.imag != 0.0
-    pair = nz.sum(axis=-1) == 2
-    if np.any(pair):
-        re_mean = np.where(pair, (roots.real * nz).sum(axis=-1) / 2.0, 0.0)
-        im_mean = np.where(pair, (np.abs(roots.imag) * nz).sum(axis=-1) / 2.0, 0.0)
-        fix = pair[..., None] & nz
-        re = np.where(fix, re_mean[..., None], roots.real)
-        imd = np.where(fix, np.sign(roots.imag) * im_mean[..., None], roots.imag)
-        roots = re + 1j * imd
+    roots = np.asarray(roots, dtype=complex)
+    tol = _IMAG_REL * np.asarray(scale, dtype=float)[..., None]
+    roots = roots.real + 1j * np.where(np.abs(roots.imag) <= tol, 0.0, roots.imag)
     order = np.lexsort((-roots.imag, -roots.real), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 
-def cubic_roots(a2, a1, a0) -> np.ndarray:
-    """Roots of l^3 + a2 l^2 + a1 l + a0, sorted, broadcast over inputs."""
-    a2, a1, a0 = np.broadcast_arrays(np.asarray(a2, float), np.asarray(a1, float),
-                                     np.asarray(a0, float))
-    roots = _raw_cubic_roots(a2, a1, a0)
-    roots = _refit_clusters(roots, a2, a1, a0)
-    roots = _polish(roots, a2, a1, a0)
-    return _tidy_and_sort(roots)
+def eigvals(j: np.ndarray) -> np.ndarray:
+    """Eigenvalues of stacked 3x3 matrices ``j`` (..., 3, 3), one LAPACK call.
+
+    Unordered; as with NumPy, the dtype is real when every eigenvalue in
+    the stack is real.  A matrix with an overflowed (non-finite) entry
+    gets NaN eigenvalues; LAPACK would reject the whole stack for it.
+    """
+    j = np.asarray(j, dtype=float)
+    finite = np.isfinite(j).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvals(j)
+    eigs = np.linalg.eigvals(np.where(finite[..., None, None], j, 0.0))
+    eigs[~finite] = np.nan
+    return eigs
+
+
+def sorted_eigvals(j: np.ndarray, scale) -> np.ndarray:
+    """``eigvals`` with each row in EigenTriple order and imaginary parts
+    within 1e-13 * ``scale`` set to zero."""
+    return _tidy_and_sort(eigvals(j), scale)
 
 
 def eigenvalues(j: np.ndarray) -> EigenTriple:
-    """Eigenvalues of a 3x3 matrix via the characteristic cubic.
+    """Eigenvalues of one 3x3 matrix, sorted; its max-abs entry is the scale.
 
     Residual contract: |charpoly(l)| < 1e-10 * (1 + ||J||^3) for every
-    returned root, with ||J|| the max-abs entry.
+    returned eigenvalue, with ||J|| the max-abs entry.
     """
     j = np.asarray(j, dtype=float)
     if j.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {j.shape}")
-    a2, a1, a0 = char_coefficients(j)
-    roots = cubic_roots(a2, a1, a0)
+    roots = sorted_eigvals(j, np.abs(j).max())
     return EigenTriple(complex(roots[0]), complex(roots[1]), complex(roots[2]))
 
 
+def zero_tol(v, c):
+    """Zero threshold of the real parts at parameters (v, c): ZERO_REL * max(|v|, |c|).
+
+    Every Jacobian entry is a sum of v and c times polynomials in the
+    coordinates, so max(|v|, |c|) is the scale of its eigenvalues.
+    """
+    return ZERO_REL * np.maximum(np.abs(v), np.abs(c))
+
+
 def eig_zero_tol(eigs) -> float:
-    """Magnitude below which a real part counts as zero: 1e-9 * (1 + max|l|)."""
+    """Zero threshold for a bare eigenvalue triple: ZERO_REL * max|l|."""
     arr = np.asarray(tuple(eigs), dtype=complex)
-    return 1e-9 * (1.0 + float(np.abs(arr).max()))
+    return ZERO_REL * float(np.abs(arr).max())
+
+
+def stability_codes(re, tol):
+    """Class codes and zero counts from real parts, through one code table.
+
+    ``re`` has shape (..., 3) and ``tol`` broadcasts over its leading
+    shape.  A real part counts as zero when |re| <= tol (so a zero
+    threshold still counts exact zeros).  Returns int8 codes indexing
+    CLASS_BY_CODE and the zero count per triple: no zero real part gives a
+    node or saddle, exactly one the normally hyperbolic variants (decided
+    by the other two), two or more NonHyperbolic.  DEGENERATE and
+    UNDEFINED are never produced here; the equilibrium catalog adds them.
+    """
+    re = np.asarray(re, dtype=float)
+    tol = np.asarray(tol, dtype=float)[..., None]
+    zeros = (np.abs(re) <= tol).sum(axis=-1)
+    neg = (re < -tol).sum(axis=-1)
+    return _CODE_TABLE[zeros, neg], zeros
 
 
 def classify(e: Sequence[complex]) -> Classification:
-    """Stability tag from eigenvalue real-part signs.
+    """Stability tag of one eigenvalue triple, with tol = eig_zero_tol(e).
 
-    With tol = eig_zero_tol(e): no zero real parts gives a node or saddle;
-    exactly one gives the normally hyperbolic variants (decided by the two
-    nonzero eigenvalues); two or more gives NonHyperbolic.  Complex pairs
-    are classified by real parts only.  DEGENERATE is never produced here;
-    the equilibrium catalog raises a tag to it at region boundaries.
+    Complex pairs are classified by their real parts only; see
+    ``stability_codes`` for the table.
     """
-    vals = [complex(l) for l in e]
-    tol = eig_zero_tol(vals)
-    re = [l.real for l in vals]
-    nonzero = [r for r in re if abs(r) > tol]
-    zeros = 3 - len(nonzero)
-    if zeros >= 2:
-        return Classification.NON_HYPERBOLIC
-    neg = sum(1 for r in nonzero if r < 0.0)
-    pos = len(nonzero) - neg
-    if zeros == 0:
-        if neg == 3:
-            return Classification.STABLE_NODE
-        if pos == 3:
-            return Classification.UNSTABLE_NODE
-        return Classification.SADDLE
-    if neg == 2:
-        return Classification.NORMALLY_HYPERBOLIC_STABLE
-    if pos == 2:
-        return Classification.NORMALLY_HYPERBOLIC_UNSTABLE
-    return Classification.NORMALLY_HYPERBOLIC_SADDLE
-
-
-def count_zero_eigs(roots: np.ndarray, tol: np.ndarray | float) -> np.ndarray:
-    """Number of eigenvalue real parts within tol of zero (array friendly)."""
-    return (np.abs(np.asarray(roots).real) <= np.asarray(tol)[..., None]).sum(axis=-1)
+    vals = np.array([complex(l) for l in e])
+    code, _ = stability_codes(vals.real, eig_zero_tol(vals))
+    return CLASS_BY_CODE[int(code)]

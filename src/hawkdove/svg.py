@@ -9,6 +9,8 @@ from __future__ import annotations
 
 __all__ = ["Canvas"]
 
+_WRITE_PARTS = 4096
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -71,9 +73,15 @@ class Canvas:
             f'font-family="sans-serif" fill="{fill}" text-anchor="{anchor}">'
             f'{content}</text>')
 
-    def to_string(self) -> str:
-        return "\n".join(self._parts + ["</svg>"]) + "\n"
-
     def write(self, path) -> None:
+        """One element per line, written in slices of _WRITE_PARTS elements.
+
+        Joining every element into one string would hold the whole document
+        in memory a second time (and a third for the trailing newline).
+        """
+        parts = self._parts
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_string())
+            for k in range(0, len(parts), _WRITE_PARTS):
+                fh.write("\n".join(parts[k:k + _WRITE_PARTS]))
+                fh.write("\n")
+            fh.write("</svg>\n")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
 from .game_core import Params
+from .linear_analysis import zero_tol
 
 __all__ = [
     "two_strategy_payoff_matrix",
@@ -64,8 +65,7 @@ def equilibria_1d(p: Params) -> list[float]:
 def _tag(p: Params, z: float) -> str:
     v, c = p
     fp = f_prime(p, z)
-    tol = 1e-9 * (1.0 + abs(v) + abs(c))
-    if abs(fp) <= tol:
+    if abs(fp) <= zero_tol(v, c):
         return "degenerate"
     return "stable" if fp < 0 else "unstable"
 

@@ -86,6 +86,22 @@ def test_scan_homogeneity_power_of_two():
     assert np.array_equal(a.codes, b.codes)
 
 
+def test_scan_codes_are_scale_invariant():
+    # Symmetric boxes with 2^m + 1 nodes put a node exactly on v = 0 and on
+    # c = 0 at every scale (linspace's step is then exact); nodes on v = c
+    # and c = 2v land within rounding of the line.  Factors 10^e are not
+    # powers of two, so every other node moves by rounding too.
+    spec = GridSpec(-0.3, 0.3, -0.5, 0.5, 33, 65)
+    base = scan(spec)
+    assert {bl.id for bl in detect_transitions(base)} == {
+        LineId.VEQC, LineId.CEQ0, LineId.VEQ0, LineId.CEQ2V}
+    for e in range(-12, 10):
+        k = 10.0 ** e
+        scaled = scan(GridSpec(k * spec.v_min, k * spec.v_max, k * spec.c_min, k * spec.c_max,
+                               spec.n_v, spec.n_c))
+        assert np.array_equal(scaled.codes, base.codes), k
+
+
 def test_transitions_across_diagonal_attributed_to_veqc():
     # rectangular grid straddling v = c and no other line (c < 2v throughout)
     m = scan(GridSpec(0.3, 0.4, 0.25, 0.45, 2, 3))
@@ -252,6 +268,22 @@ def reference_region_csv(m, path):
                 fh.write(f"{v:.17g},{m.c_values[j]:.17g},{tags}\n")
 
 
+def reference_line_segments(spec):
+    """Each line's crossings with the four box edges that lie in the box,
+    joined from the lowest to the highest (v, c)."""
+    v_lo, v_hi, c_lo, c_hi = spec.v_min, spec.v_max, spec.c_min, spec.c_max
+    crossings = (
+        [(v_lo, v_lo), (v_hi, v_hi), (c_lo, c_lo), (c_hi, c_hi)],                  # v = c
+        [(v_lo, 0.0), (v_hi, 0.0)],                                                 # c = 0
+        [(0.0, c_lo), (0.0, c_hi)],                                                 # v = 0
+        [(v_lo, 2 * v_lo), (v_hi, 2 * v_hi), (c_lo / 2, c_lo), (c_hi / 2, c_hi)],  # c = 2v
+    )
+    for points in crossings:
+        inside = [(v, c) for v, c in points if v_lo <= v <= v_hi and c_lo <= c <= c_hi]
+        if inside:
+            yield min(inside), max(inside)
+
+
 def reference_region_svg(m, eq, path):
     """One Canvas.rect per cell; a 1-D sweep stops after the cells, since
     this writer divided by the zero axis width when drawing the lines."""
@@ -273,11 +305,7 @@ def reference_region_svg(m, eq, path):
             fy = (c - spec.c_min) / (spec.c_max - spec.c_min)
             return margin + fx * size, margin + size - fy * size
 
-        for (v1, c1), (v2, c2) in (
-                ((spec.v_min, spec.v_min), (spec.v_max, spec.v_max)),
-                ((spec.v_min, 0.0), (spec.v_max, 0.0)),
-                ((0.0, spec.c_min), (0.0, spec.c_max)),
-                ((spec.c_min / 2, spec.c_min), (spec.c_max / 2, spec.c_max))):
+        for (v1, c1), (v2, c2) in reference_line_segments(spec):
             cv.line(*to_canvas(v1, c1), *to_canvas(v2, c2), stroke="black", width=1.2)
         cv.text(margin, margin - 8, f"{eq.value} classification over (v, c)", size=12)
     cv.write(path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -178,6 +179,31 @@ def test_bifurcation_svg_of_1d_sweep(tmp_path, capsys, flat):
     svg = (out / "region_P3.svg").read_text()
     assert svg.count("<rect ") == 9
     assert len((out / "region_map.csv").read_text().splitlines()) == 10
+
+
+def test_bifurcation_svg_lines_are_clipped_to_the_panel(tmp_path, capsys):
+    # c = 0 and v = 0 miss this box; v = c and c = 2v cross it
+    box = {"v_min": 0.1, "v_max": 0.3, "c_min": 0.1, "c_max": 0.3}
+    out = tmp_path / "box"
+    code, _ = run(capsys, "bifurcation", *(f"--{k.replace('_', '-')}={x}" for k, x in box.items()),
+                  "--nv", "5", "--nc", "5", "--svg", "--out-dir", str(out))
+    assert code == 0
+    svg = (out / "region_P1.svg").read_text()
+    size, margin = 420, 40
+    lines = {"v=c": lambda v, c: v - c, "c=0": lambda v, c: c,
+             "v=0": lambda v, c: v, "c=2v": lambda v, c: c - 2 * v}
+    drawn = []
+    for x1, y1, x2, y2 in re.findall(
+            r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', svg):
+        ends = []
+        for x, y in ((float(x1), float(y1)), (float(x2), float(y2))):
+            assert margin <= x <= margin + size and margin <= y <= margin + size
+            ends.append((box["v_min"] + (x - margin) / size * (box["v_max"] - box["v_min"]),
+                         box["c_min"] + (margin + size - y) / size * (box["c_max"] - box["c_min"])))
+        on = [name for name, f in lines.items() if all(abs(f(v, c)) < 1e-6 for v, c in ends)]
+        assert len(on) == 1, ends
+        drawn += on
+    assert drawn == ["v=c", "c=2v"]
 
 
 def test_nash_reports(capsys):

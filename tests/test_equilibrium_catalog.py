@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from hawkdove import Params, catalog, field_3d, refine
-from hawkdove.equilibrium_catalog import EquilibriumId, region_predicate
+from hawkdove.equilibrium_catalog import (
+    CODE_BY_CLASS,
+    EquilibriumId,
+    classification_codes,
+    region_predicate,
+)
 from hawkdove.errors import NoConvergenceError
 from hawkdove.linear_analysis import Classification
 
-from util import rand_params
+from util import closed_form_eigs, multiset_close, rand_params
 
 C = Classification
 
@@ -118,6 +123,73 @@ def test_degenerate_tags_on_bifurcation_lines():
     assert recs[EquilibriumId.P3].classification is C.DEGENERATE
     recs = by_id(catalog(Params(0.0, 0.3)))   # v = 0
     assert recs[EquilibriumId.P7].classification is C.DEGENERATE
+
+
+def tags(p):
+    return tuple(rec.classification for rec in catalog(p))
+
+
+# Factors 10^e are not powers of two, so k * v rounds: the tags must not
+# depend on where that rounding lands.
+SCALES = [10.0 ** e for e in range(-12, 10)]
+
+
+def test_catalog_tags_are_scale_invariant_and_match_the_scan():
+    rng = np.random.default_rng(211)
+    points = [rand_params(rng) for _ in range(40)]
+    # on the four lines and at their crossing: k * (t, 2t) stays exactly on c = 2v
+    for t in (0.3, -0.17, 1.0 / 3.0):
+        points += [Params(t, t), Params(t, 2 * t), Params(0.0, t), Params(t, 0.0)]
+    points.append(Params(0.0, 0.0))
+    for p in points:
+        base = tags(p)
+        for k in SCALES:
+            q = Params(k * p.v, k * p.c)
+            scaled = tags(q)
+            assert scaled == base, (p, k, scaled, base)
+            # one classification path: the scan's codes at the same point
+            codes = [classification_codes(eq, q.v, q.c) for eq in EquilibriumId]
+            assert [CODE_BY_CLASS[t] for t in scaled] == [int(c) for c in codes]
+
+
+def test_small_scale_catalog_matches_closed_form():
+    # (1e-7, 2e-7) sits on c = 2v, where P2 and P3 pick up an extra zero
+    # eigenvalue; P6 keeps its two structural zeros
+    p = Params(1e-7, 2e-7)
+    recs = by_id(catalog(p))
+    assert recs[EquilibriumId.P2].classification is C.DEGENERATE
+    assert recs[EquilibriumId.P3].classification is C.DEGENERATE
+    assert recs[EquilibriumId.P6].classification is C.NON_HYPERBOLIC
+    for eq, rec in recs.items():
+        assert multiset_close(rec.eigenvalues, closed_form_eigs(eq.value, *p), 1e-15 * p.c)
+    assert tags(p) == tags(Params(0.1, 0.2))
+
+
+def test_p1_and_p4_get_bit_identical_eigenvalues_and_tags():
+    # swapping y and z maps P1's Jacobian onto P4's
+    rng = np.random.default_rng(223)
+    points = [rand_params(rng) for _ in range(1500)]
+    points += [Params(float(v), float(c))
+               for v, c in 10.0 ** rng.uniform(-12, 9, (500, 2)) * rng.choice([-1, 1], (500, 2))]
+    points += [Params(0.2, 0.2), Params(0.1, 0.2), Params(0.0, 0.3), Params(0.3, 0.0),
+               Params(0.0, 0.0), Params(-0.0, 0.1)]
+    for p in points:
+        recs = by_id(catalog(p))
+        p1, p4 = recs[EquilibriumId.P1], recs[EquilibriumId.P4]
+        assert np.array(p1.eigenvalues).tobytes() == np.array(p4.eigenvalues).tobytes(), p
+        assert p1.classification is p4.classification, p
+
+
+def test_overflowing_jacobian_is_undefined_not_an_error():
+    # v/c = 1e300 overflows P3's and P6's Jacobian entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = by_id(catalog(Params(1.0, 1e-300)))
+        codes = classification_codes(EquilibriumId.P3, [1.0, 0.1], [1e-300, 0.3])
+    assert recs[EquilibriumId.P3].classification is C.UNDEFINED
+    assert recs[EquilibriumId.P6].classification is C.UNDEFINED
+    assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
+    assert codes[0] == CODE_BY_CLASS[C.UNDEFINED]
+    assert codes[1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
 
 
 def test_predicate_made_no_claim_on_lines():

@@ -5,7 +5,6 @@ from hawkdove import Params, classify, eigenvalues, field_3d, jacobian
 from hawkdove.linear_analysis import (
     Classification,
     char_coefficients,
-    cubic_roots,
     eig_zero_tol,
 )
 
@@ -101,12 +100,6 @@ def test_agrees_with_lapack_oracle():
         ref = sorted(np.linalg.eigvals(j), key=lambda l: (-l.real, -l.imag))
         err = max(abs(a - b) for a, b in zip(mine, ref))
         assert err < 1e-10 * (1.0 + np.abs(mine).max())
-
-
-def test_cubic_roots_handles_triple_root():
-    # (l - 2)^3 = l^3 - 6 l^2 + 12 l - 8
-    roots = cubic_roots(-6.0, 12.0, -8.0)
-    np.testing.assert_allclose(roots, [2.0, 2.0, 2.0], atol=1e-12)
 
 
 def test_classify_nodes_and_saddles():

@@ -72,6 +72,20 @@ def test_classification_examples():
     assert tags[0.0] == "degenerate"
 
 
+def test_classification_is_scale_invariant():
+    # f' scales with (v, c), and so does the zero threshold
+    rng = np.random.default_rng(109)
+    points = [rand_params(rng) for _ in range(50)]
+    # f'(0) = v/2 ~ 3e-10 here: tiny, but 3e-5 of |c|, so not zero
+    points += [Params(5.835999547248717e-10, -1.0093705543271672e-05),
+               Params(0.0, 0.7), Params(0.3, 0.3), Params(0.3, 0.0)]
+    for p in points:
+        base = [tag for _, tag in classify_1d(p)]
+        for e in range(-12, 10):
+            k = 10.0 ** e
+            assert [tag for _, tag in classify_1d(Params(k * p.v, k * p.c))] == base, (p, k)
+
+
 def test_classification_consistent_with_derivative_sign():
     rng = np.random.default_rng(107)
     for _ in range(100):

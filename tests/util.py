@@ -30,7 +30,7 @@ def rand_reduced(rng) -> tuple[float, float, float]:
 
 
 # Closed-form eigenvalue lists at the seven equilibria (test oracle,
-# evaluated independently of the production Jacobian/cubic path).
+# evaluated independently of the production Jacobian/eigenvalue path).
 def closed_form_eigs(eq: str, v: float, c: float) -> list[float]:
     if eq in ("P1", "P4"):
         return [-v / 4, -c / 4, (v - c) / 4]
