@@ -9,10 +9,13 @@ change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
 The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
-rows (about ``_CHUNK_NODES`` nodes each) into one preallocated int8 array,
-so its temporaries stay bounded on any grid.  ``transition_pairs`` finds
-the changed edges by comparing shifted code arrays and attributes lines
-only on those.  ``write_region_csv`` formats each axis value and each
+rows (about 8192 Jacobians, seven per node) into one preallocated int8
+array, so its temporaries stay bounded on any grid.  One thread per CPU
+the process may use shares the chunks, since LAPACK runs without the GIL.
+An axis node within rounding of zero is put exactly on zero, so the lines
+c = 0 and v = 0 pass through nodes on every box that straddles them.
+``transition_pairs`` finds the changed edges by comparing shifted code
+arrays and attributes lines only on those.  ``write_region_csv`` formats each axis value and each
 distinct tag row once; its bytes match a cell-by-cell writer's.
 
 ``linearized_field`` gives the per-point linear systems in their
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -34,6 +38,7 @@ import numpy as np
 from .errors import UndefinedPointError
 from .equilibrium_catalog import (
     CLASS_BY_CODE,
+    EQUILIBRIUM_IDS,
     EquilibriumId,
     classification_codes,
 )
@@ -52,9 +57,6 @@ __all__ = [
     "linearized_field",
     "write_region_csv",
 ]
-
-_EQ_ORDER = tuple(EquilibriumId)
-
 
 class LineId(enum.Enum):
     VEQC = "VeqC"      # v = c
@@ -96,43 +98,58 @@ class RegionMap:
     codes: np.ndarray             # (n_v, n_c, 7) int8 indexing CLASS_BY_CODE
 
     def tag(self, i: int, j: int, eq: EquilibriumId) -> Classification:
-        return CLASS_BY_CODE[self.codes[i, j, _EQ_ORDER.index(eq)]]
+        return CLASS_BY_CODE[self.codes[i, j, EQUILIBRIUM_IDS.index(eq)]]
 
     def tags(self, i: int, j: int) -> tuple[Classification, ...]:
         return tuple(CLASS_BY_CODE[k] for k in self.codes[i, j])
 
-    def defined(self, i: int, j: int, eq: EquilibriumId) -> bool:
-        return self.tag(i, j, eq) is not Classification.UNDEFINED
+
+# Nodes classified per chunk of whole rows: about 8192 Jacobians, seven
+# per node, bounds the scan's temporaries whatever the grid size.
+_CHUNK_NODES = 8192 // 7
 
 
-# Nodes classified per chunk of whole rows: bounds the scan's temporaries
-# (a few hundred bytes per node) whatever the grid size.
-_CHUNK_NODES = 8192
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def scan(spec: GridSpec = DEFAULT_GRID, workers: int = 1) -> RegionMap:
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """``linspace(lo, hi, n)`` with a node within rounding of zero set to 0.0.
+
+    ``linspace`` misses zero on many boxes (1e-22 on some scaled symmetric
+    ones); no other node of a grid that fits in memory is that close.
+    """
+    values = np.linspace(lo, hi, n)
+    values[np.abs(values) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi))] = 0.0
+    return values
+
+
+def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     """Classify all seven equilibria at every grid node.
 
     The grid is classified in chunks of whole v rows (about _CHUNK_NODES
     nodes, at least one row), each written into its slice of one
-    preallocated int8 array; ``workers`` threads share the same chunk
-    list.  Classification is per node, so the output is identical for any
-    worker count, and two scans of one grid agree bitwise.
+    preallocated int8 array by a pool of one thread per usable CPU, at
+    most one per chunk.  Classification is per node, so the output is
+    identical for any thread count, and two scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
-    v_values = np.linspace(spec.v_min, spec.v_max, spec.n_v)
-    c_values = np.linspace(spec.c_min, spec.c_max, spec.n_c)
+    v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
+    c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
     codes = np.empty((spec.n_v, spec.n_c, 7), dtype=np.int8)
     rows = max(1, _CHUNK_NODES // spec.n_c)
+    starts = range(0, spec.n_v, rows)
 
     def classify_rows(start: int) -> None:
         stop = min(start + rows, spec.n_v)
         vv, cc = np.meshgrid(v_values[start:stop], c_values, indexing="ij")
-        for k, eq in enumerate(_EQ_ORDER):
-            codes[start:stop, :, k] = classification_codes(eq, vv, cc)
+        codes[start:stop] = np.moveaxis(classification_codes(vv, cc), 0, -1)
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        list(pool.map(classify_rows, range(0, spec.n_v, rows)))
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
+        list(pool.map(classify_rows, starts))
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
@@ -196,7 +213,7 @@ def transition_pairs(m: RegionMap) -> Iterator[TransitionPair]:
             b = (v_list[i2], c_list[j2])
             cb = codes[i2, j2].tolist()
             lines = _crossed_lines(a, b)
-            for k, eq in enumerate(_EQ_ORDER):
+            for k, eq in enumerate(EQUILIBRIUM_IDS):
                 if ca[k] != cb[k]:
                     yield TransitionPair(
                         node_a=a, node_b=b, eq=eq,
@@ -298,7 +315,7 @@ def write_region_csv(m: RegionMap, path) -> None:
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
     which = which.reshape(m.spec.n_v, m.spec.n_c).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("v,c," + ",".join(eq.value for eq in _EQ_ORDER) + "\n")
+        fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
         for v, row in zip(m.v_values.tolist(), which):
             v_text = f"{v:.17g}"
             fh.write("".join([v_text + ct + tag_text[t] for ct, t in zip(c_text, row)]))

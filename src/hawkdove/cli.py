@@ -23,7 +23,7 @@ from .bifurcation import (
     scan,
     write_region_csv,
 )
-from .equilibrium_catalog import CLASS_BY_CODE, EquilibriumId, catalog
+from .equilibrium_catalog import CLASS_BY_CODE, EQUILIBRIUM_IDS, EquilibriumId, catalog
 from .game_core import Params
 from .integrator import (
     DEFAULT_SEED,
@@ -272,7 +272,7 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
     spec = m.spec
     dv = size / spec.n_v
     dc = size / spec.n_c
-    k = list(EquilibriumId).index(eq)
+    k = EQUILIBRIUM_IDS.index(eq)
     cv.rect_grid([margin + i * dv for i in range(spec.n_v)],
                  [margin + size - (j + 1) * dc for j in range(spec.n_c)],
                  dv + 0.5, dc + 0.5, m.codes[:, :, k].tolist(),
@@ -299,7 +299,7 @@ def cmd_bifurcation(args, parser) -> int:
                         args.nv, args.nc).validate()
     except ValueError as exc:
         parser.error(str(exc))
-    m = scan(spec, workers=args.workers)
+    m = scan(spec)
     out = _out_dir(args.out_dir)
     csv_path = out / (args.out or "region_map.csv")
     write_region_csv(m, csv_path)
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     bif.add_argument("--c-max", type=float, default=DEFAULT_GRID.c_max)
     bif.add_argument("--nv", type=int, default=DEFAULT_GRID.n_v)
     bif.add_argument("--nc", type=int, default=DEFAULT_GRID.n_c)
-    bif.add_argument("--workers", type=int, default=1)
     bif.add_argument("--out", help="CSV filename (default region_map.csv)")
     bif.add_argument("--out-dir", help="output directory (default $HAWKDOVE_OUTDIR or .)")
     bif.add_argument("--svg", action="store_true", help="also write a region heat map")

@@ -15,17 +15,20 @@ count (P3 has one, P6 has two, the rest none) and raises the tag to
 DEGENERATE whenever the numeric zero count exceeds it, i.e. exactly when
 (v, c) sits on a local bifurcation line for that point.
 
-The scalar catalog and the grid scan classify through one routine,
-``_tag_codes``: LAPACK eigenvalues of the stacked Jacobians, real parts
-against the zero threshold ``zero_tol(v, c)``.  ``catalog`` is a stack of
-seven Jacobians, one per point; ``classification_codes`` is a stack of one
-point's Jacobians over a parameter grid.
+One function classifies all seven points over any (v, c) shape:
+``classification_codes`` stacks the seven Jacobians at every (v, c), point
+axis first, into one LAPACK solve and reads the real parts against the
+zero threshold ``zero_tol(v, c)``.  The grid scan calls it on chunks of
+the grid; ``catalog`` is the same call on a 0-d grid, with the eigenvalues
+sorted for display.  Coordinates come from two constant tables, one of
+fixed values and one marking the slots that hold v/c.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -38,9 +41,9 @@ from .linear_analysis import (
     Classification,
     EigenTriple,
     eigvals,
+    _tidy_and_sort,
     jacobian,
     jacobian_entries,
-    sorted_eigvals,
     stability_codes,
     zero_tol,
 )
@@ -49,6 +52,7 @@ from .replicator_field import Reduced, ReducedState, field_3d, lift
 __all__ = [
     "EquilibriumId",
     "EquilibriumRecord",
+    "EQUILIBRIUM_IDS",
     "STRUCTURAL_ZERO_EIGS",
     "PREDICATE_NOTES",
     "equilibrium_coords",
@@ -85,8 +89,11 @@ STRUCTURAL_ZERO_EIGS = {
     EquilibriumId.P7: 0,
 }
 
-_IDS = tuple(EquilibriumId)
-_STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in _IDS])
+#: P1..P7 in catalog order: the point axis of every array over all seven.
+EQUILIBRIUM_IDS = tuple(EquilibriumId)
+_STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS])
+# Two defined points coincide when no coordinate differs by more than this.
+_COINCIDE_TOL = 1e-12
 
 #: Known gaps in the literal predicate transcription, surfaced in reports
 #: instead of silently corrected.
@@ -99,37 +106,39 @@ PREDICATE_NOTES = (
 )
 
 
-def equilibrium_coords(eq: EquilibriumId, v, c):
-    """Coordinates of ``eq`` as arrays broadcast over (v, c).
+# Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
+# where _COORD_IS_Q is set (y and z of P3, x of P6).
+_COORD_FIXED = np.array([
+    # P1   P2   P3   P4   P5   P6   P7
+    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+_COORD_IS_Q = np.array([
+    [False, False, False, False, False, True, False],
+    [False, False, True, False, False, False, False],
+    [False, False, True, False, False, False, False],
+])
 
-    Returns (x, y, z, defined); ``defined`` is False where the closed form
-    divides by zero (P3/P6 at c = 0).
+
+def equilibrium_coords(v, c):
+    """Coordinates of P1..P7 as arrays broadcast over (v, c).
+
+    Returns (x, y, z, defined), each of shape (7,) + the broadcast shape
+    of (v, c), the leading axis in catalog order.  ``defined`` is False
+    where the closed form divides by zero (P3/P6 at c = 0).  The v/c
+    slots are selected, not added, so a -0.0 or infinite v/c keeps its
+    value and the other points stay exact.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     shape = np.broadcast(v, c).shape
-    zero = np.zeros(shape)
-    one = np.ones(shape)
-    defined = np.ones(shape, dtype=bool)
-    if eq is EquilibriumId.P1:
-        return zero, zero, one, defined
-    if eq is EquilibriumId.P2:
-        return zero, 0.5 * one, 0.5 * one, defined
-    if eq is EquilibriumId.P4:
-        return zero, one, zero, defined
-    if eq is EquilibriumId.P5:
-        return one, zero, zero, defined
-    if eq is EquilibriumId.P7:
-        return zero, zero, zero, defined
-    # P3 and P6 need v/c
-    defined = np.broadcast_to(c != 0.0, shape).copy()
-    q = np.divide(v, c, out=np.zeros(shape), where=defined)
-    q = np.broadcast_to(q, shape)
-    if eq is EquilibriumId.P3:
-        return zero, q, q, defined
-    if eq is EquilibriumId.P6:
-        return q, zero, zero, defined
-    raise ValueError(f"unknown equilibrium {eq!r}")
+    nonzero = np.broadcast_to(c != 0.0, shape)
+    q = np.divide(v, c, out=np.zeros(shape), where=nonzero)
+    expand = (slice(None), slice(None)) + (None,) * len(shape)
+    x, y, z = np.where(_COORD_IS_Q[expand], q, _COORD_FIXED[expand])
+    defined = nonzero | ~_COORD_IS_Q.any(axis=0)[expand[1:]]
+    return x, y, z, defined
 
 
 def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
@@ -183,41 +192,36 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     raise ValueError(f"unknown equilibrium {eq!r}")
 
 
-def _jacobian_stack(v, c, x, y, z) -> np.ndarray:
-    """Jacobians (..., 3, 3) at broadcast parameters and coordinates."""
-    entries = np.broadcast_arrays(*jacobian_entries(v, c, x, y, z))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+def _classify(v, c):
+    """((x, y, z, defined), unordered eigenvalues, codes) of P1..P7 at (v, c).
 
-
-def _tag_codes(re, v, c, structural, defined) -> np.ndarray:
-    """Catalog class codes from eigenvalue real parts ``re`` (..., 3).
-
-    The stability code, raised to DEGENERATE where more real parts are zero
-    than the point's ``structural`` count, and UNDEFINED where the point is
-    not defined or its Jacobian overflowed (NaN eigenvalues).
-    """
-    codes, zeros = stability_codes(re, zero_tol(v, c))
-    codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    defined = defined & ~np.isnan(re).any(axis=-1)
-    return np.where(defined, codes, CODE_BY_CLASS[Classification.UNDEFINED]).astype(np.int8)
-
-
-def classification_codes(eq: EquilibriumId, v, c) -> np.ndarray:
-    """Vectorized classification of ``eq`` over parameter arrays.
-
-    Returns integer codes indexing CLASS_BY_CODE, including the DEGENERATE
-    upgrade at bifurcation lines and UNDEFINED where the point's formula
-    divides by zero.  The codes equal the catalog's tags at the same
-    (v, c): both take the real parts of one LAPACK solve per Jacobian
-    through ``_tag_codes``.
+    Point axis first; one LAPACK solve over the stacked Jacobians.  A code
+    is the stability code, raised to DEGENERATE where more real parts are
+    zero than the point's structural count, and UNDEFINED where the point
+    is not defined or its Jacobian overflowed (NaN eigenvalues).
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
-    x, y, z, defined = equilibrium_coords(eq, v, c)
-    vv = np.broadcast_to(v, x.shape)
-    cc = np.broadcast_to(c, x.shape)
-    re = eigvals(_jacobian_stack(vv, cc, x, y, z)).real
-    return _tag_codes(re, vv, cc, STRUCTURAL_ZERO_EIGS[eq], defined)
+    x, y, z, defined = equilibrium_coords(v, c)
+    entries = np.broadcast_arrays(*jacobian_entries(v, c, x, y, z))
+    eigs = eigvals(np.stack(entries, axis=-1).reshape(x.shape + (3, 3)))
+    re = eigs.real
+    codes, zeros = stability_codes(re, zero_tol(v, c))
+    structural = _STRUCTURAL.reshape((-1,) + (1,) * (x.ndim - 1))
+    codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
+    defined_here = defined & ~np.isnan(re).any(axis=-1)
+    codes = np.where(defined_here, codes, CODE_BY_CLASS[Classification.UNDEFINED])
+    return (x, y, z, defined), eigs, codes.astype(np.int8)
+
+
+def classification_codes(v, c) -> np.ndarray:
+    """Class codes of P1..P7 over parameter arrays, shape (7,) + shape of (v, c).
+
+    Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
+    lines and UNDEFINED where a point's formula divides by zero.  The
+    catalog's tags at a point are these codes at that (v, c).
+    """
+    return _classify(v, c)[2]
 
 
 @dataclass(frozen=True)
@@ -247,45 +251,33 @@ def _in_simplex(coords: ReducedState) -> bool:
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
-    One eigenvalue solve over the seven stacked Jacobians; the tags come
-    from the same ``_tag_codes`` as the grid scan's.
+    ``classification_codes`` on a 0-d grid, with the eigenvalues in
+    EigenTriple order for display.
     """
     p = Params(*p).validate()
-    x, y, z, defined = (np.array(col) for col in zip(
-        *(equilibrium_coords(eq, p.v, p.c) for eq in _IDS)))
-    eigs = sorted_eigvals(_jacobian_stack(p.v, p.c, x, y, z), max(abs(p.v), abs(p.c)))
-    codes = _tag_codes(eigs.real, p.v, p.c, _STRUCTURAL, defined)
+    (x, y, z, defined), eigs, codes = _classify(p.v, p.c)
+    eigs = _tidy_and_sort(eigs, max(abs(p.v), abs(p.c)))
+    points = np.stack((x, y, z), axis=-1)
+    # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
+    # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
+    twins = ((np.abs(points[:, None] - points[None]).max(axis=-1) <= _COINCIDE_TOL)
+             & defined[:, None] & defined[None] & ~np.eye(len(points), dtype=bool))
     records = []
-    for k, eq in enumerate(_IDS):
-        coords = ReducedState(float(x[k]), float(y[k]), float(z[k]))
+    for k, eq in enumerate(EQUILIBRIUM_IDS):
+        coords = ReducedState(*points[k].tolist())
         if defined[k]:
             rec = EquilibriumRecord(
                 id=eq, coords=coords, defined=True, in_simplex=_in_simplex(coords),
                 eigenvalues=EigenTriple(*(complex(l) for l in eigs[k])),
                 classification=CLASS_BY_CODE[codes[k]],
-                paper_region_class=region_predicate(eq, p))
+                paper_region_class=region_predicate(eq, p),
+                coincides_with=tuple(compress(EQUILIBRIUM_IDS, twins[k])))
         else:
             rec = EquilibriumRecord(
                 id=eq, coords=coords, defined=False, in_simplex=False,
                 eigenvalues=None, classification=Classification.UNDEFINED,
                 paper_region_class=None)
         records.append(rec)
-
-    # Coincidence annotations: e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
-    scale = 1e-12 * (1.0 + abs(p.v) + abs(p.c))
-    for i, rec in enumerate(records):
-        if not rec.defined:
-            continue
-        twins = tuple(
-            other.id for k, other in enumerate(records)
-            if k != i and other.defined
-            and max(abs(a - b) for a, b in zip(rec.coords, other.coords)) <= scale)
-        if twins:
-            records[i] = EquilibriumRecord(
-                id=rec.id, coords=rec.coords, defined=rec.defined,
-                in_simplex=rec.in_simplex, eigenvalues=rec.eigenvalues,
-                classification=rec.classification,
-                paper_region_class=rec.paper_region_class, coincides_with=twins)
     return records
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidStartError
-from .equilibrium_catalog import EquilibriumId, equilibrium_coords
+from .equilibrium_catalog import EQUILIBRIUM_IDS, EquilibriumId, equilibrium_coords
 from .game_core import Params, TOL_SIMPLEX
 from .replicator_field import Reduced, ReducedState, field_3d_rows, on_reduced_simplex
 
@@ -360,17 +360,6 @@ def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
             retire(np.flatnonzero(finished & ~converged), Terminal.TIME_LIMIT)
 
 
-def _equilibrium_table(p: Params):
-    """Ids and (k, 3) coordinates of the catalog points defined at ``p``."""
-    ids, coords = [], []
-    for eq in EquilibriumId:
-        x, y, z, defined = equilibrium_coords(eq, p.v, p.c)
-        if defined:
-            ids.append(eq)
-            coords.append((float(x), float(y), float(z)))
-    return ids, np.array(coords)
-
-
 def batch_integrate(p: Params, starts: Sequence[Reduced],
                     cfg: Optional[IntegrationConfig] = None) -> list[Trajectory]:
     """Integrate every start in one lockstep batch, in input order.
@@ -391,7 +380,9 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
         return []
     lanes = _lockstep(p, np.array([[float(t) for t in s0] for s0 in starts]), cfg)
 
-    ids, coords = _equilibrium_table(p)
+    x, y, z, defined = equilibrium_coords(p.v, p.c)
+    ids = list(compress(EQUILIBRIUM_IDS, defined))
+    coords = np.stack((x, y, z), axis=-1)[defined]
     finals = np.array([samples[-1, 1:4] for samples, *_ in lanes])
     diff = finals[:, None, :] - coords[None, :, :]
     dist = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]

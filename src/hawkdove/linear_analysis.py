@@ -38,7 +38,6 @@ __all__ = [
     "jacobian",
     "eigenvalues",
     "eigvals",
-    "sorted_eigvals",
     "stability_codes",
     "classify",
     "eig_zero_tol",
@@ -75,9 +74,6 @@ class EigenTriple(NamedTuple):
     lam1: complex
     lam2: complex
     lam3: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=complex)
 
     def real_parts(self) -> tuple[float, float, float]:
         return (self.lam1.real, self.lam2.real, self.lam3.real)
@@ -167,18 +163,13 @@ def eigvals(j: np.ndarray) -> np.ndarray:
     gets NaN eigenvalues; LAPACK would reject the whole stack for it.
     """
     j = np.asarray(j, dtype=float)
-    finite = np.isfinite(j).all(axis=(-2, -1))
-    if finite.all():
+    # a flat check is several times cheaper than the per-matrix mask
+    if np.isfinite(j).all():
         return np.linalg.eigvals(j)
+    finite = np.isfinite(j).all(axis=(-2, -1))
     eigs = np.linalg.eigvals(np.where(finite[..., None, None], j, 0.0))
     eigs[~finite] = np.nan
     return eigs
-
-
-def sorted_eigvals(j: np.ndarray, scale) -> np.ndarray:
-    """``eigvals`` with each row in EigenTriple order and imaginary parts
-    within 1e-13 * ``scale`` set to zero."""
-    return _tidy_and_sort(eigvals(j), scale)
 
 
 def eigenvalues(j: np.ndarray) -> EigenTriple:
@@ -190,7 +181,7 @@ def eigenvalues(j: np.ndarray) -> EigenTriple:
     j = np.asarray(j, dtype=float)
     if j.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {j.shape}")
-    roots = sorted_eigvals(j, np.abs(j).max())
+    roots = _tidy_and_sort(eigvals(j), np.abs(j).max())
     return EigenTriple(complex(roots[0]), complex(roots[1]), complex(roots[2]))
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 __all__ = ["Canvas"]
 
-_WRITE_PARTS = 4096
-
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -35,14 +33,15 @@ class Canvas:
 
         Cells come row-major in i then j.  Each cell is the text ``rect``
         writes for it with the default stroke; every coordinate and fill is
-        formatted once, not once per cell.
+        formatted once, not once per cell.  Each row of cells is kept as one
+        string, its cells joined by newlines.
         """
         y_text = [f'{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" fill="'
                   for y in ys]
         tails = [f'{fill}" stroke="none" stroke-width="{_fmt(0.0)}"/>' for fill in fills]
         for x, row in zip(xs, fill_index):
             head = f'<rect x="{_fmt(x)}" y="'
-            self._parts.extend([head + yt + tails[k] for yt, k in zip(y_text, row)])
+            self._parts.append("\n".join([head + yt + tails[k] for yt, k in zip(y_text, row)]))
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -74,14 +73,13 @@ class Canvas:
             f'{content}</text>')
 
     def write(self, path) -> None:
-        """One element per line, written in slices of _WRITE_PARTS elements.
+        """One element per line, written part by part.
 
-        Joining every element into one string would hold the whole document
-        in memory a second time (and a third for the trailing newline).
+        Joining every part into one string would hold the whole document in
+        memory a second time.
         """
-        parts = self._parts
         with open(path, "w", encoding="utf-8") as fh:
-            for k in range(0, len(parts), _WRITE_PARTS):
-                fh.write("\n".join(parts[k:k + _WRITE_PARTS]))
+            for part in self._parts:
+                fh.write(part)
                 fh.write("\n")
             fh.write("</svg>\n")

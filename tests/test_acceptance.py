@@ -72,8 +72,9 @@ def test_criterion_1_eigenvalue_reproduction():
     with criterion(1, "eigenvalue closed-form reproduction at P1..P7", budget_s=1.0):
         for _ in range(50):
             p = rand_params(rng, c_min=1e-3)
-            for eq in EquilibriumId:
-                x, y, z, defined = equilibrium_coords(eq, p.v, p.c)
+            coords = equilibrium_coords(p.v, p.c)
+            for k, eq in enumerate(EquilibriumId):
+                x, y, z, defined = (a[k] for a in coords)
                 assert bool(defined)
                 eigs = eigenvalues(jacobian(p, (float(x), float(y), float(z))))
                 expected = closed_form_eigs(eq.value, p.v, p.c)

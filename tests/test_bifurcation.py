@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
+from hawkdove import Params, bifurcation, detect_transitions, jacobian, linearized_field, scan
 from hawkdove.bifurcation import (
     _CHUNK_NODES,
     DEFAULT_GRID,
@@ -54,26 +54,29 @@ def test_scan_uniform_region_unstable_p1():
     assert np.all(m.codes[:, :, k] == CODE_BY_CLASS[C.UNSTABLE_NODE])
 
 
-def test_scan_determinism_and_parallel_consistency():
+def test_scan_determinism_and_parallel_consistency(monkeypatch):
     spec = GridSpec(-0.25, 0.25, -0.25, 0.25, 31, 17)
+    monkeypatch.setattr(bifurcation, "_cpu_count", lambda: 1)
     a = scan(spec)
     b = scan(spec)
-    par = scan(spec, workers=3)
+    monkeypatch.setattr(bifurcation, "_cpu_count", lambda: 3)
+    par = scan(spec)
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.codes, par.codes)
 
 
-def test_scan_chunks_match_one_whole_grid_classification():
+def test_scan_chunks_match_one_whole_grid_classification(monkeypatch):
     spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 101)
-    assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # three chunks, the last short
+    assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # more than two chunks, the last short
     vv, cc = np.meshgrid(np.linspace(-0.3, 0.3, 201), np.linspace(-0.3, 0.3, 101),
                          indexing="ij")
-    whole = np.stack([classification_codes(eq, vv, cc) for eq in EQS], axis=-1)
+    whole = np.moveaxis(classification_codes(vv, cc), 0, -1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)         # threads interleave as often as they can
     try:
         for workers in (1, 2, 3):
-            assert np.array_equal(scan(spec, workers=workers).codes, whole)
+            monkeypatch.setattr(bifurcation, "_cpu_count", lambda: workers)
+            assert np.array_equal(scan(spec).codes, whole)
     finally:
         sys.setswitchinterval(interval)
 
@@ -97,6 +100,17 @@ def test_scan_codes_are_scale_invariant():
         LineId.VEQC, LineId.CEQ0, LineId.VEQ0, LineId.CEQ2V}
     for e in range(-12, 10):
         k = 10.0 ** e
+        scaled = scan(GridSpec(k * spec.v_min, k * spec.v_max, k * spec.c_min, k * spec.c_max,
+                               spec.n_v, spec.n_c))
+        assert np.array_equal(scaled.codes, base.codes), k
+
+
+def test_scaled_boxes_keep_nodes_on_the_zero_lines():
+    # linspace alone puts the middle c node of the +-3e-6 box at 4.2e-22,
+    # where P3 and P6 come out defined with v/c ~ 1e16
+    spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 201)
+    base = scan(spec)
+    for k in (1e-5, 1e-3, 10.0, 1e7):
         scaled = scan(GridSpec(k * spec.v_min, k * spec.v_max, k * spec.c_min, k * spec.c_max,
                                spec.n_v, spec.n_c))
         assert np.array_equal(scaled.codes, base.codes), k

@@ -6,6 +6,7 @@ from hawkdove.equilibrium_catalog import (
     CODE_BY_CLASS,
     EquilibriumId,
     classification_codes,
+    equilibrium_coords,
     region_predicate,
 )
 from hawkdove.errors import NoConvergenceError
@@ -14,6 +15,7 @@ from hawkdove.linear_analysis import Classification
 from util import closed_form_eigs, multiset_close, rand_params
 
 C = Classification
+EQS = list(EquilibriumId)
 
 
 def by_id(records):
@@ -114,6 +116,32 @@ def test_coincidence_annotations():
     assert all(rec.coincides_with == () for rec in recs.values())
 
 
+def test_coincidence_tolerance_is_scale_free():
+    # P3 sits 5e-8 from P2 in share units at every scale: no coincidence
+    base = [rec.coincides_with for rec in catalog(Params(1.0, 2.0 * (1 + 1e-7)))]
+    assert base == [()] * 7
+    for e in range(-9, 10):
+        k = 10.0 ** e
+        recs = catalog(Params(k, 2.0 * k * (1 + 1e-7)))
+        assert [rec.coincides_with for rec in recs] == base, k
+
+
+def test_equilibrium_coords_keep_signed_zero_and_overflow():
+    v = np.array([[-0.0], [0.3], [1e300]])
+    c = np.array([0.2, 0.0, 1e-300])
+    with np.errstate(over="ignore"):
+        x, y, z, defined = equilibrium_coords(v, c)
+    assert x.shape == y.shape == z.shape == defined.shape == (7, 3, 3)
+    p3, p5, p6 = EQS.index(EquilibriumId.P3), EQS.index(EquilibriumId.P5), EQS.index(EquilibriumId.P6)
+    assert np.signbit(y[p3, 0, 0]) and np.signbit(x[p6, 0, 0])        # v/c = -0.0
+    assert x[p6, 2, 2] == np.inf and y[p3, 2, 2] == np.inf             # v/c overflows
+    # the other points keep their exact coordinates beside an infinite v/c
+    assert x[p5, 2, 2] == 1.0 and y[EQS.index(EquilibriumId.P2), 2, 2] == 0.5
+    assert np.isfinite(np.delete(np.stack((x, y, z)), [p3, p6], axis=1)).all()
+    assert not defined[[p3, p6], :, 1].any() and defined[:, :, [0, 2]].all()
+    assert defined[[0, 1, 3, 4, 6], :, 1].all()
+
+
 def test_degenerate_tags_on_bifurcation_lines():
     recs = by_id(catalog(Params(0.2, 0.2)))   # v = c
     assert recs[EquilibriumId.P1].classification is C.DEGENERATE
@@ -148,7 +176,7 @@ def test_catalog_tags_are_scale_invariant_and_match_the_scan():
             scaled = tags(q)
             assert scaled == base, (p, k, scaled, base)
             # one classification path: the scan's codes at the same point
-            codes = [classification_codes(eq, q.v, q.c) for eq in EquilibriumId]
+            codes = classification_codes(q.v, q.c)
             assert [CODE_BY_CLASS[t] for t in scaled] == [int(c) for c in codes]
 
 
@@ -184,7 +212,7 @@ def test_overflowing_jacobian_is_undefined_not_an_error():
     # v/c = 1e300 overflows P3's and P6's Jacobian entries
     with np.errstate(over="ignore", invalid="ignore"):
         recs = by_id(catalog(Params(1.0, 1e-300)))
-        codes = classification_codes(EquilibriumId.P3, [1.0, 0.1], [1e-300, 0.3])
+        codes = classification_codes([1.0, 0.1], [1e-300, 0.3])[EQS.index(EquilibriumId.P3)]
     assert recs[EquilibriumId.P3].classification is C.UNDEFINED
     assert recs[EquilibriumId.P6].classification is C.UNDEFINED
     assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
