@@ -9,9 +9,8 @@ change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
 The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
-rows (about 8192 Jacobians, seven per node) into one preallocated int8
-array, so its temporaries stay bounded on any grid.  One thread per CPU
-the process may use shares the chunks, since LAPACK runs without the GIL.
+rows (about 8192 point classifications, seven per node) into one
+preallocated int8 array, so its temporaries stay bounded on any grid.
 An axis node within rounding of zero is put exactly on zero, so the lines
 c = 0 and v = 0 pass through nodes on every box that straddles them.
 ``transition_pairs`` finds the changed edges by comparing shifted code
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -104,16 +101,10 @@ class RegionMap:
         return tuple(CLASS_BY_CODE[k] for k in self.codes[i, j])
 
 
-# Nodes classified per chunk of whole rows: about 8192 Jacobians, seven
-# per node, bounds the scan's temporaries whatever the grid size.
+# Nodes classified per chunk of whole rows: about 8192 point
+# classifications, seven per node, bounds the scan's temporaries whatever
+# the grid size.
 _CHUNK_NODES = 8192 // 7
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -132,24 +123,17 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
 
     The grid is classified in chunks of whole v rows (about _CHUNK_NODES
     nodes, at least one row), each written into its slice of one
-    preallocated int8 array by a pool of one thread per usable CPU, at
-    most one per chunk.  Classification is per node, so the output is
-    identical for any thread count, and two scans of one grid agree bitwise.
+    preallocated int8 array.  Classification is per node, so the output
+    does not depend on the chunking, and two scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
     codes = np.empty((spec.n_v, spec.n_c, 7), dtype=np.int8)
     rows = max(1, _CHUNK_NODES // spec.n_c)
-    starts = range(0, spec.n_v, rows)
-
-    def classify_rows(start: int) -> None:
-        stop = min(start + rows, spec.n_v)
-        vv, cc = np.meshgrid(v_values[start:stop], c_values, indexing="ij")
-        codes[start:stop] = np.moveaxis(classification_codes(vv, cc), 0, -1)
-
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
-        list(pool.map(classify_rows, starts))
+    for start in range(0, spec.n_v, rows):
+        vv, cc = np.meshgrid(v_values[start:start + rows], c_values, indexing="ij")
+        codes[start:start + rows] = np.moveaxis(classification_codes(vv, cc), 0, -1)
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 

@@ -15,13 +15,16 @@ count (P3 has one, P6 has two, the rest none) and raises the tag to
 DEGENERATE whenever the numeric zero count exceeds it, i.e. exactly when
 (v, c) sits on a local bifurcation line for that point.
 
-One function classifies all seven points over any (v, c) shape:
-``classification_codes`` stacks the seven Jacobians at every (v, c), point
-axis first, into one LAPACK solve and reads the real parts against the
-zero threshold ``zero_tol(v, c)``.  The grid scan calls it on chunks of
-the grid; ``catalog`` is the same call on a 0-d grid, with the eigenvalues
-sorted for display.  Coordinates come from two constant tables, one of
-fixed values and one marking the slots that hold v/c.
+One function classifies all seven points over any (v, c) shape, point
+axis first: ``classification_codes``.  P1-P4 lie on the invariant face
+x = 0 and P5-P7 on the invariant edge y = z = 0, so row 0 or column 0 of
+their Jacobian is (J00, 0, 0) and their eigenvalues are J00 and the two
+of the 2x2 block J[1:, 1:], in closed form.  (v, c) is first divided by
+a power of two, which is exact, so the tags at 2^m (v, c) are
+bit-identical.  The grid scan calls it on chunks of the grid; ``catalog``
+is the same call on a 0-d grid, with the eigenvalues sorted for display.
+Coordinates come from two constant tables, one of fixed values and one
+marking the slots that hold v/c.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .linear_analysis import (
     CODE_BY_CLASS,
     Classification,
     EigenTriple,
-    eigvals,
     _tidy_and_sort,
     jacobian,
     jacobian_entries,
@@ -193,24 +195,45 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
 
 
 def _classify(v, c):
-    """((x, y, z, defined), unordered eigenvalues, codes) of P1..P7 at (v, c).
+    """((x, y, z, defined), eigenvalues, codes) of P1..P7 at (v, c).
 
-    Point axis first; one LAPACK solve over the stacked Jacobians.  A code
-    is the stability code, raised to DEGENERATE where more real parts are
-    zero than the point's structural count, and UNDEFINED where the point
-    is not defined or its Jacobian overflowed (NaN eigenvalues).
+    Point axis first.  The eigenvalues are real and unordered along the
+    last axis: J00, then big = m + sign(m) sqrt(disc) and small = det / big
+    of the block (a, b; b', d), with m = (a + d) / 2,
+    disc = ((a - d) / 2)^2 + b b' and det = a d - b b'.  This disc does not
+    cancel when the two are nearly equal, as m^2 - det would, and
+    small = det / big does not cancel when one is much smaller.
+    b b' >= 0 on all seven blocks (b = 0 at P1 and P4, b = b' at P2 and
+    P3, b = b' = 0 at P5-P7), so disc >= 0.  Every formula is symmetric
+    under a <-> d, b <-> b', so P1 and P4 get bit-identical results.
+
+    A code is the stability code, raised to DEGENERATE where more real
+    parts are zero than the point's structural count, and UNDEFINED where
+    the point is not defined or an entry or a product of entries
+    overflowed (those eigenvalues are NaN).
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     x, y, z, defined = equilibrium_coords(v, c)
-    entries = np.broadcast_arrays(*jacobian_entries(v, c, x, y, z))
-    eigs = eigvals(np.stack(entries, axis=-1).reshape(x.shape + (3, 3)))
-    re = eigs.real
+    # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
+    # which keeps a d in range where (v, c) itself would overflow it
+    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(v), np.abs(c)))[1])
+    v, c = v / s, c / s
+    j00, _, _, _, a, b, _, b_, d = jacobian_entries(v, c, x, y, z)
+    m = 0.5 * (a + d)
+    gap = 0.5 * (a - d)
+    disc = gap * gap + b * b_
+    det = a * d - b * b_
+    big = m + np.copysign(np.sqrt(disc), m)
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
+    re = np.stack((j00, big, small), axis=-1)
     codes, zeros = stability_codes(re, zero_tol(v, c))
     structural = _STRUCTURAL.reshape((-1,) + (1,) * (x.ndim - 1))
     codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    defined_here = defined & ~np.isnan(re).any(axis=-1)
-    codes = np.where(defined_here, codes, CODE_BY_CLASS[Classification.UNDEFINED])
+    # a non-finite a, b, b' or d makes disc non-finite
+    finite = np.isfinite(j00) & np.isfinite(disc) & np.isfinite(det)
+    codes = np.where(defined & finite, codes, CODE_BY_CLASS[Classification.UNDEFINED])
+    eigs = np.where(finite[..., None], re * s[..., None], np.nan)
     return (x, y, z, defined), eigs, codes.astype(np.int8)
 
 

@@ -1,9 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
-from hawkdove import Params, bifurcation, detect_transitions, jacobian, linearized_field, scan
+from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
 from hawkdove.bifurcation import (
     _CHUNK_NODES,
     DEFAULT_GRID,
@@ -54,31 +52,18 @@ def test_scan_uniform_region_unstable_p1():
     assert np.all(m.codes[:, :, k] == CODE_BY_CLASS[C.UNSTABLE_NODE])
 
 
-def test_scan_determinism_and_parallel_consistency(monkeypatch):
+def test_scan_is_deterministic():
     spec = GridSpec(-0.25, 0.25, -0.25, 0.25, 31, 17)
-    monkeypatch.setattr(bifurcation, "_cpu_count", lambda: 1)
-    a = scan(spec)
-    b = scan(spec)
-    monkeypatch.setattr(bifurcation, "_cpu_count", lambda: 3)
-    par = scan(spec)
-    assert np.array_equal(a.codes, b.codes)
-    assert np.array_equal(a.codes, par.codes)
+    assert np.array_equal(scan(spec).codes, scan(spec).codes)
 
 
-def test_scan_chunks_match_one_whole_grid_classification(monkeypatch):
+def test_scan_chunks_match_one_whole_grid_classification():
     spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 101)
     assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # more than two chunks, the last short
     vv, cc = np.meshgrid(np.linspace(-0.3, 0.3, 201), np.linspace(-0.3, 0.3, 101),
                          indexing="ij")
     whole = np.moveaxis(classification_codes(vv, cc), 0, -1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)         # threads interleave as often as they can
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(bifurcation, "_cpu_count", lambda: workers)
-            assert np.array_equal(scan(spec).codes, whole)
-    finally:
-        sys.setswitchinterval(interval)
+    assert np.array_equal(scan(spec).codes, whole)
 
 
 def test_scan_homogeneity_power_of_two():

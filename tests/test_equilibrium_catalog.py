@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from hawkdove import Params, catalog, field_3d, refine
+from hawkdove import Params, catalog, field_3d, jacobian, refine
 from hawkdove.equilibrium_catalog import (
+    CLASS_BY_CODE,
     CODE_BY_CLASS,
+    STRUCTURAL_ZERO_EIGS,
     EquilibriumId,
     classification_codes,
     equilibrium_coords,
     region_predicate,
 )
 from hawkdove.errors import NoConvergenceError
-from hawkdove.linear_analysis import Classification
+from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 
 from util import closed_form_eigs, multiset_close, rand_params
 
@@ -218,6 +220,50 @@ def test_overflowing_jacobian_is_undefined_not_an_error():
     assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
     assert codes[0] == CODE_BY_CLASS[C.UNDEFINED]
     assert codes[1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
+
+
+def closed_form_tag(eq, p):
+    """The catalog's tag rule applied to the closed-form eigenvalues."""
+    lam = np.array(closed_form_eigs(eq.value, *p))
+    code, zeros = stability_codes(lam, zero_tol(*p))
+    if zeros > STRUCTURAL_ZERO_EIGS[eq]:
+        return C.DEGENERATE
+    return CLASS_BY_CODE[int(code)]
+
+
+def test_block_eigenvalues_match_lapack_and_closed_form_tags():
+    # J00 plus the 2x2 block against a full LAPACK solve of the same Jacobian
+    rng = np.random.default_rng(227)
+    points = [Params(k * p.v, k * p.c)
+              for p, k in ((rand_params(rng), 10.0 ** rng.uniform(-6, 6)) for _ in range(500))]
+    for t in (0.3, -0.17, 1.0 / 3.0, 7e-5, -2.5e4):
+        points += [Params(t, t), Params(t, 0.0), Params(0.0, t), Params(t, 2 * t)]
+        # near-double block eigenvalues, where m^2 - det would cancel
+        points += [Params(t, t * (1 + 2.0 ** -40)), Params(t, 2 * t * (1 + 2.0 ** -40))]
+    for p in points:
+        tol = 1e-10 * max(abs(p.v), abs(p.c))
+        for rec in catalog(p):
+            if not rec.defined:
+                continue
+            assert all(l.imag == 0.0 for l in rec.eigenvalues), (rec.id, p)
+            lapack = np.linalg.eigvals(jacobian(p, rec.coords))
+            assert multiset_close(lapack, rec.eigenvalues.real_parts(), tol), (rec.id, p)
+            assert rec.classification is closed_form_tag(rec.id, p), (rec.id, p)
+
+
+def test_power_of_two_scaling_is_exact():
+    points = [(0.1, 0.2), (0.3, 0.3), (0.0, 0.25), (0.25, 0.0), (-0.17, 0.4),
+              (0.6, -0.35), (-0.2, -0.3), (0.45, 0.1), (-0.7, -0.2), (0.05, 0.9)]
+    v, c = np.array(points).T
+    base = classification_codes(v, c)
+    for m in range(-1000, 1001, 25):
+        assert classification_codes(np.ldexp(v, m), np.ldexp(c, m)).tobytes() == base.tobytes(), m
+    # at 2^996 an unscaled a * d of the block overflows
+    for p in points:
+        scaled = catalog(Params(np.ldexp(p[0], 996), np.ldexp(p[1], 996)))
+        for rec, big in zip(catalog(Params(*p)), scaled):
+            if rec.defined:
+                assert tuple(big.eigenvalues) == tuple(np.ldexp(l.real, 996) for l in rec.eigenvalues), p
 
 
 def test_predicate_made_no_claim_on_lines():

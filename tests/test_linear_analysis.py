@@ -102,6 +102,11 @@ def test_agrees_with_lapack_oracle():
         assert err < 1e-10 * (1.0 + np.abs(mine).max())
 
 
+def test_eigenvalues_reject_a_non_finite_entry():
+    with pytest.raises(np.linalg.LinAlgError):
+        eigenvalues(np.diag([np.inf, 1.0, 2.0]))
+
+
 def test_classify_nodes_and_saddles():
     C = Classification
     assert classify([-1, -2, -3]) is C.STABLE_NODE
