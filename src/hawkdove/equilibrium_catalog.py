@@ -21,8 +21,9 @@ x = 0 and P5-P7 on the invariant edge y = z = 0, so row 0 or column 0 of
 their Jacobian is (J00, 0, 0) and their eigenvalues are J00 and the two
 of the 2x2 block J[1:, 1:], in closed form.  (v, c) is first divided by
 a power of two, which is exact, so the tags at 2^m (v, c) are
-bit-identical.  The grid scan calls it on chunks of the grid; ``catalog``
-is the same call on a 0-d grid, with the eigenvalues sorted for display.
+bit-identical unless an eigenvalue overflows (then UNDEFINED).  The grid
+scan calls it on chunks of the grid; ``catalog`` is the same call on a
+0-d grid, with the eigenvalues sorted for display.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
@@ -209,16 +210,17 @@ def _classify(v, c):
 
     A code is the stability code, raised to DEGENERATE where more real
     parts are zero than the point's structural count, and UNDEFINED where
-    the point is not defined or an entry or a product of entries
-    overflowed (those eigenvalues are NaN).
+    the point is not defined, an entry or a product of entries overflowed,
+    or an eigenvalue overflows at (v, c) itself (those eigenvalues are NaN).
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     x, y, z, defined = equilibrium_coords(v, c)
     # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
-    # which keeps a d in range where (v, c) itself would overflow it
-    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(v), np.abs(c)))[1])
-    v, c = v / s, c / s
+    # which keeps a d in range where (v, c) itself would overflow it; the
+    # exponent, not 2^e, is carried, since 2^1024 is not a float
+    e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
+    v, c = np.ldexp(v, -e), np.ldexp(c, -e)
     j00, _, _, _, a, b, _, b_, d = jacobian_entries(v, c, x, y, z)
     m = 0.5 * (a + d)
     gap = 0.5 * (a - d)
@@ -230,10 +232,15 @@ def _classify(v, c):
     codes, zeros = stability_codes(re, zero_tol(v, c))
     structural = _STRUCTURAL.reshape((-1,) + (1,) * (x.ndim - 1))
     codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    # a non-finite a, b, b' or d makes disc non-finite
-    finite = np.isfinite(j00) & np.isfinite(disc) & np.isfinite(det)
+    with np.errstate(over="ignore"):
+        eigs = np.ldexp(re, e[..., None])
+    # a non-finite entry makes J00, big or small non-finite, and so does an
+    # eigenvalue that overflows when scaled back; slices, as a bool reduction
+    # over the length-3 axis is slow
+    fin = np.isfinite(eigs)
+    finite = fin[..., 0] & fin[..., 1] & fin[..., 2]
     codes = np.where(defined & finite, codes, CODE_BY_CLASS[Classification.UNDEFINED])
-    eigs = np.where(finite[..., None], re * s[..., None], np.nan)
+    eigs = np.where(finite[..., None], eigs, np.nan)
     return (x, y, z, defined), eigs, codes.astype(np.int8)
 
 

@@ -258,12 +258,27 @@ def test_power_of_two_scaling_is_exact():
     base = classification_codes(v, c)
     for m in range(-1000, 1001, 25):
         assert classification_codes(np.ldexp(v, m), np.ldexp(c, m)).tobytes() == base.tobytes(), m
+    # 2^1024 puts max(|v|, |c|) at or above 2^1023, where 2^frexp(...) is not
+    # a float; only P3 at (-0.7, -0.2) turns UNDEFINED, its eigenvalue -1.05
+    # overflows as -1.05 * 2^1024
+    top = base.copy()
+    top[EQS.index(EquilibriumId.P3), points.index((-0.7, -0.2))] = CODE_BY_CLASS[C.UNDEFINED]
+    assert classification_codes(np.ldexp(v, 1024), np.ldexp(c, 1024)).tobytes() == top.tobytes()
     # at 2^996 an unscaled a * d of the block overflows
-    for p in points:
-        scaled = catalog(Params(np.ldexp(p[0], 996), np.ldexp(p[1], 996)))
-        for rec, big in zip(catalog(Params(*p)), scaled):
-            if rec.defined:
-                assert tuple(big.eigenvalues) == tuple(np.ldexp(l.real, 996) for l in rec.eigenvalues), p
+    for m in (996, 1024):
+        for p in points:
+            scaled = catalog(Params(np.ldexp(p[0], m), np.ldexp(p[1], m)))
+            for rec, big in zip(catalog(Params(*p)), scaled):
+                if big.classification is not C.UNDEFINED:
+                    assert tuple(big.eigenvalues) == tuple(np.ldexp(l.real, m) for l in rec.eigenvalues), p
+
+
+def test_overflowing_eigenvalue_is_undefined():
+    # P3's block eigenvalue is about v q / 2 with q = v / c = 1e10: 5e309 overflows
+    recs = by_id(catalog(Params(1e300, 1e290)))
+    assert recs[EquilibriumId.P3].classification is Classification.UNDEFINED
+    assert all(np.isnan(l) for l in recs[EquilibriumId.P3].eigenvalues)
+    assert recs[EquilibriumId.P7].classification is Classification.UNSTABLE_NODE
 
 
 def test_predicate_made_no_claim_on_lines():
