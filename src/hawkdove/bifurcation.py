@@ -20,7 +20,8 @@ distinct tag row once; its bytes match a cell-by-cell writer's.
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
 P6 equation (returned as an affine term); they back the destabilization
-tests, while classification always goes through the Jacobian.
+tests, while classification goes through the catalog's closed-form
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ class TransitionPair(NamedTuple):
 
 
 def _crossed_lines(a: tuple[float, float], b: tuple[float, float]) -> tuple[LineId, ...]:
-    scale = 1.0 + max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    on_tol = 1e-12 * scale
+    # relative to the edge's nodes, so a box scaled by k gives the same lines
+    on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
     crossed = []
     for line, (func, norm) in _LINE_FUNCS.items():
         fa, fb = func(*a), func(*b)

@@ -130,22 +130,25 @@ def cmd_equilibria(args, parser) -> int:
 # ----------------------------------------------------------------- simulate
 
 def _parse_starts(args, parser) -> list[ReducedState]:
-    starts: list[ReducedState] = []
-    for spec in args.start or []:
+    def start(text: str, where: str) -> ReducedState:
         try:
-            vals = tuple(float(t) for t in spec.split(","))
+            vals = tuple(float(t) for t in text.split(","))
         except ValueError:
-            parser.error(f"bad --start value {spec!r}; expected x,y,z")
+            vals = ()
         if len(vals) != 3:
-            parser.error(f"--start needs three components, got {spec!r}")
-        starts.append(ReducedState(*vals))
+            parser.error(f"{where}: bad start {text!r}; expected x,y,z")
+        return ReducedState(*vals)
+
+    starts = [start(spec, "--start") for spec in args.start or []]
     if args.starts_file:
-        for line in Path(args.starts_file).read_text(encoding="utf-8").splitlines():
+        try:
+            text = Path(args.starts_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            parser.error(f"cannot read --starts-file: {exc}")
+        for n, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x"):
-                continue
-            vals = tuple(float(t) for t in line.split(",")[:3])
-            starts.append(ReducedState(*vals))
+            if line and not line.startswith(("#", "x")):
+                starts.append(start(line, f"{args.starts_file}:{n}"))
     if args.random_starts:
         starts.extend(random_interior_starts(args.random_starts, seed=args.seed))
     for s in starts:
@@ -333,7 +336,7 @@ def cmd_nash(args, parser) -> int:
     for k, name in enumerate(STRATEGIES):
         sigma = SimplexState(*(1.0 if i == k else 0.0 for i in range(4)))
         chk = best_response_check(p, sigma)
-        degenerate = degenerate and abs(chk.margin) <= 1e-15 * (1 + abs(p.v) + abs(p.c))
+        degenerate = degenerate and abs(chk.margin) <= 1e-15 * max(abs(p.v), abs(p.c))
         pure_checks.append({
             "strategy": name,
             "via_best_response": chk.via_best_response,

@@ -16,14 +16,15 @@ DEGENERATE whenever the numeric zero count exceeds it, i.e. exactly when
 (v, c) sits on a local bifurcation line for that point.
 
 One function classifies all seven points over any (v, c) shape, point
-axis first: ``classification_codes``.  P1-P4 lie on the invariant face
-x = 0 and P5-P7 on the invariant edge y = z = 0, so row 0 or column 0 of
-their Jacobian is (J00, 0, 0) and their eigenvalues are J00 and the two
-of the 2x2 block J[1:, 1:], in closed form.  (v, c) is first divided by
-a power of two, which is exact, so the tags at 2^m (v, c) are
-bit-identical unless an eigenvalue overflows (then UNDEFINED).  The grid
-scan calls it on chunks of the grid; ``catalog`` is the same call on a
-0-d grid, with the eigenvalues sorted for display.
+axis first: ``classification_codes``.  Every eigenvalue of P1..P7 is a
+closed form in (v, c) from the stability analysis, such as (v - c)/4,
+-v(c - 2v)/(4c) or 0, so the tags come from that table, with each
+structural zero an exact zero; the Jacobian with a LAPACK solve is the
+reference the tests hold the table to.  (v, c) is first divided by a
+power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
+unless an eigenvalue overflows (then UNDEFINED).  The grid scan calls it
+on chunks of the grid; ``catalog`` is the same call on a 0-d grid, with
+the eigenvalues sorted for display.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
@@ -44,9 +45,7 @@ from .linear_analysis import (
     CODE_BY_CLASS,
     Classification,
     EigenTriple,
-    _tidy_and_sort,
     jacobian,
-    jacobian_entries,
     stability_codes,
     zero_tol,
 )
@@ -195,46 +194,54 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     raise ValueError(f"unknown equilibrium {eq!r}")
 
 
+def _eigenvalue_table(v, c, q):
+    """The paper's closed-form eigenvalues of P1..P7, shape (7,) + shape + (3,).
+
+    q = v / c; every eigenvalue is real.  P1 and P4 share one row.
+    """
+    d = v - c
+    r = c - 2.0 * v
+    zero = np.zeros_like(d)
+    p1 = (0.25 * d, -0.25 * c, -0.25 * v)
+    rows = (
+        p1,                                        # P1
+        (0.125 * c, 0.125 * r, -0.125 * r),        # P2
+        (0.25 * v, -0.25 * q * r, zero),           # P3
+        p1,                                        # P4
+        (-0.5 * d, -0.25 * d, -0.25 * d),          # P5
+        (zero, zero, 0.5 * q * d),                 # P6
+        (0.5 * v, 0.25 * v, 0.25 * v),             # P7
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows])
+
+
 def _classify(v, c):
     """((x, y, z, defined), eigenvalues, codes) of P1..P7 at (v, c).
 
-    Point axis first.  The eigenvalues are real and unordered along the
-    last axis: J00, then big = m + sign(m) sqrt(disc) and small = det / big
-    of the block (a, b; b', d), with m = (a + d) / 2,
-    disc = ((a - d) / 2)^2 + b b' and det = a d - b b'.  This disc does not
-    cancel when the two are nearly equal, as m^2 - det would, and
-    small = det / big does not cancel when one is much smaller.
-    b b' >= 0 on all seven blocks (b = 0 at P1 and P4, b = b' at P2 and
-    P3, b = b' = 0 at P5-P7), so disc >= 0.  Every formula is symmetric
-    under a <-> d, b <-> b', so P1 and P4 get bit-identical results.
-
+    Point axis first.  The eigenvalues come from ``_eigenvalue_table``,
+    unordered along the last axis; structural zeros are exact zeros.
     A code is the stability code, raised to DEGENERATE where more real
     parts are zero than the point's structural count, and UNDEFINED where
-    the point is not defined, an entry or a product of entries overflowed,
-    or an eigenvalue overflows at (v, c) itself (those eigenvalues are NaN).
+    the point is not defined or an eigenvalue overflows at (v, c) itself
+    (those eigenvalues are NaN).
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     x, y, z, defined = equilibrium_coords(v, c)
     # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
-    # which keeps a d in range where (v, c) itself would overflow it; the
-    # exponent, not 2^e, is carried, since 2^1024 is not a float
+    # so only a huge q can overflow the table; the exponent, not 2^e, is
+    # carried, since 2^1024 is not a float.  q = v / c is taken unscaled,
+    # from P6's x, so it stays right where the scaled c underflows.
+    q = x[EQUILIBRIUM_IDS.index(EquilibriumId.P6)]
     e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
     v, c = np.ldexp(v, -e), np.ldexp(c, -e)
-    j00, _, _, _, a, b, _, b_, d = jacobian_entries(v, c, x, y, z)
-    m = 0.5 * (a + d)
-    gap = 0.5 * (a - d)
-    disc = gap * gap + b * b_
-    det = a * d - b * b_
-    big = m + np.copysign(np.sqrt(disc), m)
-    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
-    re = np.stack((j00, big, small), axis=-1)
+    with np.errstate(over="ignore"):
+        re = _eigenvalue_table(v, c, q)
+        eigs = np.ldexp(re, e[..., None])
     codes, zeros = stability_codes(re, zero_tol(v, c))
     structural = _STRUCTURAL.reshape((-1,) + (1,) * (x.ndim - 1))
     codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    with np.errstate(over="ignore"):
-        eigs = np.ldexp(re, e[..., None])
-    # a non-finite entry makes J00, big or small non-finite, and so does an
+    # an infinite q makes P3's or P6's eigenvalues non-finite, and so does an
     # eigenvalue that overflows when scaled back; slices, as a bool reduction
     # over the length-3 axis is slow
     fin = np.isfinite(eigs)
@@ -286,7 +293,8 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     """
     p = Params(*p).validate()
     (x, y, z, defined), eigs, codes = _classify(p.v, p.c)
-    eigs = _tidy_and_sort(eigs, max(abs(p.v), abs(p.c)))
+    # descending; adding 0.0 turns a -0.0 into 0.0
+    eigs = np.sort(eigs, axis=-1)[:, ::-1] + 0.0
     points = np.stack((x, y, z), axis=-1)
     # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.

@@ -1,12 +1,12 @@
 """Jacobian, eigenvalues and stability classification for the reduced field.
 
-The Jacobian of the reduced replicator field is a 3x3 matrix with
-closed-form polynomial entries (``jacobian_entries``).  The equilibrium
-catalog reads the eigenvalues of its seven points from five of those
-entries in closed form; ``eigenvalues`` solves an arbitrary 3x3 matrix
-with LAPACK (``numpy.linalg.eigvals``) and is the reference the tests
-hold the catalog to.  Roots of the characteristic cubic are not used:
-they are ill conditioned at the double eigenvalue P5 and P7 always carry.
+``jacobian`` is the closed-form 3x3 Jacobian of the reduced replicator
+field at any state, and ``eigenvalues`` solves an arbitrary 3x3 matrix
+with LAPACK (``numpy.linalg.eigvals``).  Together they are the reference
+path: Newton refinement uses the Jacobian, and the tests hold the
+equilibrium catalog's closed-form eigenvalues to a LAPACK solve of it.
+Roots of the characteristic cubic are not used: they are ill conditioned
+at the double eigenvalue P5 and P7 always carry.
 
 Classification reads only real-part signs against a zero threshold that
 scales with the problem: ``ZERO_REL * max(|v|, |c|)`` for the catalog and
@@ -95,30 +95,22 @@ def _code_table() -> np.ndarray:
 _CODE_TABLE = _code_table()
 
 
-def jacobian_entries(v, c, x, y, z):
-    """The nine closed-form Jacobian entries, row major, broadcastable.
-
-    Shared by the scalar ``jacobian`` and the vectorized parameter-plane
-    scan so the polynomials are transcribed exactly once.
-    """
-    j11 = 0.25 * (c * (6.0 * x * x + 4.0 * x * (y + z - 1.0) + 2.0 * y * z - y - z)
-                  - v * (4.0 * x + y + z - 2.0))
-    j12 = 0.25 * x * (c * (2.0 * x + 2.0 * z - 1.0) - v)
-    j13 = 0.25 * x * (c * (2.0 * x + 2.0 * y - 1.0) - v)
-    j21 = 0.25 * y * (c * (4.0 * x + 2.0 * y + 2.0 * z - 1.0) - 2.0 * v)
-    j22 = 0.25 * (c * (2.0 * x + 4.0 * y - 1.0) * (x + z) - v * (2.0 * x + 2.0 * y + z - 1.0))
-    j23 = 0.25 * y * (c * (2.0 * x + 2.0 * y - 1.0) - v)
-    j31 = 0.25 * z * (c * (4.0 * x + 2.0 * y + 2.0 * z - 1.0) - 2.0 * v)
-    j32 = 0.25 * z * (c * (2.0 * x + 2.0 * z - 1.0) - v)
-    j33 = 0.25 * (c * (x + y) * (2.0 * x + 4.0 * z - 1.0) - v * (2.0 * x + y + 2.0 * z - 1.0))
-    return j11, j12, j13, j21, j22, j23, j31, j32, j33
-
-
 def jacobian(p: Params, s: Reduced) -> np.ndarray:
     """Closed-form 3x3 Jacobian of the reduced field at (p, s)."""
     v, c = p
     x, y, z = (float(t) for t in s)
-    return np.array(jacobian_entries(v, c, x, y, z)).reshape(3, 3)
+    return 0.25 * np.array([
+        [c * (6.0 * x * x + 4.0 * x * (y + z - 1.0) + 2.0 * y * z - y - z)
+         - v * (4.0 * x + y + z - 2.0),
+         x * (c * (2.0 * x + 2.0 * z - 1.0) - v),
+         x * (c * (2.0 * x + 2.0 * y - 1.0) - v)],
+        [y * (c * (4.0 * x + 2.0 * y + 2.0 * z - 1.0) - 2.0 * v),
+         c * (2.0 * x + 4.0 * y - 1.0) * (x + z) - v * (2.0 * x + 2.0 * y + z - 1.0),
+         y * (c * (2.0 * x + 2.0 * y - 1.0) - v)],
+        [z * (c * (4.0 * x + 2.0 * y + 2.0 * z - 1.0) - 2.0 * v),
+         z * (c * (2.0 * x + 2.0 * z - 1.0) - v),
+         c * (x + y) * (2.0 * x + 4.0 * z - 1.0) - v * (2.0 * x + y + 2.0 * z - 1.0)],
+    ])
 
 
 def char_coefficients(j: np.ndarray):
@@ -139,19 +131,6 @@ def char_coefficients(j: np.ndarray):
     return -tr, minors, -det
 
 
-def _tidy_and_sort(roots: np.ndarray, scale) -> np.ndarray:
-    """Zero imaginary parts within _IMAG_REL * scale, then sort each row.
-
-    Rows come in EigenTriple order: descending real part, ties by
-    descending imaginary part.  ``scale`` broadcasts over the rows.
-    """
-    roots = np.asarray(roots, dtype=complex)
-    tol = _IMAG_REL * np.asarray(scale, dtype=float)[..., None]
-    roots = roots.real + 1j * np.where(np.abs(roots.imag) <= tol, 0.0, roots.imag)
-    order = np.lexsort((-roots.imag, -roots.real), axis=-1)
-    return np.take_along_axis(roots, order, axis=-1)
-
-
 def eigenvalues(j: np.ndarray) -> EigenTriple:
     """Eigenvalues of one 3x3 matrix, sorted; its max-abs entry is the scale.
 
@@ -162,7 +141,11 @@ def eigenvalues(j: np.ndarray) -> EigenTriple:
     j = np.asarray(j, dtype=float)
     if j.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {j.shape}")
-    roots = _tidy_and_sort(np.linalg.eigvals(j), np.abs(j).max())
+    roots = np.linalg.eigvals(j).astype(complex)
+    tol = _IMAG_REL * np.abs(j).max()
+    roots = roots.real + 1j * np.where(np.abs(roots.imag) <= tol, 0.0, roots.imag)
+    # EigenTriple order: descending real part, ties by descending imaginary part
+    roots = roots[np.lexsort((-roots.imag, -roots.real))]
     return EigenTriple(complex(roots[0]), complex(roots[1]), complex(roots[2]))
 
 

@@ -101,6 +101,17 @@ def test_scaled_boxes_keep_nodes_on_the_zero_lines():
         assert np.array_equal(scaled.codes, base.codes), k
 
 
+def test_transition_lines_are_scale_invariant():
+    # the on-line tolerance is relative to the edge's nodes; an absolute
+    # floor put every changed edge of the +-3e-14 box on all four lines
+    def lines(b):
+        return detect_transitions(scan(GridSpec(-b, b, -b, b, 41, 41)))
+    base = lines(0.3)
+    assert [len(bl.affected) for bl in base] == [15, 11, 15, 15]
+    for b in (3e-14, 3e-6, 3e11):
+        assert lines(b) == base, b
+
+
 def test_transitions_across_diagonal_attributed_to_veqc():
     # rectangular grid straddling v = c and no other line (c < 2v throughout)
     m = scan(GridSpec(0.3, 0.4, 0.25, 0.45, 2, 3))

@@ -133,6 +133,30 @@ def test_simulate_starts_file(tmp_path, capsys):
     assert summary["terminals"] == {"P7": 2}
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x,y,z\n0.2,0.3,0.4\n0.1,abc,0.7\n", 3),     # non-numeric field
+    ("x,y,z\n0.2,0.3\n", 2),                      # two fields
+])
+def test_simulate_malformed_starts_file_is_a_usage_error(tmp_path, capsys, text, line):
+    starts = tmp_path / "starts.csv"
+    starts.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--v", "0.1", "--c", "0.2", "--starts-file", str(starts),
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{starts}:{line}: bad start" in capsys.readouterr().err
+
+
+def test_simulate_missing_starts_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--v", "0.1", "--c", "0.2", "--starts-file", str(missing),
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read --starts-file" in err and str(missing) in err
+
+
 def test_simulate_step_failure_exits_3_with_partial_outputs(tmp_path, capsys):
     out = tmp_path / "fail"
     code, _ = run(capsys, "simulate", "--v", "0.1", "--c", "0.2",
@@ -228,6 +252,14 @@ def test_nash_zero_game_degenerate(capsys):
     assert payload["degenerate"]
     assert all(chk["margin"] == 0.0 for chk in payload["pure_strategy_checks"])
     assert payload["reports"] == []
+
+
+def test_nash_degenerate_flag_is_scale_free(capsys):
+    # the margins scale with (v, c); an absolute floor called (1e-16, 2e-16) degenerate
+    for v, c in (("0.1", "0.2"), ("1e-16", "2e-16"), ("1e-300", "2e-300"), ("1e11", "2e11")):
+        code, out = run(capsys, "nash", f"--v={v}", f"--c={c}")
+        assert code == 0
+        assert not json.loads(out)["degenerate"], (v, c)
 
 
 def test_two_strategy_report_and_simulation(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hawkdove.equilibrium_catalog import (
     CODE_BY_CLASS,
     STRUCTURAL_ZERO_EIGS,
     EquilibriumId,
+    _classify,
     classification_codes,
     equilibrium_coords,
     region_predicate,
@@ -210,35 +211,39 @@ def test_p1_and_p4_get_bit_identical_eigenvalues_and_tags():
         assert p1.classification is p4.classification, p
 
 
-def test_overflowing_jacobian_is_undefined_not_an_error():
-    # v/c = 1e300 overflows P3's and P6's Jacobian entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        recs = by_id(catalog(Params(1.0, 1e-300)))
-        codes = classification_codes([1.0, 0.1], [1e-300, 0.3])[EQS.index(EquilibriumId.P3)]
-    assert recs[EquilibriumId.P3].classification is C.UNDEFINED
-    assert recs[EquilibriumId.P6].classification is C.UNDEFINED
+def test_overflowing_jacobian_is_not_an_error_and_matches_predicate():
+    # v/c = 1e300 overflows P3's and P6's Jacobian entries, but their
+    # eigenvalues, about 5e299, are finite
+    p = Params(1.0, 1e-300)
+    recs = by_id(catalog(p))
+    codes = classification_codes([1.0, 0.1], [1e-300, 0.3])[EQS.index(EquilibriumId.P3)]
+    assert recs[EquilibriumId.P3].classification is C.NORMALLY_HYPERBOLIC_UNSTABLE
+    assert recs[EquilibriumId.P6].classification is C.NON_HYPERBOLIC
+    for eq in (EquilibriumId.P3, EquilibriumId.P6):
+        assert recs[eq].classification is region_predicate(eq, p)
     assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
-    assert codes[0] == CODE_BY_CLASS[C.UNDEFINED]
+    assert codes[0] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_UNSTABLE]
     assert codes[1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
 
 
+def closed_form_codes(eq, v, c):
+    """The catalog's tag rule applied to the closed-form eigenvalues, as codes."""
+    lam = np.stack(np.broadcast_arrays(*closed_form_eigs(eq.value, v, c)), axis=-1)
+    code, zeros = stability_codes(lam, zero_tol(v, c))
+    return np.where(zeros > STRUCTURAL_ZERO_EIGS[eq], CODE_BY_CLASS[C.DEGENERATE], code)
+
+
 def closed_form_tag(eq, p):
-    """The catalog's tag rule applied to the closed-form eigenvalues."""
-    lam = np.array(closed_form_eigs(eq.value, *p))
-    code, zeros = stability_codes(lam, zero_tol(*p))
-    if zeros > STRUCTURAL_ZERO_EIGS[eq]:
-        return C.DEGENERATE
-    return CLASS_BY_CODE[int(code)]
+    return CLASS_BY_CODE[int(closed_form_codes(eq, *p))]
 
 
 def test_block_eigenvalues_match_lapack_and_closed_form_tags():
-    # J00 plus the 2x2 block against a full LAPACK solve of the same Jacobian
+    # the closed-form table against a full LAPACK solve of the Jacobian
     rng = np.random.default_rng(227)
     points = [Params(k * p.v, k * p.c)
               for p, k in ((rand_params(rng), 10.0 ** rng.uniform(-6, 6)) for _ in range(500))]
     for t in (0.3, -0.17, 1.0 / 3.0, 7e-5, -2.5e4):
         points += [Params(t, t), Params(t, 0.0), Params(0.0, t), Params(t, 2 * t)]
-        # near-double block eigenvalues, where m^2 - det would cancel
         points += [Params(t, t * (1 + 2.0 ** -40)), Params(t, 2 * t * (1 + 2.0 ** -40))]
     for p in points:
         tol = 1e-10 * max(abs(p.v), abs(p.c))
@@ -249,6 +254,22 @@ def test_block_eigenvalues_match_lapack_and_closed_form_tags():
             lapack = np.linalg.eigvals(jacobian(p, rec.coords))
             assert multiset_close(lapack, rec.eigenvalues.real_parts(), tol), (rec.id, p)
             assert rec.classification is closed_form_tag(rec.id, p), (rec.id, p)
+
+
+def test_structural_zeros_are_exact_at_any_v_over_c():
+    # independent magnitudes put |v/c| anywhere in 1e-23..1e23, where a
+    # rounded structural zero would exceed the zero threshold
+    rng = np.random.default_rng(229)
+    v, c = 10.0 ** rng.uniform(-12, 11, (2, 20000)) * rng.choice([-1.0, 1.0], (2, 20000))
+    assert (np.abs(v / c) >= 1e7).sum() > 4000
+    _, eigs, codes = _classify(v, c)
+    p3, p6 = EQS.index(EquilibriumId.P3), EQS.index(EquilibriumId.P6)
+    assert ((eigs[p3] == 0.0).sum(axis=-1) >= 1).all()
+    assert ((eigs[p6] == 0.0).sum(axis=-1) >= 2).all()
+    assert not np.isin(codes[p3], [CODE_BY_CLASS[t] for t in (
+        C.STABLE_NODE, C.UNSTABLE_NODE, C.SADDLE)]).any()
+    for k, eq in enumerate(EQS):
+        assert (codes[k] == closed_form_codes(eq, v, c)).all(), eq
 
 
 def test_power_of_two_scaling_is_exact():
