@@ -395,6 +395,10 @@ def cmd_two_strategy(args, parser) -> int:
 
 # --------------------------------------------------------------------- main
 
+# Step control is in dimensionless time; the CSVs carry physical time t.
+_TAU = "dimensionless time tau = s*t, s the power of two with max(|v|, |c|) in [s/2, s)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkdove",
@@ -418,12 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--start", action="append", metavar="X,Y,Z",
                      help="explicit reduced start (repeatable)")
     sim.add_argument("--starts-file", help="CSV file of x,y,z starts")
-    sim.add_argument("--t-end", type=float, default=2000.0)
+    sim.add_argument("--t-end", type=float, default=2000.0,
+                     help=f"time limit in {_TAU} (default %(default)s)")
     sim.add_argument("--rtol", type=float, default=1e-6)
     sim.add_argument("--atol", type=float, default=1e-9)
-    sim.add_argument("--max-step", type=float, default=10.0)
+    sim.add_argument("--max-step", type=float, default=10.0,
+                     help=f"largest step in {_TAU} (default %(default)s)")
     sim.add_argument("--stride", type=float, default=None,
-                     help="record samples at least this far apart in time")
+                     help=f"record samples at least this far apart in {_TAU} "
+                          "(default: every accepted step)")
     sim.add_argument("--out-dir", help="output directory (default $HAWKDOVE_OUTDIR or .)")
     sim.add_argument("--svg", action="store_true", help="write phase-portrait projections")
     sim.set_defaults(func=cmd_simulate)
@@ -451,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(two)
     two.add_argument("--z0", type=float, action="append",
                      help="initial Hawk share to simulate (repeatable)")
-    two.add_argument("--t-end", type=float, default=2000.0)
+    two.add_argument("--t-end", type=float, default=2000.0,
+                     help=f"time limit in {_TAU} (default %(default)s)")
     two.add_argument("--out", help="write JSON here instead of stdout")
     two.add_argument("--out-dir", help="output directory for trajectory CSVs")
     two.set_defaults(func=cmd_two_strategy)

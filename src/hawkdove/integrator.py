@@ -7,6 +7,13 @@ difference gives the local error estimate, kept below
 atol + rtol * |state| per step.  The field is a cubic polynomial with
 moderate Lipschitz constants at desk scale, so an explicit pair is ample.
 
+``batch_integrate`` and the 1D oracle step in dimensionless time tau = s t
+on the field divided by s = 2^e, the power of two with max(|v|, |c|) in
+[s/2, s) (s = 1 at the origin): see ``time_scale``.  Dividing by a power
+of two is exact, so at 2^m (v, c) a trajectory's shares come out bit for
+bit the same and its physical time t = tau / s, the time that is
+recorded, scales by exactly 2^-m.
+
 ``batch_integrate`` advances every start at once, one lane per row of
 (N, 3) NumPy arrays.  Each lane keeps its own time and step size and is
 accepted or rejected on its own; the stage-7 derivative becomes the next
@@ -37,6 +44,7 @@ slower than the scalar loop.
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -58,6 +66,7 @@ __all__ = [
     "adaptive_integrate",
     "clamp_negatives",
     "random_interior_starts",
+    "time_scale",
     "write_trajectory_csv",
     "trajectory_sidecar",
     "DEFAULT_SEED",
@@ -93,12 +102,21 @@ class Terminal(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
+    """Step control and stopping rules of ``batch_integrate`` and the 1D oracle.
+
+    ``t_end``, ``max_step``, ``record_stride`` and the first step are in
+    dimensionless time tau = s t, and ``convergence_eps`` bounds the sup
+    norm of the field divided by s (see ``time_scale``), so one config
+    means the same at every scale of (v, c).  ``rtol`` and ``atol`` are in
+    share units.  Recorded samples carry physical time t = tau / s.
+    """
+
     rtol: float = 1e-6
     atol: float = 1e-9
-    t_end: float = 2000.0
-    max_step: float = 10.0
-    convergence_eps: float = 1e-10   # on the field's sup norm
-    record_stride: Optional[float] = None   # None = record every accepted step
+    t_end: float = 2000.0                   # tau
+    max_step: float = 10.0                  # tau
+    convergence_eps: float = 1e-10          # on the scaled field's sup norm
+    record_stride: Optional[float] = None   # tau; None = record every accepted step
 
     def validate(self) -> "IntegrationConfig":
         if not (self.rtol > 0 and self.atol > 0):
@@ -124,10 +142,24 @@ class Trajectory:
     clamp_count: int
     steps: int
     rejected: int
+    closest: EquilibriumId               # nearest defined catalog point, any terminal
+    closest_distance: float              # Euclidean, reduced coordinates
+    final_field_norm: float              # sup norm of the scaled field at the end
 
     def final_state(self) -> ReducedState:
         t, x, y, z, w = self.samples[-1]
         return ReducedState(x, y, z)
+
+
+def time_scale(p: Params) -> tuple[int, Params]:
+    """The exponent e of s = 2^e, and (v, c) / s: the params that are stepped.
+
+    e is frexp's exponent of max(|v|, |c|) (0 at the origin), the one
+    ``equilibrium_catalog`` scales by, so the scaled max(|v|, |c|) lies in
+    [0.5, 1).  Dimensionless time is tau = s t.
+    """
+    e = math.frexp(max(abs(p.v), abs(p.c)))[1]
+    return e, Params(math.ldexp(p.v, -e), math.ldexp(p.c, -e))
 
 
 def _norm_inf(vec: Sequence[float]) -> float:
@@ -262,7 +294,8 @@ def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
     lane's bits do not depend on which other starts share the batch.  A
     lane retires on convergence, at the time limit or on step underflow.
 
-    Returns per start (samples (n, 5), terminal, accepted, rejected, clamps).
+    Returns per start (samples (n, 5), terminal, accepted, rejected, clamps),
+    with t in the time of the field of ``p``.
     """
     n = len(starts)
     out: list = [None] * n
@@ -275,7 +308,6 @@ def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
             samples = np.empty((len(data), 5))
             samples[:, :4] = data
             samples[:, 4] = 1.0 - data[:, 1] - (data[:, 2] + data[:, 3])
-            samples.flags.writeable = False
             out[lane[i]] = (samples, terminal, int(accepted[i]), int(rejected[i]),
                             int(clamps[i]))
 
@@ -364,11 +396,14 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
                     cfg: Optional[IntegrationConfig] = None) -> list[Trajectory]:
     """Integrate every start in one lockstep batch, in input order.
 
-    Each trajectory runs until convergence (the reduced field's sup norm
-    below cfg.convergence_eps), the time limit, or step failure.  On
-    convergence the nearest defined catalog point within 1e-3 (Euclidean,
-    reduced coordinates) is attached, if any.  A trajectory does not
-    depend on which other starts share the batch.
+    Each trajectory runs in dimensionless time (see ``time_scale``) until
+    convergence (the scaled field's sup norm below cfg.convergence_eps),
+    the time limit, or step failure; its samples carry physical time.
+    Every trajectory records the nearest defined catalog point (Euclidean,
+    reduced coordinates), the distance to it and the final scaled field
+    norm; on convergence that point is also attached as ``nearest`` if it
+    lies within 1e-3.  A trajectory does not depend on which other starts
+    share the batch.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -378,7 +413,8 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
                                     "is off the simplex")
     if not len(starts):
         return []
-    lanes = _lockstep(p, np.array([[float(t) for t in s0] for s0 in starts]), cfg)
+    e, scaled = time_scale(p)
+    lanes = _lockstep(scaled, np.array([[float(t) for t in s0] for s0 in starts]), cfg)
 
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     ids = list(compress(EQUILIBRIUM_IDS, defined))
@@ -388,13 +424,19 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     dist = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
                    + diff[..., 2] * diff[..., 2])
     best = dist.argmin(axis=1)
+    closest = dist.min(axis=1)
+    norms = np.abs(field_3d_rows(scaled, finals)).max(axis=1)
     out = []
     for i, (samples, terminal, accepted, rejected, clamps) in enumerate(lanes):
+        samples[:, 0] = np.ldexp(samples[:, 0], -e)
+        samples.flags.writeable = False
         nearest = None
-        if terminal is Terminal.CONVERGED and dist[i, best[i]] <= 1e-3:
+        if terminal is Terminal.CONVERGED and closest[i] <= 1e-3:
             nearest = ids[best[i]]
         out.append(Trajectory(samples=samples, terminal=terminal, nearest=nearest,
-                              clamp_count=clamps, steps=accepted, rejected=rejected))
+                              clamp_count=clamps, steps=accepted, rejected=rejected,
+                              closest=ids[best[i]], closest_distance=float(closest[i]),
+                              final_field_norm=float(norms[i])))
     return out
 
 
@@ -427,6 +469,9 @@ def trajectory_sidecar(traj: Trajectory) -> dict:
     return {
         "terminal": traj.terminal.value,
         "nearest_equilibrium": traj.nearest.value if traj.nearest else None,
+        "closest_point": traj.closest.value,
+        "closest_distance": traj.closest_distance,
+        "final_field_norm": traj.final_field_norm,
         "t_final": float(traj.samples[-1, 0]),
         "final_state": [float(t) for t in traj.samples[-1, 1:]],
         "clamp_count": traj.clamp_count,

@@ -13,6 +13,7 @@ is documented for z = 1.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -99,19 +100,23 @@ def correspondence(p: Params) -> list[CorrespondenceEntry]:
 def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, float]]:
     """Integrate the 1D dynamics from z0; returns (t, z) samples.
 
-    Shares the adaptive stepper with the full-game integrator; the state
-    is clamped to [0, 1] the same way simplex shares are.
+    Shares the adaptive stepper with the full-game integrator, in the same
+    dimensionless time (see ``integrator.time_scale``): the samples carry
+    physical time, and at 2^m (v, c) the shares are bit-identical and t
+    scales by exactly 2^-m.  The state is clamped to [0, 1] the same way
+    simplex shares are.
     """
-    from .integrator import IntegrationConfig, adaptive_integrate, clamp_negatives
+    from .integrator import IntegrationConfig, adaptive_integrate, clamp_negatives, time_scale
 
     p = Params(*p).validate()
     z0 = float(z0)
     if not -1e-9 <= z0 <= 1.0 + 1e-9:
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
     cfg = cfg or IntegrationConfig()
+    e, scaled = time_scale(p)
 
     def rate(state):
-        return (f(p, state[0]),)
+        return (f(scaled, state[0]),)
 
     def project(state):
         out, n = clamp_negatives(state)
@@ -121,4 +126,4 @@ def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, flo
 
     samples, _terminal, _nsteps, _clamps = adaptive_integrate(rate, (z0,), cfg,
                                                               project=project)
-    return [(t, y[0]) for t, y in samples]
+    return [(math.ldexp(t, -e), y[0]) for t, y in samples]

@@ -103,6 +103,26 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
     assert (out1 / "portrait.svg").read_bytes() == (out2 / "portrait.svg").read_bytes()
 
 
+def test_simulate_is_scale_invariant_under_powers_of_two(tmp_path, capsys):
+    # 102.4 and 204.8 are exactly 2^10 times the floats 0.1 and 0.2: the
+    # terminals and share columns must match and every t scale by 2^-10.
+    outs = []
+    for v, c in (("0.1", "0.2"), ("102.4", "204.8")):
+        out = tmp_path / v
+        code, stdout = run(capsys, "simulate", "--v", v, "--c", c, "--random-starts", "5",
+                           "--seed", "7", "--out-dir", str(out))
+        assert code == 0
+        outs.append((out, json.loads(stdout)["terminals"]))
+    (small, hist_small), (big, hist_big) = outs
+    assert hist_small == hist_big
+    for i in range(5):
+        rows_small, rows_big = ([line.split(",", 1) for line in
+                                 (out / f"trajectory_{i:03d}.csv").read_text().splitlines()[1:]]
+                                for out in (small, big))
+        assert [r[1] for r in rows_big] == [r[1] for r in rows_small]
+        assert [float(r[0]) for r in rows_big] == [float(r[0]) / 1024 for r in rows_small]
+
+
 def test_simulate_explicit_start_and_stride(tmp_path, capsys):
     code, out = run(capsys, "simulate", "--v", "-0.1", "--c", "0.2",
                     "--start", "0.3,0.3,0.3", "--stride", "50",

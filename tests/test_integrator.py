@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from hawkdove import (
     Params,
     Terminal,
     batch_integrate,
+    catalog,
     field_3d,
     integrate,
     random_interior_starts,
+    simulate_hawk_share,
 )
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.errors import InvalidStartError
 from hawkdove.integrator import (
     adaptive_integrate,
     clamp_negatives,
+    time_scale,
     trajectory_sidecar,
     write_trajectory_csv,
 )
@@ -107,16 +111,19 @@ def test_batch_matches_individual_calls_and_preserves_order():
         assert got.nearest == ref.nearest
 
     # Mixed lanes: converged at step 0 (P2), a y = 0 face start (as -0.0)
-    # and interior starts, at a preset, at the (2, 3) preset whose lanes end
-    # at the time limit, and under a step size that underflows.  Comparing a
-    # batch of five with batches of one and with the scalar driver also
+    # and interior starts, at a preset, at the (2, 3) preset, whose field is
+    # divided by s = 4, at a time limit short enough to end its lanes there,
+    # and under a step size that underflows.  Comparing a batch of five with
+    # batches of one and with the scalar driver on the scaled field also
     # checks the ratio ** -0.2 step factor, which a vectorised pow may round
     # differently.
     starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11)]
     seen = set()
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig()),
+                   (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
                    (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15))):
+        e, scaled = time_scale(p)
         batch = batch_integrate(p, starts, cfg)
         for s0, got in zip(starts, batch):
             alone = integrate(p, s0, cfg)
@@ -125,13 +132,70 @@ def test_batch_matches_individual_calls_and_preserves_order():
                 (alone.terminal, alone.nearest, alone.steps, alone.rejected, alone.clamp_count)
 
             ref, terminal, (accepted, rejected), clamps = adaptive_integrate(
-                lambda y: field_3d(p, y), s0, cfg, project=_clamp_and_rescale)
+                lambda y: field_3d(scaled, y), s0, cfg, project=_clamp_and_rescale)
             assert (got.terminal, got.steps, got.rejected, got.clamp_count) == \
                 (terminal, accepted, rejected, clamps)
             np.testing.assert_allclose(got.samples[-1, 1:4], ref[-1][1], rtol=0, atol=1e-9)
-            assert _same_bits(got.samples[:, :4], [(t, *y) for t, y in ref])
+            assert _same_bits(got.samples[:, :4], [(math.ldexp(t, -e), *y) for t, y in ref])
             seen.add(got.terminal)
     assert seen == set(Terminal)
+
+
+def test_power_of_two_scaling_is_bit_exact():
+    # At 2^m (v, c) the field divided by s is the same floats, so the shares
+    # are bit-identical and t scales by exactly 2^-m, for every terminal.
+    starts = [(0.3, -0.0, 0.5), *random_interior_starts(3, seed=19)]
+    for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
+                   (Params(-0.2, -0.1), IntegrationConfig()),
+                   (Params(2.0, 3.0), IntegrationConfig(t_end=5.0, record_stride=0.5))):
+        base = batch_integrate(p, starts, cfg)
+        hawk = simulate_hawk_share(p, 0.9, cfg)
+        for m in range(-20, 21):
+            pm = Params(math.ldexp(p.v, m), math.ldexp(p.c, m))
+            for a, b in zip(base, batch_integrate(pm, starts, cfg)):
+                assert _same_bits(b.samples[:, 1:], a.samples[:, 1:]), (p, m)
+                assert _same_bits(b.samples[:, 0], np.ldexp(a.samples[:, 0], -m)), (p, m)
+                assert (b.terminal, b.nearest, b.closest, b.steps, b.rejected,
+                        b.clamp_count, b.final_field_norm) == \
+                    (a.terminal, a.nearest, a.closest, a.steps, a.rejected,
+                     a.clamp_count, a.final_field_norm)
+            scaled = simulate_hawk_share(pm, 0.9, cfg)
+            assert [z for _, z in scaled] == [z for _, z in hawk], (p, m)
+            assert [t for t, _ in scaled] == [math.ldexp(t, -m) for t, _ in hawk], (p, m)
+
+
+def test_scaled_preset_converges():
+    # (1, 2) is ten times the first preset; in dimensionless time its lanes
+    # converge as there.  An absolute time limit and threshold end all 60
+    # at TimeLimit.
+    trajs = batch_integrate(Params(1.0, 2.0), random_interior_starts(60, seed=7))
+    converged = [t for t in trajs if t.terminal is Terminal.CONVERGED]
+    assert len(converged) >= 59
+    assert {t.nearest for t in converged} == {EquilibriumId.P1, EquilibriumId.P4}
+
+
+def test_every_terminal_records_its_closest_point():
+    p = Params(0.1, 0.2)
+    starts = random_interior_starts(6, seed=5)
+    _, scaled = time_scale(p)
+    for cfg in (IntegrationConfig(), IntegrationConfig(t_end=3.0)):
+        for traj in batch_integrate(p, starts, cfg):
+            final = traj.samples[-1, 1:4]
+            dists = {rec.id: float(np.linalg.norm(final - np.array(tuple(rec.coords))))
+                     for rec in catalog(p) if rec.defined}
+            assert traj.closest is min(dists, key=dists.get)
+            assert traj.closest_distance == pytest.approx(dists[traj.closest], abs=1e-15)
+            assert traj.final_field_norm == max(abs(g) for g in field_3d(scaled, final))
+            if traj.terminal is Terminal.CONVERGED:
+                assert traj.final_field_norm < cfg.convergence_eps
+                assert traj.nearest is traj.closest
+            else:
+                assert traj.terminal is Terminal.TIME_LIMIT and traj.nearest is None
+                assert traj.final_field_norm >= cfg.convergence_eps
+            side = trajectory_sidecar(traj)
+            assert (side["closest_point"], side["closest_distance"],
+                    side["final_field_norm"]) == \
+                (traj.closest.value, traj.closest_distance, traj.final_field_norm)
 
 
 def test_swapping_y_and_z_swaps_trajectories_bitwise():
@@ -163,7 +227,7 @@ def test_saddle_attracts_nothing_from_interior():
 
 def test_terminals_are_stable_nodes_of_the_catalog():
     # interior starts terminate exactly on StableNode catalog points
-    from hawkdove import Classification, catalog
+    from hawkdove import Classification
     for v, c in ((0.1, 0.2), (0.2, 0.3), (0.2, 0.1), (-0.1, 0.2)):
         p = Params(v, c)
         stable = {rec.id for rec in catalog(p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hawkdove import Params, best_response_check, build_payoff_matrix, nash_via_stability
-from hawkdove.game_core import strategy_payoff
+from hawkdove.game_core import on_simplex, strategy_payoff
 from hawkdove.nash import discrepancy_notes, nash_tol, reports_to_json
 
 from util import rand_params
@@ -112,3 +112,29 @@ def test_json_export_round_trip():
     assert rep["support"] == ["HH"]
     assert payload["notes"]  # disputed region carries the annotation
     assert payload == reports_to_json(p, reports)
+
+
+def test_every_stable_node_is_a_strict_pure_equilibrium():
+    # Selten (1980, J. Theor. Biol. 84:93-101): in a role-asymmetric contest
+    # every ESS is a strict pure equilibrium.  So every StableNode inside
+    # the simplex that the stability route reports must be a vertex whose
+    # strategy earns more against itself than any other pure strategy does,
+    # by more than rounding at the scale of (v, c).
+    rng = np.random.default_rng(1980)
+    n = 2000
+    mags = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    checked = 0
+    for r, theta in zip(mags, angles):
+        p = Params(float(r * np.cos(theta)), float(r * np.sin(theta)))
+        m = build_payoff_matrix(p)
+        for rep in nash_via_stability(p):
+            if not on_simplex(rep.candidate):
+                continue
+            assert sorted(rep.candidate) == [0.0, 0.0, 0.0, 1.0], (p, rep.candidate)
+            k = rep.candidate.index(1.0)
+            u = [strategy_payoff(m, i, rep.candidate) for i in range(4)]
+            best_other = max(u[i] for i in range(4) if i != k)
+            assert u[k] - best_other > 1e-10 * max(abs(p.v), abs(p.c)), (p, k, u)
+            checked += 1
+    assert checked > n
