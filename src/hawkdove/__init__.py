@@ -31,7 +31,6 @@ from .replicator_field import (
 from .linear_analysis import (
     Classification,
     EigenTriple,
-    classify,
     eigenvalues,
     jacobian,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "HH", "HD", "DH", "DD", "TOL_SIMPLEX",
     "build_payoff_matrix", "strategy_payoff", "average_payoff",
     "field_3d", "field_4d", "consistency_residual", "lift",
-    "Classification", "EigenTriple", "jacobian", "eigenvalues", "classify",
+    "Classification", "EigenTriple", "jacobian", "eigenvalues",
     "EquilibriumId", "EquilibriumRecord", "catalog", "refine", "region_predicate",
     "GridSpec", "RegionMap", "LineId", "BifurcationLine",
     "scan", "detect_transitions", "linearized_field",

@@ -64,13 +64,6 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", type=float, required=True, help="contest cost c")
 
 
-def _fmt_eig(lam: complex) -> str:
-    if lam.imag == 0:
-        return f"{lam.real:.6g}"
-    sign = "+" if lam.imag >= 0 else "-"
-    return f"{lam.real:.6g}{sign}{abs(lam.imag):.6g}j"
-
-
 # ---------------------------------------------------------------- equilibria
 
 def cmd_equilibria(args, parser) -> int:
@@ -79,7 +72,7 @@ def cmd_equilibria(args, parser) -> int:
     rows = []
     for rec in records:
         eigs = ("-", "-", "-") if rec.eigenvalues is None else tuple(
-            _fmt_eig(l) for l in rec.eigenvalues)
+            f"{l:.6g}" for l in rec.eigenvalues)
         agree = rec.agrees_with_paper
         rows.append({
             "id": rec.id.value,
@@ -201,7 +194,10 @@ def cmd_simulate(args, parser) -> int:
     out = _out_dir(args.out_dir)
     cfg = IntegrationConfig(rtol=args.rtol, atol=args.atol, t_end=args.t_end,
                             max_step=args.max_step, record_stride=args.stride)
-    trajectories = batch_integrate(p, starts, cfg)
+    try:
+        trajectories = batch_integrate(p, starts, cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     histogram: dict[str, int] = {}
     for i, traj in enumerate(trajectories):
@@ -377,7 +373,10 @@ def cmd_two_strategy(args, parser) -> int:
         for i, z0 in enumerate(args.z0):
             if not 0.0 <= z0 <= 1.0:
                 parser.error(f"--z0 must lie in [0, 1], got {z0}")
-            samples = simulate_hawk_share(p, z0, cfg)
+            try:
+                samples = simulate_hawk_share(p, z0, cfg)
+            except ValueError as exc:
+                parser.error(str(exc))
             path = out / f"hawk_share_{i:03d}.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("t,z\n")

@@ -44,7 +44,6 @@ from .linear_analysis import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
     Classification,
-    EigenTriple,
     jacobian,
     stability_codes,
     zero_tol,
@@ -267,7 +266,7 @@ class EquilibriumRecord:
     coords: ReducedState
     defined: bool
     in_simplex: bool
-    eigenvalues: Optional[EigenTriple]
+    eigenvalues: Optional[tuple[float, float, float]]   # descending
     classification: Classification
     paper_region_class: Optional[Classification]
     coincides_with: tuple[EquilibriumId, ...] = ()
@@ -288,8 +287,8 @@ def _in_simplex(coords: ReducedState) -> bool:
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
-    ``classification_codes`` on a 0-d grid, with the eigenvalues in
-    EigenTriple order for display.
+    ``classification_codes`` on a 0-d grid, with the eigenvalues sorted
+    in descending order for display.
     """
     p = Params(*p).validate()
     (x, y, z, defined), eigs, codes = _classify(p.v, p.c)
@@ -306,7 +305,7 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
         if defined[k]:
             rec = EquilibriumRecord(
                 id=eq, coords=coords, defined=True, in_simplex=_in_simplex(coords),
-                eigenvalues=EigenTriple(*(complex(l) for l in eigs[k])),
+                eigenvalues=tuple(eigs[k].tolist()),
                 classification=CLASS_BY_CODE[codes[k]],
                 paper_region_class=region_predicate(eq, p),
                 coincides_with=tuple(compress(EQUILIBRIUM_IDS, twins[k])))

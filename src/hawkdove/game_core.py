@@ -138,15 +138,15 @@ def average_payoff(p: Params, s: StateLike) -> float:
     return 0.5 * (v - c * (x + y) * (x + z))
 
 
-def on_simplex(s: StateLike, tol: float = TOL_SIMPLEX) -> bool:
-    """True when all shares are >= -tol and they sum to 1 within tol."""
+def on_simplex(s: StateLike) -> bool:
+    """True when all shares are >= -TOL_SIMPLEX and sum to 1 within it."""
     vals = [float(t) for t in s]
     if not all(math.isfinite(t) for t in vals):
         return False
-    return min(vals) >= -tol and abs(sum(vals) - 1.0) <= tol
+    return min(vals) >= -TOL_SIMPLEX and abs(sum(vals) - 1.0) <= TOL_SIMPLEX
 
 
-def require_simplex(s: StateLike, tol: float = TOL_SIMPLEX) -> SimplexState:
-    if not on_simplex(s, tol):
-        raise ValueError(f"state {tuple(s)!r} is not on the simplex (tol={tol})")
+def require_simplex(s: StateLike) -> SimplexState:
+    if not on_simplex(s):
+        raise ValueError(f"state {tuple(s)!r} is not on the simplex (tol={TOL_SIMPLEX})")
     return SimplexState(*(float(t) for t in s))

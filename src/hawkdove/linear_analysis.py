@@ -8,19 +8,18 @@ equilibrium catalog's closed-form eigenvalues to a LAPACK solve of it.
 Roots of the characteristic cubic are not used: they are ill conditioned
 at the double eigenvalue P5 and P7 always carry.
 
-Classification reads only real-part signs against a zero threshold that
-scales with the problem: ``ZERO_REL * max(|v|, |c|)`` for the catalog and
-the grid scan, and ``ZERO_REL * max|lambda|`` for a bare eigenvalue triple.
-A relative threshold makes every tag invariant under (v, c) -> k (v, c),
-which scales every eigenvalue by k.  Counts of zero, negative and
-positive real parts map to a class through one code table,
-``stability_codes``, which the catalog and the scan share.
+Classification reads only real-part signs against one zero threshold,
+``zero_tol(v, c) = ZERO_REL * max(|v|, |c|)``.  A relative threshold
+makes every tag invariant under (v, c) -> k (v, c), which scales every
+eigenvalue by k.  Counts of zero, negative and positive real parts map
+to a class through one code table, ``stability_codes``, the only
+classification rule; the catalog and the grid scan share it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,6 @@ __all__ = [
     "jacobian",
     "eigenvalues",
     "stability_codes",
-    "classify",
-    "eig_zero_tol",
     "zero_tol",
     "char_coefficients",
 ]
@@ -71,9 +68,6 @@ class EigenTriple(NamedTuple):
     lam1: complex
     lam2: complex
     lam3: complex
-
-    def real_parts(self) -> tuple[float, float, float]:
-        return (self.lam1.real, self.lam2.real, self.lam3.real)
 
 
 CLASS_BY_CODE = list(Classification)
@@ -158,12 +152,6 @@ def zero_tol(v, c):
     return ZERO_REL * np.maximum(np.abs(v), np.abs(c))
 
 
-def eig_zero_tol(eigs) -> float:
-    """Zero threshold for a bare eigenvalue triple: ZERO_REL * max|l|."""
-    arr = np.asarray(tuple(eigs), dtype=complex)
-    return ZERO_REL * float(np.abs(arr).max())
-
-
 def stability_codes(re, tol):
     """Class codes and zero counts from real parts, through one code table.
 
@@ -183,14 +171,3 @@ def stability_codes(re, tol):
     neg = (re < -tol).view(np.int8)
     zeros = zero[..., 0] + zero[..., 1] + zero[..., 2]
     return _CODE_TABLE[zeros, neg[..., 0] + neg[..., 1] + neg[..., 2]], zeros
-
-
-def classify(e: Sequence[complex]) -> Classification:
-    """Stability tag of one eigenvalue triple, with tol = eig_zero_tol(e).
-
-    Complex pairs are classified by their real parts only; see
-    ``stability_codes`` for the table.
-    """
-    vals = np.array([complex(l) for l in e])
-    code, _ = stability_codes(vals.real, eig_zero_tol(vals))
-    return CLASS_BY_CODE[int(code)]

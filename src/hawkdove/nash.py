@@ -26,6 +26,7 @@ from .game_core import (
     Params,
     STRATEGIES,
     SimplexState,
+    TOL_SIMPLEX,
     build_payoff_matrix,
     require_simplex,
     strategy_payoff,
@@ -63,9 +64,9 @@ def best_response_check(p: Params, sigma) -> NashReport:
     """Check the symmetric Nash condition for a population state.
 
     margin = (payoff of sigma against sigma) - max_i (payoff of pure i
-    against sigma); Nash iff margin >= -tol.  Support strategies should
-    additionally earn within tol of the average; that is reported through
-    the support list, not enforced.
+    against sigma); Nash iff margin >= -nash_tol(p), in payoff units.  The
+    support lists the strategies whose share exceeds TOL_SIMPLEX, in share
+    units, so it does not depend on the scale of (v, c).
     """
     p = Params(*p).validate()
     s = require_simplex(sigma)
@@ -74,7 +75,7 @@ def best_response_check(p: Params, sigma) -> NashReport:
     u = [strategy_payoff(m, i, s) for i in range(4)]
     u_bar = sum(si * ui for si, ui in zip(s, u))
     margin = u_bar - max(u)
-    support = tuple(name for name, si in zip(STRATEGIES, s) if si > tol)
+    support = tuple(name for name, si in zip(STRATEGIES, s) if si > TOL_SIMPLEX)
     return NashReport(
         candidate=s,
         via_stability=False,

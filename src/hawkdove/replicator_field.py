@@ -60,11 +60,11 @@ def lift(s: Reduced) -> tuple[float, float, float, float]:
     return (x, y, z, 1.0 - x - y - z)
 
 
-def on_reduced_simplex(s: Reduced, tol: float = TOL_SIMPLEX) -> bool:
+def on_reduced_simplex(s: Reduced) -> bool:
     x, y, z = (float(t) for t in s)
     if not all(math.isfinite(t) for t in (x, y, z)):
         return False
-    return min(x, y, z) >= -tol and x + y + z <= 1.0 + tol
+    return min(x, y, z) >= -TOL_SIMPLEX and x + y + z <= 1.0 + TOL_SIMPLEX
 
 
 def _field_3d_terms(v, c, x, y, z):

@@ -103,27 +103,21 @@ def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, flo
     Shares the adaptive stepper with the full-game integrator, in the same
     dimensionless time (see ``integrator.time_scale``): the samples carry
     physical time, and at 2^m (v, c) the shares are bit-identical and t
-    scales by exactly 2^-m.  The state is clamped to [0, 1] the same way
-    simplex shares are.
+    scales by exactly 2^-m.  The state is clamped to [0, 1] by the simplex
+    projection.  Raises ValueError where physical time cannot be
+    represented (see ``integrator.time_scale``).
     """
-    from .integrator import IntegrationConfig, adaptive_integrate, clamp_negatives, time_scale
+    from .integrator import IntegrationConfig, adaptive_integrate, time_scale
 
     p = Params(*p).validate()
     z0 = float(z0)
     if not -1e-9 <= z0 <= 1.0 + 1e-9:
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
-    cfg = cfg or IntegrationConfig()
-    e, scaled = time_scale(p)
+    cfg = (cfg or IntegrationConfig()).validate()
+    e, scaled = time_scale(p, cfg.t_end)
 
     def rate(state):
         return (f(scaled, state[0]),)
 
-    def project(state):
-        out, n = clamp_negatives(state)
-        if 1.0 < out[0] <= 1.0 + 1e-9:
-            out, n = (1.0,), n + 1
-        return out, n
-
-    samples, _terminal, _nsteps, _clamps = adaptive_integrate(rate, (z0,), cfg,
-                                                              project=project)
+    samples, _terminal, _nsteps, _clamps = adaptive_integrate(rate, (z0,), cfg)
     return [(math.ldexp(t, -e), y[0]) for t, y in samples]

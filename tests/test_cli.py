@@ -297,6 +297,15 @@ def test_two_strategy_report_and_simulation(tmp_path, capsys):
     assert (out / "hawk_share_000.csv").exists()
 
 
+@pytest.mark.parametrize("v, c", [("5e-324", "1e-323"), ("1e307", "2e307")])
+def test_unrepresentable_physical_time_is_a_usage_error(tmp_path, capsys, v, c):
+    for argv in (("simulate", "--start", "0.2,0.3,0.4"), ("two-strategy", "--z0", "0.3")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--v={v}", f"--c={c}", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "cannot be represented" in capsys.readouterr().err
+
+
 def test_two_strategy_zero_cost_note(capsys):
     code, text = run(capsys, "two-strategy", "--v", "0.1", "--c", "0")
     assert code == 0

@@ -250,9 +250,9 @@ def test_block_eigenvalues_match_lapack_and_closed_form_tags():
         for rec in catalog(p):
             if not rec.defined:
                 continue
-            assert all(l.imag == 0.0 for l in rec.eigenvalues), (rec.id, p)
+            assert all(type(l) is float for l in rec.eigenvalues), (rec.id, p)
             lapack = np.linalg.eigvals(jacobian(p, rec.coords))
-            assert multiset_close(lapack, rec.eigenvalues.real_parts(), tol), (rec.id, p)
+            assert multiset_close(lapack, rec.eigenvalues, tol), (rec.id, p)
             assert rec.classification is closed_form_tag(rec.id, p), (rec.id, p)
 
 
@@ -291,7 +291,7 @@ def test_power_of_two_scaling_is_exact():
             scaled = catalog(Params(np.ldexp(p[0], m), np.ldexp(p[1], m)))
             for rec, big in zip(catalog(Params(*p)), scaled):
                 if big.classification is not C.UNDEFINED:
-                    assert tuple(big.eigenvalues) == tuple(np.ldexp(l.real, m) for l in rec.eigenvalues), p
+                    assert tuple(big.eigenvalues) == tuple(np.ldexp(l, m) for l in rec.eigenvalues), p
 
 
 def test_overflowing_eigenvalue_is_undefined():

@@ -19,21 +19,13 @@ from hawkdove import (
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.errors import InvalidStartError
 from hawkdove.integrator import (
+    CONVERGENCE_EPS,
+    _project,
     adaptive_integrate,
-    clamp_negatives,
     time_scale,
     trajectory_sidecar,
     write_trajectory_csv,
 )
-
-
-def _clamp_and_rescale(y):
-    """Scalar reference for the integrator's simplex projection."""
-    out, fixed = clamp_negatives(y)
-    total = out[0] + (out[1] + out[2])
-    if 1.0 < total <= 1.0 + TOL_SIMPLEX:
-        out, fixed = tuple(t / total for t in out), fixed + 1
-    return out, fixed
 
 
 def _same_bits(a, b):
@@ -123,7 +115,7 @@ def test_batch_matches_individual_calls_and_preserves_order():
                    (Params(2.0, 3.0), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
                    (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15))):
-        e, scaled = time_scale(p)
+        e, scaled = time_scale(p, cfg.t_end)
         batch = batch_integrate(p, starts, cfg)
         for s0, got in zip(starts, batch):
             alone = integrate(p, s0, cfg)
@@ -132,7 +124,7 @@ def test_batch_matches_individual_calls_and_preserves_order():
                 (alone.terminal, alone.nearest, alone.steps, alone.rejected, alone.clamp_count)
 
             ref, terminal, (accepted, rejected), clamps = adaptive_integrate(
-                lambda y: field_3d(scaled, y), s0, cfg, project=_clamp_and_rescale)
+                lambda y: field_3d(scaled, y), s0, cfg)
             assert (got.terminal, got.steps, got.rejected, got.clamp_count) == \
                 (terminal, accepted, rejected, clamps)
             np.testing.assert_allclose(got.samples[-1, 1:4], ref[-1][1], rtol=0, atol=1e-9)
@@ -177,7 +169,7 @@ def test_scaled_preset_converges():
 def test_every_terminal_records_its_closest_point():
     p = Params(0.1, 0.2)
     starts = random_interior_starts(6, seed=5)
-    _, scaled = time_scale(p)
+    _, scaled = time_scale(p, IntegrationConfig().t_end)
     for cfg in (IntegrationConfig(), IntegrationConfig(t_end=3.0)):
         for traj in batch_integrate(p, starts, cfg):
             final = traj.samples[-1, 1:4]
@@ -187,15 +179,60 @@ def test_every_terminal_records_its_closest_point():
             assert traj.closest_distance == pytest.approx(dists[traj.closest], abs=1e-15)
             assert traj.final_field_norm == max(abs(g) for g in field_3d(scaled, final))
             if traj.terminal is Terminal.CONVERGED:
-                assert traj.final_field_norm < cfg.convergence_eps
+                assert traj.final_field_norm < CONVERGENCE_EPS
                 assert traj.nearest is traj.closest
             else:
                 assert traj.terminal is Terminal.TIME_LIMIT and traj.nearest is None
-                assert traj.final_field_norm >= cfg.convergence_eps
+                assert traj.final_field_norm >= CONVERGENCE_EPS
             side = trajectory_sidecar(traj)
             assert (side["closest_point"], side["closest_distance"],
                     side["final_field_norm"]) == \
                 (traj.closest.value, traj.closest_distance, traj.final_field_norm)
+
+
+def test_projection_clamps_and_rescales_within_the_simplex_tolerance():
+    tol = TOL_SIMPLEX
+    # one share, as the 1D oracle steps it: clamped to [0, 1]
+    assert _project((-tol,)) == ((0.0,), 1)
+    assert _project((-0.5 * tol,)) == ((0.0,), 1)
+    assert _project((-2 * tol,)) == ((-2 * tol,), 0)
+    assert _project((1.0 + tol,)) == ((1.0,), 1)
+    assert _project((1.0 + 2 * tol,)) == ((1.0 + 2 * tol,), 0)
+    assert _project((0.5,)) == ((0.5,), 0)
+    # three shares: each clamp counts, and the rescale counts once
+    assert _project((-tol, 0.5, -0.5 * tol)) == ((0.0, 0.5, 0.0), 2)
+    assert _project((-2 * tol, 0.5, 0.25)) == ((-2 * tol, 0.5, 0.25), 0)
+    y = (0.5, 0.25, 0.25 + tol)
+    total = y[0] + (y[1] + y[2])
+    assert 1.0 < total <= 1.0 + tol
+    assert _project(y) == (tuple(t / total for t in y), 1)
+    y = (-tol, 0.5, 0.5 + 0.5 * tol)
+    total = 0.5 + (0.5 + 0.5 * tol)
+    assert _project(y) == ((0.0, 0.5 / total, (0.5 + 0.5 * tol) / total), 2)
+    y = (0.5, 0.25, 0.25 + 2 * tol)
+    assert _project(y) == (y, 0)
+
+
+@pytest.mark.parametrize("v, c", [(5e-324, 1e-323), (1e-308, 2e-308),
+                                  (1e300, 2e300), (1e307, 2e307)])
+def test_unrepresentable_physical_time_is_rejected(v, c):
+    # t = tau / 2^e overflows for tiny (v, c) and is subnormal for huge ones
+    with pytest.raises(ValueError, match="cannot be represented"):
+        batch_integrate(Params(v, c), [(0.2, 0.3, 0.4)])
+    with pytest.raises(ValueError, match="cannot be represented"):
+        simulate_hawk_share(Params(v, c), 0.3)
+
+
+@pytest.mark.parametrize("v, c", [(1e-300, 2e-300), (1e290, 2e290)])
+def test_physical_time_is_exact_near_the_ends_of_the_range(v, c):
+    e, _ = time_scale(Params(v, c), IntegrationConfig().t_end)
+    traj = integrate(Params(v, c), (0.2, 0.3, 0.4))
+    hawk = np.array(simulate_hawk_share(Params(v, c), 0.3))
+    for t in (traj.samples[:, 0], hawk[:, 0]):
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
+        assert np.all(np.ldexp(t[1:], e) >= 1e-14)
+        assert np.all(t[1:] >= np.finfo(float).tiny)
+    assert traj.terminal is Terminal.CONVERGED
 
 
 def test_swapping_y_and_z_swaps_trajectories_bitwise():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from hawkdove import Params, classify, eigenvalues, field_3d, jacobian
+from hawkdove import Params, eigenvalues, field_3d, jacobian
 from hawkdove.linear_analysis import (
+    CLASS_BY_CODE,
     Classification,
     char_coefficients,
-    eig_zero_tol,
+    stability_codes,
+    zero_tol,
 )
 
 from util import closed_form_eigs, multiset_close, rand_params, rand_reduced
@@ -66,7 +68,7 @@ def test_eigenvalues_interior_mixed_point_has_structural_zero():
     # P3 at v=-0.1, c=-0.3: closed form {v/4, -v(c-2v)/(4c), 0} = {-0.025, 1/120, 0}
     v, c = -0.1, -0.3
     e = eigenvalues(jacobian(Params(v, c), (0.0, v / c, v / c)))
-    tol = eig_zero_tol(e)
+    tol = zero_tol(v, c)
     assert sum(1 for l in e if abs(l.real) <= tol and abs(l.imag) <= tol) == 1
     nonzero = sorted(l.real for l in e if abs(l.real) > tol)
     assert nonzero == pytest.approx([-0.025, 1.0 / 120.0], abs=1e-12)
@@ -107,39 +109,53 @@ def test_eigenvalues_reject_a_non_finite_entry():
         eigenvalues(np.diag([np.inf, 1.0, 2.0]))
 
 
+def tags(re, tol):
+    """Stability tags of real-part triples (..., 3) with zero threshold tol."""
+    codes, _ = stability_codes(re, tol)
+    return [CLASS_BY_CODE[k] for k in np.ravel(codes)]
+
+
 def test_classify_nodes_and_saddles():
     C = Classification
-    assert classify([-1, -2, -3]) is C.STABLE_NODE
-    assert classify([1, 2, 3]) is C.UNSTABLE_NODE
-    assert classify([1, -2, 3]) is C.SADDLE
-    assert classify([0.0, -1, -2]) is C.NORMALLY_HYPERBOLIC_STABLE
-    assert classify([0.0, 1, 2]) is C.NORMALLY_HYPERBOLIC_UNSTABLE
-    assert classify([0.0, -1, 2]) is C.NORMALLY_HYPERBOLIC_SADDLE
-    assert classify([0.0, 0.0, 2]) is C.NON_HYPERBOLIC
-    assert classify([0.0, 0.0, 0.0]) is C.NON_HYPERBOLIC
-
-
-def test_classify_uses_real_parts_of_complex_pairs():
-    assert classify([-0.5 + 2j, -0.5 - 2j, -1]) is Classification.STABLE_NODE
-    assert classify([0.5 + 2j, 0.5 - 2j, -1]) is Classification.SADDLE
-    assert classify([complex(0.0, 3.0), complex(0.0, -3.0), 1.0]) is Classification.NON_HYPERBOLIC
+    cases = {
+        (-1, -2, -3): C.STABLE_NODE,
+        (1, 2, 3): C.UNSTABLE_NODE,
+        (1, -2, 3): C.SADDLE,
+        (0.0, -1, -2): C.NORMALLY_HYPERBOLIC_STABLE,
+        (0.0, 1, 2): C.NORMALLY_HYPERBOLIC_UNSTABLE,
+        (0.0, -1, 2): C.NORMALLY_HYPERBOLIC_SADDLE,
+        (0.0, 0.0, 2): C.NON_HYPERBOLIC,
+        (0.0, 0.0, 0.0): C.NON_HYPERBOLIC,
+    }
+    assert tags(list(cases), 0.0) == list(cases.values())
+    # the threshold is inclusive: |re| <= tol counts as zero
+    assert tags([(1e-9, -1, -2), (-1e-9, 1, 2), (2e-9, -1, -2)], 1e-9) == [
+        C.NORMALLY_HYPERBOLIC_STABLE, C.NORMALLY_HYPERBOLIC_UNSTABLE, C.SADDLE]
 
 
 def test_classify_on_mixed_interior_point_inside_stable_region():
     # v<0 with 2v < c < 0: both nonzero eigenvalues negative
     v, c = -0.2, -0.3
     e = eigenvalues(jacobian(Params(v, c), (0.0, v / c, v / c)))
-    assert classify(e) is Classification.NORMALLY_HYPERBOLIC_STABLE
+    assert tags(np.real(e), zero_tol(v, c)) == [Classification.NORMALLY_HYPERBOLIC_STABLE]
 
 
 def test_classify_scale_invariance():
+    # the closed-form eigenvalues at k (v, c) against zero_tol(k v, k c), for
+    # arbitrary k > 0, on and off the four lines v = c, c = 0, v = 0, c = 2v
     rng = np.random.default_rng(53)
-    for _ in range(200):
-        triple = [rng.choice([0.0, rng.uniform(0.01, 1), -rng.uniform(0.01, 1)])
-                  for _ in range(3)]
-        base = classify(triple)
-        for k in (10.0, 0.01, float(rng.uniform(0.5, 200))):
-            assert classify([k * l for l in triple]) is base
+    points = [rand_params(rng, c_min=1e-3, line_margin=1e-3) for _ in range(100)]
+    for t in (0.3, -0.17, 1.0 / 3.0):
+        points += [Params(t, t), Params(t, 0.0), Params(0.0, t), Params(t, 2 * t)]
+
+    def all_tags(v, c):
+        names = ("P1", "P2", "P5", "P7") + (("P3", "P6") if c != 0 else ())
+        return tags([closed_form_eigs(n, v, c) for n in names], zero_tol(v, c))
+
+    for p in points:
+        base = all_tags(*p)
+        for k in 10.0 ** rng.uniform(-6, 6, 5):
+            assert all_tags(k * p.v, k * p.c) == base, (p, k)
 
 
 def test_paper_closed_form_agreement_all_points():

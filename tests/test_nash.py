@@ -38,6 +38,16 @@ def test_stability_route_both_negative_regime():
     assert candidates(reports) == {(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)}
 
 
+def test_support_is_in_share_units_at_every_scale():
+    # the payoff-unit tolerance exceeds 1 from about 5e9, where it emptied
+    # every support
+    for k in (1e-12, 1.0, 1e11, 1e200):
+        reports = nash_via_stability(Params(0.1 * k, 0.2 * k))
+        assert {r.support for r in reports} == {("DH",), ("HD",)}, k
+    rep = best_response_check(Params(1e11, 2e11), (0.0, 0.5, 0.5 - 2e-9, 2e-9))
+    assert rep.support == ("HD", "DH", "DD")
+
+
 def test_best_response_pure_hd_is_nash():
     p = Params(0.1, 0.2)
     m = build_payoff_matrix(p)
