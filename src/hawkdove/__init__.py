@@ -30,7 +30,6 @@ from .replicator_field import (
 )
 from .linear_analysis import (
     Classification,
-    EigenTriple,
     eigenvalues,
     jacobian,
 )
@@ -38,7 +37,6 @@ from .equilibrium_catalog import (
     EquilibriumId,
     EquilibriumRecord,
     catalog,
-    refine,
     region_predicate,
 )
 from .bifurcation import (
@@ -67,8 +65,8 @@ __all__ = [
     "HH", "HD", "DH", "DD", "TOL_SIMPLEX",
     "build_payoff_matrix", "strategy_payoff", "average_payoff",
     "field_3d", "field_4d", "consistency_residual", "lift",
-    "Classification", "EigenTriple", "jacobian", "eigenvalues",
-    "EquilibriumId", "EquilibriumRecord", "catalog", "refine", "region_predicate",
+    "Classification", "jacobian", "eigenvalues",
+    "EquilibriumId", "EquilibriumRecord", "catalog", "region_predicate",
     "GridSpec", "RegionMap", "LineId", "BifurcationLine",
     "scan", "detect_transitions", "linearized_field",
     "NashReport", "nash_via_stability", "best_response_check",

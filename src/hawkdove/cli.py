@@ -42,7 +42,6 @@ from .two_strategy import classify_1d, correspondence, simulate_hawk_share
 from .game_core import STRATEGIES, SimplexState
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
@@ -143,7 +142,10 @@ def _parse_starts(args, parser) -> list[ReducedState]:
             if line and not line.startswith(("#", "x")):
                 starts.append(start(line, f"{args.starts_file}:{n}"))
     if args.random_starts:
-        starts.extend(random_interior_starts(args.random_starts, seed=args.seed))
+        try:
+            starts.extend(random_interior_starts(args.random_starts, seed=args.seed))
+        except ValueError as exc:
+            parser.error(str(exc))
     for s in starts:
         if not on_reduced_simplex(s):
             parser.error(f"start {tuple(s)} is off the simplex")
@@ -371,8 +373,6 @@ def cmd_two_strategy(args, parser) -> int:
         cfg = IntegrationConfig(t_end=args.t_end)
         finals = []
         for i, z0 in enumerate(args.z0):
-            if not 0.0 <= z0 <= 1.0:
-                parser.error(f"--z0 must lie in [0, 1], got {z0}")
             try:
                 samples = simulate_hawk_share(p, z0, cfg)
             except ValueError as exc:

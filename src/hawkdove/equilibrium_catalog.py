@@ -38,28 +38,24 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError, SingularJacobianError
 from .game_core import Params, TOL_SIMPLEX
 from .linear_analysis import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
     Classification,
-    jacobian,
     stability_codes,
     zero_tol,
 )
-from .replicator_field import Reduced, ReducedState, field_3d, lift
+from .replicator_field import ReducedState, lift
 
 __all__ = [
     "EquilibriumId",
     "EquilibriumRecord",
     "EQUILIBRIUM_IDS",
     "STRUCTURAL_ZERO_EIGS",
-    "PREDICATE_NOTES",
     "equilibrium_coords",
     "region_predicate",
     "catalog",
-    "refine",
     "classification_codes",
     "CLASS_BY_CODE",
     "CODE_BY_CLASS",
@@ -95,16 +91,6 @@ EQUILIBRIUM_IDS = tuple(EquilibriumId)
 _STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS])
 # Two defined points coincide when no coordinate differs by more than this.
 _COINCIDE_TOL = 1e-12
-
-#: Known gaps in the literal predicate transcription, surfaced in reports
-#: instead of silently corrected.
-PREDICATE_NOTES = (
-    "P2: the transcribed saddle union omits the regions {v>0, c>2v} and "
-    "{v<=0, c>0}; numerically P2 is a saddle there too (its second and "
-    "third eigenvalues are opposite whenever c != 2v).",
-    "P3: node wording in the reference conditions maps to the normally "
-    "hyperbolic tags because P3 carries a structural zero eigenvalue.",
-)
 
 
 # Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
@@ -146,9 +132,19 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     """Literal transcription of the reference stability regions.
 
     Returns None where the transcribed conditions make no claim (on the
-    boundary lines, and in the P2 regions its saddle union omits).
+    boundary lines, and in the P2 regions its saddle union omits).  Two
+    known gaps of the transcription are kept, not corrected:
+
+    * P2: the transcribed saddle union omits the regions {v>0, c>2v} and
+      {v<=0, c>0}; numerically P2 is a saddle there too (its second and
+      third eigenvalues are opposite whenever c != 2v).
+    * P3: node wording in the reference conditions maps to the normally
+      hyperbolic tags because P3 carries a structural zero eigenvalue.
+
+    The comparisons run on Python floats: 2 * v may overflow to +-inf,
+    which still orders exactly against a finite c, with no warning.
     """
-    v, c = p
+    v, c = float(p[0]), float(p[1])
     C = Classification
     if eq in (EquilibriumId.P1, EquilibriumId.P4):
         if v > 0 and c > v:
@@ -316,52 +312,3 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
                 paper_region_class=None)
         records.append(rec)
     return records
-
-
-def refine(p: Params, guess: Reduced, *, max_iter: int = 50, tol: float = 1e-13,
-           full_output: bool = False):
-    """Newton refinement of an equilibrium guess on the reduced field.
-
-    Uses the analytic Jacobian; when a step is unsolvable (singular
-    Jacobian, expected near P3/P6) it falls back to a least-squares
-    pseudo-inverse step and flags it.  Raises NoConvergenceError after
-    ``max_iter`` iterations or on divergence; SingularJacobianError only
-    if even the fallback step is unusable.
-
-    Returns the refined ReducedState, or (state, info) with
-    ``full_output=True`` where info is a dict with keys ``iterations`` and
-    ``used_pseudo_inverse``.
-    """
-    p = Params(*p).validate()
-    x = np.array([float(t) for t in guess], dtype=float)
-    if x.shape != (3,):
-        raise ValueError("guess must have three components")
-    used_pinv = False
-    for it in range(max_iter + 1):
-        f = np.array(field_3d(p, x))
-        if np.abs(f).max() < tol:
-            state = ReducedState(*(float(t) for t in x))
-            if full_output:
-                return state, {"iterations": it, "used_pseudo_inverse": used_pinv}
-            return state
-        if it == max_iter:
-            break
-        j = jacobian(p, x)
-        step = None
-        try:
-            step = np.linalg.solve(j, -f)
-            if not np.all(np.isfinite(step)):
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step, *_ = np.linalg.lstsq(j, -f, rcond=None)
-            used_pinv = True
-            if not np.all(np.isfinite(step)):
-                raise SingularJacobianError(
-                    f"no usable Newton step at {tuple(x)} for p={tuple(p)}")
-        x = x + step
-        if np.abs(x).max() > 1e6:
-            raise NoConvergenceError(f"Newton iteration diverged from {tuple(guess)}")
-    raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations from {tuple(guess)}")

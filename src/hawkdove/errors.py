@@ -9,13 +9,5 @@ class InvalidStartError(HawkDoveError):
     """An initial condition lies off the population simplex."""
 
 
-class SingularJacobianError(HawkDoveError):
-    """A Newton step could not be taken, even with the pseudo-inverse fallback."""
-
-
-class NoConvergenceError(HawkDoveError):
-    """Root refinement exceeded its iteration budget or diverged."""
-
-
 class UndefinedPointError(HawkDoveError):
     """An equilibrium formula divides by zero at these parameters (c = 0)."""

@@ -461,7 +461,14 @@ def integrate(p: Params, s0: Reduced, cfg: Optional[IntegrationConfig] = None) -
 
 
 def random_interior_starts(n: int, seed: int = DEFAULT_SEED) -> list[ReducedState]:
-    """Uniform interior simplex points via sorted-uniform spacings."""
+    """Uniform interior simplex points via sorted-uniform spacings.
+
+    Raises ValueError when ``n`` or ``seed`` is negative.
+    """
+    if n < 0:
+        raise ValueError(f"the number of random starts must be >= 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"the seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:

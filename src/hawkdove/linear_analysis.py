@@ -3,8 +3,8 @@
 ``jacobian`` is the closed-form 3x3 Jacobian of the reduced replicator
 field at any state, and ``eigenvalues`` solves an arbitrary 3x3 matrix
 with LAPACK (``numpy.linalg.eigvals``).  Together they are the reference
-path: Newton refinement uses the Jacobian, and the tests hold the
-equilibrium catalog's closed-form eigenvalues to a LAPACK solve of it.
+path: the tests hold the equilibrium catalog's closed-form eigenvalues to
+a LAPACK solve of the Jacobian.
 Roots of the characteristic cubic are not used: they are ill conditioned
 at the double eigenvalue P5 and P7 always carry.
 
@@ -19,7 +19,6 @@ classification rule; the catalog and the grid scan share it.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .replicator_field import Reduced
 
 __all__ = [
     "Classification",
-    "EigenTriple",
     "CLASS_BY_CODE",
     "CODE_BY_CLASS",
     "ZERO_REL",
@@ -60,14 +58,6 @@ class Classification(enum.Enum):
 
     def __str__(self) -> str:  # CSV/CLI tag
         return self.value
-
-
-class EigenTriple(NamedTuple):
-    """Eigenvalues ordered by descending real part, ties by descending imag."""
-
-    lam1: complex
-    lam2: complex
-    lam3: complex
 
 
 CLASS_BY_CODE = list(Classification)
@@ -125,8 +115,11 @@ def char_coefficients(j: np.ndarray):
     return -tr, minors, -det
 
 
-def eigenvalues(j: np.ndarray) -> EigenTriple:
-    """Eigenvalues of one 3x3 matrix, sorted; its max-abs entry is the scale.
+def eigenvalues(j: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one 3x3 matrix as a complex array of shape (3,).
+
+    Sorted by descending real part, ties by descending imaginary part;
+    imaginary parts at most 1e-13 times the max-abs entry are set to zero.
 
     Residual contract: |charpoly(l)| < 1e-10 * (1 + ||J||^3) for every
     returned eigenvalue, with ||J|| the max-abs entry.  A matrix with a
@@ -138,9 +131,7 @@ def eigenvalues(j: np.ndarray) -> EigenTriple:
     roots = np.linalg.eigvals(j).astype(complex)
     tol = _IMAG_REL * np.abs(j).max()
     roots = roots.real + 1j * np.where(np.abs(roots.imag) <= tol, 0.0, roots.imag)
-    # EigenTriple order: descending real part, ties by descending imaginary part
-    roots = roots[np.lexsort((-roots.imag, -roots.real))]
-    return EigenTriple(complex(roots[0]), complex(roots[1]), complex(roots[2]))
+    return roots[np.lexsort((-roots.imag, -roots.real))]
 
 
 def zero_tol(v, c):

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
-from .game_core import Params
+from .game_core import Params, TOL_SIMPLEX
 from .linear_analysis import zero_tol
 
 __all__ = [
@@ -104,14 +104,15 @@ def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, flo
     dimensionless time (see ``integrator.time_scale``): the samples carry
     physical time, and at 2^m (v, c) the shares are bit-identical and t
     scales by exactly 2^-m.  The state is clamped to [0, 1] by the simplex
-    projection.  Raises ValueError where physical time cannot be
-    represented (see ``integrator.time_scale``).
+    projection.  Raises ValueError when z0 lies more than TOL_SIMPLEX
+    outside [0, 1], or where physical time cannot be represented (see
+    ``integrator.time_scale``).
     """
     from .integrator import IntegrationConfig, adaptive_integrate, time_scale
 
     p = Params(*p).validate()
     z0 = float(z0)
-    if not -1e-9 <= z0 <= 1.0 + 1e-9:
+    if not -TOL_SIMPLEX <= z0 <= 1.0 + TOL_SIMPLEX:
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
     cfg = (cfg or IntegrationConfig()).validate()
     e, scaled = time_scale(p, cfg.t_end)

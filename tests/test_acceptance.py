@@ -34,7 +34,6 @@ from hawkdove.bifurcation import DEFAULT_GRID, transition_pairs
 from hawkdove.equilibrium_catalog import (
     CODE_BY_CLASS,
     EquilibriumId,
-    PREDICATE_NOTES,
     equilibrium_coords,
     region_predicate,
 )
@@ -94,8 +93,6 @@ def test_criterion_2_region_predicate_reproduction():
                 if claimed is not None and rec.classification is not claimed:
                     mismatches.append((rec.id.value, tuple(p),
                                        rec.classification.value, claimed.value))
-        for note in PREDICATE_NOTES:
-            print(f"  transcription note: {note}")
         if mismatches:
             for m in mismatches:
                 print(f"  MISMATCH {m}")

@@ -306,6 +306,35 @@ def test_unrepresentable_physical_time_is_a_usage_error(tmp_path, capsys, v, c):
         assert "cannot be represented" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--random-starts", "-3"), "number of random starts must be >= 0"),
+    (("--random-starts", "2", "--seed", "-1"), "seed must be >= 0"),
+])
+def test_negative_random_starts_or_seed_is_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--v", "0.1", "--c", "0.2", *argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("z0", ["1.5", "-0.5", "nan"])
+def test_two_strategy_z0_off_the_unit_interval_is_a_usage_error(tmp_path, capsys, z0):
+    with pytest.raises(SystemExit) as exc:
+        main(["two-strategy", "--v", "0.1", "--c", "0.2", f"--z0={z0}",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "z0 must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_two_strategy_z0_within_the_simplex_tolerance_runs(tmp_path, capsys):
+    # the same 1e-9 tolerance as the simplex check on simulate's starts
+    code, text = run(capsys, "two-strategy", "--v", "0.1", "--c", "0.2",
+                     "--z0", "1.0000000005", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(text)["simulations"][0]["z0"] == 1.0000000005
+
+
 def test_two_strategy_zero_cost_note(capsys):
     code, text = run(capsys, "two-strategy", "--v", "0.1", "--c", "0")
     assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hawkdove import Params, catalog, field_3d, jacobian, refine
+from hawkdove import Params, catalog, field_3d, jacobian
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
@@ -12,7 +12,6 @@ from hawkdove.equilibrium_catalog import (
     equilibrium_coords,
     region_predicate,
 )
-from hawkdove.errors import NoConvergenceError
 from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 
 from util import closed_form_eigs, multiset_close, rand_params
@@ -309,39 +308,3 @@ def test_predicate_made_no_claim_on_lines():
     # the P2 regions the printed union omits
     assert region_predicate(EquilibriumId.P2, Params(0.1, 0.5)) is None
     assert region_predicate(EquilibriumId.P2, Params(-0.2, 0.3)) is None
-
-
-def test_refine_converges_to_dh_vertex():
-    st, info = refine(Params(0.1, 0.2), (0.01, 0.02, 0.95), full_output=True)
-    np.testing.assert_allclose(st, [0.0, 0.0, 1.0], atol=1e-10)
-    assert max(abs(t) for t in field_3d(Params(0.1, 0.2), st)) < 1e-13
-    assert not info["used_pseudo_inverse"]
-
-
-def test_refine_exact_root_returns_immediately():
-    st, info = refine(Params(0.3, 0.7), (0.0, 0.5, 0.5), full_output=True)
-    assert tuple(st) == (0.0, 0.5, 0.5)
-    assert info["iterations"] == 0
-
-
-def test_refine_on_axis_mixed_point():
-    # (0.5, 0, 0) is the interior axis equilibrium when v/c = 1/2
-    st, info = refine(Params(0.1, 0.2), (0.5, 0.0, 0.0), full_output=True)
-    assert tuple(st) == (0.5, 0.0, 0.0)
-    assert info["iterations"] == 0
-    # nearby on-axis start walks in along the axis
-    st = refine(Params(0.1, 0.2), (0.6, 0.0, 0.0))
-    np.testing.assert_allclose(st, [0.5, 0.0, 0.0], atol=1e-9)
-    assert st.y == 0.0 and st.z == 0.0
-
-
-def test_refine_pseudo_inverse_fallback_on_singular_jacobian():
-    # at (0.5, 0, 0) with v != c/2 the Jacobian's last two rows vanish
-    st, info = refine(Params(0.1, 0.3), (0.5, 0.0, 0.0), full_output=True)
-    assert info["used_pseudo_inverse"]
-    assert max(abs(t) for t in field_3d(Params(0.1, 0.3), st)) < 1e-13
-
-
-def test_refine_iteration_budget():
-    with pytest.raises(NoConvergenceError):
-        refine(Params(0.1, 0.2), (0.3, 0.3, 0.3), max_iter=1)

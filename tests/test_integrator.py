@@ -315,6 +315,13 @@ def test_random_interior_starts_deterministic_and_interior():
     a = random_interior_starts(10, seed=21)
     b = random_interior_starts(10, seed=21)
     assert a == b
+    assert random_interior_starts(0, seed=21) == []
     for s in a:
         assert min(s) > 0
         assert sum(s) < 1.0
+
+
+@pytest.mark.parametrize("n, seed", [(-3, 21), (2, -1)])
+def test_random_interior_starts_reject_negative_count_or_seed(n, seed):
+    with pytest.raises(ValueError):
+        random_interior_starts(n, seed=seed)
