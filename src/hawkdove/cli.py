@@ -9,6 +9,7 @@ the exact in-memory values.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -193,13 +194,13 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
 def cmd_simulate(args, parser) -> int:
     p = Params(_finite(parser, "--v", args.v), _finite(parser, "--c", args.c))
     starts = _parse_starts(args, parser)
-    out = _out_dir(args.out_dir)
     cfg = IntegrationConfig(rtol=args.rtol, atol=args.atol, t_end=args.t_end,
                             max_step=args.max_step, record_stride=args.stride)
     try:
         trajectories = batch_integrate(p, starts, cfg)
     except ValueError as exc:
         parser.error(str(exc))
+    out = _out_dir(args.out_dir)
 
     histogram: dict[str, int] = {}
     for i, traj in enumerate(trajectories):
@@ -368,15 +369,18 @@ def cmd_two_strategy(args, parser) -> int:
         ],
         "notes": notes,
     }
-    out = _out_dir(args.out_dir)
     if args.z0:
         cfg = IntegrationConfig(t_end=args.t_end)
-        finals = []
-        for i, z0 in enumerate(args.z0):
+        runs = []
+        for z0 in args.z0:
             try:
-                samples = simulate_hawk_share(p, z0, cfg)
+                runs.append((z0, simulate_hawk_share(p, z0, cfg)))
             except ValueError as exc:
                 parser.error(str(exc))
+        # every run is checked before anything is written: a usage error leaves no files
+        out = _out_dir(args.out_dir)
+        finals = []
+        for i, (z0, samples) in enumerate(runs):
             path = out / f"hawk_share_{i:03d}.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("t,z\n")
@@ -398,7 +402,13 @@ def cmd_two_strategy(args, parser) -> int:
 _TAU = "dimensionless time tau = s*t, s the power of two with max(|v|, |c|) in [s/2, s)"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hawkdove`` parser, built once per process and shared by every
+    ``main`` call: ``parse_args`` returns a fresh namespace each time, the
+    repeatable options copy their list before appending, and help text is
+    wrapped to the terminal width when it is printed, not when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="hawkdove",
         description="Replicator dynamics of the four-strategy asymmetric "

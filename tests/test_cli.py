@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hawkdove.cli import main
+from hawkdove.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -299,11 +299,13 @@ def test_two_strategy_report_and_simulation(tmp_path, capsys):
 
 @pytest.mark.parametrize("v, c", [("5e-324", "1e-323"), ("1e307", "2e307")])
 def test_unrepresentable_physical_time_is_a_usage_error(tmp_path, capsys, v, c):
+    out = tmp_path / "out"
     for argv in (("simulate", "--start", "0.2,0.3,0.4"), ("two-strategy", "--z0", "0.3")):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, f"--v={v}", f"--c={c}", "--out-dir", str(tmp_path)])
+            main([*argv, f"--v={v}", f"--c={c}", "--out-dir", str(out)])
         assert exc.value.code == 2
         assert "cannot be represented" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -320,11 +322,23 @@ def test_negative_random_starts_or_seed_is_a_usage_error(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("z0", ["1.5", "-0.5", "nan"])
 def test_two_strategy_z0_off_the_unit_interval_is_a_usage_error(tmp_path, capsys, z0):
+    # the valid --z0 before the bad one writes no CSV either
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["two-strategy", "--v", "0.1", "--c", "0.2", f"--z0={z0}",
-              "--out-dir", str(tmp_path)])
+        main(["two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.3", f"--z0={z0}",
+              "--out-dir", str(out)])
     assert exc.value.code == 2
     assert "z0 must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_two_strategy_without_z0_creates_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, text = run(capsys, "two-strategy", "--v", "0.1", "--c", "0.2",
+                     "--out-dir", str(out))
+    assert code == 0
+    assert "simulations" not in json.loads(text)
+    assert not out.exists()
 
 
 def test_two_strategy_z0_within_the_simplex_tolerance_runs(tmp_path, capsys):
@@ -351,3 +365,88 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
                   "--start", "0.2,0.3,0.4")
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+# ------------------------------------------------ one parser for every main()
+
+COMMANDS = ("equilibria", "simulate", "bifurcation", "nash", "two-strategy")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_write_identical_files(tmp_path, capsys, monkeypatch):
+    calls = (
+        ("equilibria", "--v", "0.1", "--c", "0.3", "--format", "csv", "--out", "eq.csv"),
+        ("nash", "--v", "0.1", "--c", "0.3", "--out", "nash.json"),
+        ("two-strategy", "--v", "0.1", "--c", "0.3", "--z0", "0.9", "--z0", "0.05",
+         "--out", "two.json", "--out-dir", "two"),
+        ("simulate", "--v", "0.1", "--c", "0.3", "--random-starts", "3", "--out-dir", "sim"),
+    )
+    snapshots = []
+    for k in range(2):
+        work = tmp_path / str(k)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0
+        snapshots.append({p.relative_to(work): p.read_bytes()
+                          for p in sorted(work.rglob("*")) if p.is_file()})
+    assert len(snapshots[0]) == 1 + 1 + 3 + 4
+    assert snapshots[0] == snapshots[1]
+
+
+def test_repeatable_options_do_not_carry_over(tmp_path, capsys):
+    two = ("two-strategy", "--v", "0.1", "--c", "0.2")
+    for _ in range(2):
+        text = run(capsys, *two, "--z0", "0.4", "--out-dir", str(tmp_path / "two"))[1]
+        assert len(json.loads(text)["simulations"]) == 1
+    assert "simulations" not in json.loads(run(capsys, *two)[1])
+
+    sim = ("simulate", "--v", "0.1", "--c", "0.2")
+    start = ("--start", "0.2,0.3,0.4")
+    for k, (argv, n) in enumerate(((start, 1), (start, 1), ((), 0))):
+        out = tmp_path / f"sim{k}"
+        assert run(capsys, *sim, *argv, "--out-dir", str(out))[0] == 0
+        assert json.loads((out / "summary.json").read_text())["n_trajectories"] == n
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibria", "--v", "0.1"),                              # found by argparse
+    ("equilibria", "--v", "nan", "--c", "0.1"),                # found by the command
+    ("bifurcation", "--point", "P8"),
+    ("frobnicate",),
+], ids=["missing", "nan", "choice", "command"])
+def test_usage_error_after_successful_calls(tmp_path, capsys, argv):
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    first = usage_error()
+    assert first.startswith("usage: hawkdove")
+    run(capsys, "equilibria", "--v", "0.1", "--c", "0.2")
+    run(capsys, "two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.9",
+        "--out-dir", str(tmp_path))
+    assert usage_error() == first
+
+
+def test_cached_help_matches_a_fresh_parser(capsys, monkeypatch):
+    def printed(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    # built before COLUMNS is set, so help wrapped at build time would differ
+    build_parser()
+    texts = []
+    for columns in ("52", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (("--help",), ("--version",), *((cmd, "--help") for cmd in COMMANDS)):
+            cached = printed(main, argv)
+            assert cached == printed(build_parser.__wrapped__().parse_args, argv), argv
+        texts.append(printed(main, ("simulate", "--help")))
+    assert texts[0] != texts[1]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hawkdove import Params, classify_1d, correspondence, f, f_prime, simulate_hawk_share
+from hawkdove import (Params, classify_1d, correspondence, f, f_prime, integrate,
+                      simulate_hawk_share)
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.two_strategy import equilibria_1d, two_strategy_payoff_matrix
 
@@ -130,3 +131,16 @@ def test_simulation_converges_to_interior_share():
 def test_simulation_rejects_bad_start():
     with pytest.raises(ValueError):
         simulate_hawk_share(Params(0.1, 0.2), 1.5)
+
+
+@pytest.mark.parametrize("v, c", [(0.1, 0.3), (0.3, 0.7), (2.0, 3.0), (1e-4, 3e-4)])
+@pytest.mark.parametrize("z0", [0.9, 0.05])
+def test_1d_oracle_follows_the_full_system_on_the_hh_dd_edge(v, c, z0):
+    # y = z = 0 (only HH and DD present) is invariant, and there the full
+    # field's x component is the 1D rate at z = x
+    p = Params(v, c)
+    samples = simulate_hawk_share(p, z0)
+    traj = integrate(p, (z0, 0.0, 0.0))
+    assert len(samples) == len(traj.samples)
+    assert not traj.samples[:, 2:4].any()
+    assert abs(samples[-1][1] - traj.samples[-1, 1]) <= 1e-9
