@@ -3,7 +3,10 @@
 All outputs are file-based (CSV/JSON, optional static SVG projections).
 Floats in CSV are printed with 17 significant digits so files re-parse to
 the exact in-memory values.  Exit codes: 0 success, 2 usage error,
-3 numerical failure.
+3 numerical failure.  A usage error is an input the parser or the library
+rejects, or an output path that cannot be written.  Every input is checked
+before the first file is written, so a rejected input writes no files; an
+unwritable path keeps the files written before it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +39,7 @@ from .integrator import (
 )
 from .linear_analysis import Classification
 from .nash import best_response_check, nash_via_stability, reports_to_json
-from .replicator_field import ReducedState, on_reduced_simplex
+from .replicator_field import ReducedState
 from .svg import Canvas
 from .two_strategy import classify_1d, correspondence, simulate_hawk_share
 from .game_core import STRATEGIES, SimplexState
@@ -53,10 +55,11 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
-def _finite(parser: argparse.ArgumentParser, name: str, value: float) -> float:
-    if not math.isfinite(value):
-        parser.error(f"{name} must be finite, got {value}")
-    return value
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _add_params(sub: argparse.ArgumentParser) -> None:
@@ -66,8 +69,8 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
 
 # ---------------------------------------------------------------- equilibria
 
-def cmd_equilibria(args, parser) -> int:
-    p = Params(_finite(parser, "--v", args.v), _finite(parser, "--c", args.c))
+def cmd_equilibria(args) -> int:
+    p = Params(args.v, args.c).validate()
     records = catalog(p)
     rows = []
     for rec in records:
@@ -113,23 +116,22 @@ def cmd_equilibria(args, parser) -> int:
                 f"{r['classification']:<28}{r['paper_region_class']:<28}{r['paper_agrees']:<6}")
         text = "\n".join(lines) + "\n"
 
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- simulate
 
-def _parse_starts(args, parser) -> list[ReducedState]:
+def _parse_starts(args) -> list[ReducedState]:
+    """The --start, --starts-file and --random-starts starts, in that order;
+    ``batch_integrate`` checks that each lies on the simplex."""
     def start(text: str, where: str) -> ReducedState:
         try:
             vals = tuple(float(t) for t in text.split(","))
         except ValueError:
             vals = ()
         if len(vals) != 3:
-            parser.error(f"{where}: bad start {text!r}; expected x,y,z")
+            raise ValueError(f"{where}: bad start {text!r}; expected x,y,z")
         return ReducedState(*vals)
 
     starts = [start(spec, "--start") for spec in args.start or []]
@@ -137,19 +139,13 @@ def _parse_starts(args, parser) -> list[ReducedState]:
         try:
             text = Path(args.starts_file).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            parser.error(f"cannot read --starts-file: {exc}")
+            raise ValueError(f"cannot read --starts-file: {exc}") from exc
         for n, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and not line.startswith(("#", "x")):
                 starts.append(start(line, f"{args.starts_file}:{n}"))
     if args.random_starts:
-        try:
-            starts.extend(random_interior_starts(args.random_starts, seed=args.seed))
-        except ValueError as exc:
-            parser.error(str(exc))
-    for s in starts:
-        if not on_reduced_simplex(s):
-            parser.error(f"start {tuple(s)} is off the simplex")
+        starts.extend(random_interior_starts(args.random_starts, seed=args.seed))
     return starts
 
 
@@ -191,15 +187,12 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
     cv.write(path)
 
 
-def cmd_simulate(args, parser) -> int:
-    p = Params(_finite(parser, "--v", args.v), _finite(parser, "--c", args.c))
-    starts = _parse_starts(args, parser)
+def cmd_simulate(args) -> int:
+    p = Params(args.v, args.c).validate()
+    starts = _parse_starts(args)
     cfg = IntegrationConfig(rtol=args.rtol, atol=args.atol, t_end=args.t_end,
                             max_step=args.max_step, record_stride=args.stride)
-    try:
-        trajectories = batch_integrate(p, starts, cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
+    trajectories = batch_integrate(p, starts, cfg)
     out = _out_dir(args.out_dir)
 
     histogram: dict[str, int] = {}
@@ -295,19 +288,14 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
     cv.write(path)
 
 
-def cmd_bifurcation(args, parser) -> int:
-    try:
-        spec = GridSpec(args.v_min, args.v_max, args.c_min, args.c_max,
-                        args.nv, args.nc).validate()
-    except ValueError as exc:
-        parser.error(str(exc))
-    m = scan(spec)
+def cmd_bifurcation(args) -> int:
+    m = scan(GridSpec(args.v_min, args.v_max, args.c_min, args.c_max, args.nv, args.nc))
     out = _out_dir(args.out_dir)
     csv_path = out / (args.out or "region_map.csv")
     write_region_csv(m, csv_path)
     lines = detect_transitions(m)
     report = {
-        "grid": spec._asdict(),
+        "grid": m.spec._asdict(),
         "csv": str(csv_path),
         "transition_lines": [
             {"line": bl.id.value,
@@ -326,8 +314,8 @@ def cmd_bifurcation(args, parser) -> int:
 
 # ---------------------------------------------------------------------- nash
 
-def cmd_nash(args, parser) -> int:
-    p = Params(_finite(parser, "--v", args.v), _finite(parser, "--c", args.c))
+def cmd_nash(args) -> int:
+    p = Params(args.v, args.c).validate()
     reports = nash_via_stability(p)
     payload = reports_to_json(p, reports)
     pure_checks = []
@@ -344,17 +332,14 @@ def cmd_nash(args, parser) -> int:
     payload["pure_strategy_checks"] = pure_checks
     payload["degenerate"] = degenerate
     text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 # -------------------------------------------------------------- two-strategy
 
-def cmd_two_strategy(args, parser) -> int:
-    p = Params(_finite(parser, "--v", args.v), _finite(parser, "--c", args.c))
+def cmd_two_strategy(args) -> int:
+    p = Params(args.v, args.c).validate()
     notes = []
     if p.c == 0:
         notes.append("c = 0: interior equilibrium z=v/c undefined; using the "
@@ -371,13 +356,8 @@ def cmd_two_strategy(args, parser) -> int:
     }
     if args.z0:
         cfg = IntegrationConfig(t_end=args.t_end)
-        runs = []
-        for z0 in args.z0:
-            try:
-                runs.append((z0, simulate_hawk_share(p, z0, cfg)))
-            except ValueError as exc:
-                parser.error(str(exc))
-        # every run is checked before anything is written: a usage error leaves no files
+        # every run is checked before anything is written: a rejected input leaves no files
+        runs = [(z0, simulate_hawk_share(p, z0, cfg)) for z0 in args.z0]
         out = _out_dir(args.out_dir)
         finals = []
         for i, (z0, samples) in enumerate(runs):
@@ -389,10 +369,7 @@ def cmd_two_strategy(args, parser) -> int:
             finals.append({"z0": z0, "z_final": samples[-1][1], "csv": str(path)})
         payload["simulations"] = finals
     text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -475,9 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_float(token: str) -> bool:
+def _is_value(token: str) -> bool:
     try:
-        float(token)
+        for field in token.split(","):
+            float(field)
     except ValueError:
         return False
     return True
@@ -487,8 +465,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     """Rewrite "--opt -1e-07" as "--opt=-1e-07".
 
     argparse reads only plain negative decimals such as -0.5 as values; a
-    token like -1e-07 or -inf is taken for an unknown option, so
-    "--v -1e-07" would fail with "expected one argument".
+    token like -1e-07, -inf or -1e-10,0.5,0.5 is taken for an unknown
+    option, so "--v -1e-07" would fail with "expected one argument".
     """
     out: list[str] = []
     i = 0
@@ -498,7 +476,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
             return out + argv[i:]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
         if (tok.startswith("--") and "=" not in tok and nxt.startswith("-")
-                and _is_float(nxt)):
+                and _is_value(nxt)):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -511,7 +489,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:    # a rejected input or an unusable path
+        parser.error(str(exc))
 
 
 def main_entry() -> None:

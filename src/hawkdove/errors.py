@@ -5,8 +5,8 @@ class HawkDoveError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidStartError(HawkDoveError):
-    """An initial condition lies off the population simplex."""
+class InvalidStartError(HawkDoveError, ValueError):
+    """An initial condition lies off the population simplex (a rejected input)."""
 
 
 class UndefinedPointError(HawkDoveError):

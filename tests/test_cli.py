@@ -67,13 +67,22 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_negative_scientific_values_follow_their_option(capsys):
+def test_negative_scientific_values_follow_their_option(tmp_path, capsys):
     # argparse alone takes "-1e-07" for an option flag
     for command in ("equilibria", "nash"):
         spaced = run(capsys, command, "--v", "-1e-07", "--c", "2e-07")
         joined = run(capsys, command, "--v=-1e-07", "--c=2e-07")
         assert spaced == joined
         assert spaced[0] == 0
+    # and "-1e-10,0.5,0.5", a start on the simplex within its tolerance
+    out = tmp_path / "sim"
+    runs = []
+    for start in (("--start", "-1e-10,0.5,0.5"), ("--start=-1e-10,0.5,0.5",)):
+        result = run(capsys, "simulate", "--v", "0.1", "--c", "0.2", *start,
+                     "--out-dir", str(out))
+        runs.append((result, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 0
     code, text = run(capsys, "equilibria", "--v", "-1e-07", "--c", "-2E+3", "--format", "json")
     assert code == 0
     payload = json.loads(text)
@@ -175,6 +184,23 @@ def test_simulate_missing_starts_file_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "cannot read --starts-file" in err and str(missing) in err
+
+
+@pytest.mark.parametrize("source", ["--start", "--starts-file"])
+def test_off_simplex_start_is_a_usage_error(tmp_path, capsys, source):
+    # only batch_integrate checks the simplex; main reports its rejection
+    if source == "--start":
+        argv = ["--start", "0.9,0.9,0.9"]
+    else:
+        starts = tmp_path / "starts.csv"
+        starts.write_text("x,y,z\n0.2,0.3,0.4\n0.9,0.9,0.9\n")
+        argv = ["--starts-file", str(starts)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--v", "0.1", "--c", "0.2", *argv, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "(0.9, 0.9, 0.9) is off the simplex" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_step_failure_exits_3_with_partial_outputs(tmp_path, capsys):
@@ -450,3 +476,30 @@ def test_cached_help_matches_a_fresh_parser(capsys, monkeypatch):
             assert cached == printed(build_parser.__wrapped__().parse_args, argv), argv
         texts.append(printed(main, ("simulate", "--help")))
     assert texts[0] != texts[1]
+
+
+# ------------------------------------------------- paths that cannot be written
+
+@pytest.mark.parametrize("argv, bad", [
+    (("equilibria", "--out", "{missing}/x.txt"), "{missing}/x.txt"),
+    (("nash", "--out", "{missing}/x.json"), "{missing}/x.json"),
+    (("two-strategy", "--out", "{missing}/x.json"), "{missing}/x.json"),
+    (("simulate", "--start", "0.2,0.3,0.4", "--out-dir", "{file}/sub"), "{file}/sub"),
+    (("two-strategy", "--z0", "0.3", "--out-dir", "{file}/sub"), "{file}/sub"),
+    (("bifurcation", "--nv", "3", "--nc", "3", "--out-dir", "{file}"), "{file}"),
+], ids=["equilibria-out", "nash-out", "two-strategy-out", "simulate-out-dir",
+        "two-strategy-out-dir", "bifurcation-out-dir"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv, bad):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    paths = {"missing": tmp_path / "missing", "file": regular}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "bifurcation":
+        argv += ["--v", "0.1", "--c", "0.2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hawkdove")
+    assert bad.format(**paths) in err
+    assert "Traceback" not in err

@@ -60,6 +60,9 @@ def test_invalid_start_raises():
         integrate(Params(0.1, 0.2), (0.5, 0.6, 0.2))
     with pytest.raises(InvalidStartError):
         integrate(Params(0.1, 0.2), (-0.1, 0.5, 0.2))
+    with pytest.raises(InvalidStartError, match=r"start #1 \(0.9, 0.9, 0.9\) is off") as exc:
+        batch_integrate(Params(0.1, 0.2), [(0.2, 0.3, 0.4), (0.9, 0.9, 0.9)])
+    assert isinstance(exc.value, ValueError)    # as every other rejected input
 
 
 def test_step_size_underflow_reports_failure():
