@@ -13,9 +13,14 @@ rows (about 8192 point classifications, seven per node) into one
 preallocated int8 array, so its temporaries stay bounded on any grid.
 An axis node within rounding of zero is put exactly on zero, so the lines
 c = 0 and v = 0 pass through nodes on every box that straddles them.
-``transition_pairs`` finds the changed edges by comparing shifted code
-arrays and attributes lines only on those.  ``write_region_csv`` formats each axis value and each
-distinct tag row once; its bytes match a cell-by-cell writer's.
+A box too wide for ``hi - lo`` to be finite is spaced at half scale.
+Changed edges are found by comparing shifted code arrays, and lines are
+attributed only on those, in one array pass over all of them.
+``detect_transitions`` aggregates that edge table with one integer key
+per changed (edge, equilibrium) and ``np.unique`` per line;
+``transition_pairs`` lists the same table pair by pair.
+``write_region_csv`` formats each axis value and each distinct tag row
+once; its bytes match a cell-by-cell writer's.
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -113,8 +118,13 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
     ``linspace`` misses zero on many boxes (1e-22 on some scaled symmetric
     ones); no other node of a grid that fits in memory is that close.
+    Where ``hi - lo`` overflows, the axis is spaced at half scale and
+    doubled, both exact, instead of coming out NaN.
     """
-    values = np.linspace(lo, hi, n)
+    if math.isfinite(hi - lo):
+        values = np.linspace(lo, hi, n)
+    else:
+        values = np.ldexp(np.linspace(lo / 2, hi / 2, n), 1)
     values[np.abs(values) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi))] = 0.0
     return values
 
@@ -139,13 +149,15 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
 
-# Line geometry: signed value and perpendicular distance at a point.
-_LINE_FUNCS = {
-    LineId.VEQC: (lambda v, c: v - c, math.sqrt(2.0)),
-    LineId.CEQ0: (lambda v, c: c, 1.0),
-    LineId.VEQ0: (lambda v, c: v, 1.0),
-    LineId.CEQ2V: (lambda v, c: c - 2.0 * v, math.sqrt(5.0)),
-}
+# The four lines in report order, each as a signed value at (v, c) and the
+# norm of its gradient; a fifth column of the line mask is UNEXPLAINED.
+_LINES = tuple(LineId)[:4]
+_LINE_NORMS = np.array([math.sqrt(2.0), 1.0, 1.0, math.sqrt(5.0)])
+
+
+def _line_values(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(E, 4): v - c, c, v and c - 2v at each point."""
+    return np.stack([v - c, c, v, c - 2.0 * v], axis=-1)
 
 
 class TransitionPair(NamedTuple):
@@ -158,52 +170,73 @@ class TransitionPair(NamedTuple):
     lines: tuple[LineId, ...]     # empty = unexplained
 
 
-def _crossed_lines(a: tuple[float, float], b: tuple[float, float]) -> tuple[LineId, ...]:
-    # relative to the edge's nodes, so a box scaled by k gives the same lines
-    on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    crossed = []
-    for line, (func, norm) in _LINE_FUNCS.items():
-        fa, fb = func(*a), func(*b)
-        if fa * fb <= 0.0 or min(abs(fa), abs(fb)) <= on_tol:
-            mid_v, mid_c = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-            crossed.append((abs(func(mid_v, mid_c)) / norm, line))
-    if not crossed:
-        return ()
-    dmin = min(d for d, _ in crossed)
-    # Tie near the origin: report every line at the minimal distance.
-    return tuple(line for d, line in crossed if d <= dmin + on_tol)
+class _EdgeTable(NamedTuple):
+    node_a: np.ndarray     # (E, 2) grid indices (i, j) of the lower node
+    node_b: np.ndarray     # (E, 2) the upper node, (i + 1, j) or (i, j + 1)
+    codes_a: np.ndarray    # (E, 7)
+    codes_b: np.ndarray    # (E, 7)
+    lines: np.ndarray      # (E, 5) bool, columns in LineId order
+
+
+def _edge_table(m: RegionMap) -> _EdgeTable:
+    """Every changed edge with the lines it crosses.
+
+    Edges come row-major in the lower node (i, j), the edge to (i + 1, j)
+    before the edge to (i, j + 1).  A line is crossed when its signed value
+    changes sign over the edge or an end node lies on it, within a
+    tolerance relative to the edge's nodes (so a box scaled by k gives the
+    same lines); of the crossed lines, those nearest the edge's midpoint
+    are reported, every one of them on a tie near the origin.  An edge that
+    crosses none is UNEXPLAINED.
+    """
+    codes = m.codes
+    step = np.zeros((m.spec.n_v, m.spec.n_c, 2), dtype=bool)
+    step[:-1, :, 0] = (codes[1:] != codes[:-1]).any(axis=-1)
+    step[:, :-1, 1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
+    i, j, along_c = np.nonzero(step)
+    i2, j2 = i + (1 - along_c), j + along_c
+    va, ca = m.v_values[i], m.c_values[j]
+    vb, cb = m.v_values[i2], m.c_values[j2]
+    on_tol = 1e-12 * np.maximum.reduce([np.abs(va), np.abs(ca), np.abs(vb), np.abs(cb)])
+    # sums and products of huge nodes overflow to inf, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa, fb = _line_values(va, ca), _line_values(vb, cb)
+        crossed = (fa * fb <= 0.0) | (np.minimum(np.abs(fa), np.abs(fb)) <= on_tol[:, None])
+        dist = np.abs(_line_values(0.5 * (va + vb), 0.5 * (ca + cb))) / _LINE_NORMS
+    # Python's min over the crossed lines in order: the first one's distance
+    # (NaN at an overflowed midpoint, which then matches no line), replaced
+    # only by a smaller one.
+    dmin = np.full(len(i), np.inf)
+    seen = np.zeros(len(i), dtype=bool)
+    for k in range(len(_LINES)):
+        take = crossed[:, k] & (~seen | (dist[:, k] < dmin))
+        dmin[take] = dist[take, k]
+        seen |= crossed[:, k]
+    near = crossed & (dist <= (dmin + on_tol)[:, None])
+    return _EdgeTable(
+        node_a=np.stack([i, j], axis=-1), node_b=np.stack([i2, j2], axis=-1),
+        codes_a=codes[i, j], codes_b=codes[i2, j2],
+        lines=np.column_stack([near, ~near.any(axis=1)]))
 
 
 def transition_pairs(m: RegionMap) -> Iterator[TransitionPair]:
     """All adjacent-node classification changes with their crossed lines.
 
-    Changed edges are found by whole-array comparison; lines are attributed
-    only on those.  Pairs come row-major in the lower node (i, j), the edge
-    to (i + 1, j) before the edge to (i, j + 1), equilibria in catalog order.
+    Built from the same edge table as ``detect_transitions``.  Pairs come
+    row-major in the lower node (i, j), the edge to (i + 1, j) before the
+    edge to (i, j + 1), equilibria in catalog order.
     """
-    codes = m.codes
-    n_v, n_c = m.spec.n_v, m.spec.n_c
-    v_step = np.zeros((n_v, n_c), dtype=bool)
-    c_step = np.zeros((n_v, n_c), dtype=bool)
-    v_step[:-1] = (codes[1:] != codes[:-1]).any(axis=-1)
-    c_step[:, :-1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
-    v_list = m.v_values.tolist()
-    c_list = m.c_values.tolist()
-    for i, j in np.argwhere(v_step | c_step).tolist():
-        a = (v_list[i], c_list[j])
-        ca = codes[i, j].tolist()
-        for i2, j2, changed in ((i + 1, j, v_step[i, j]), (i, j + 1, c_step[i, j])):
-            if not changed:
-                continue
-            b = (v_list[i2], c_list[j2])
-            cb = codes[i2, j2].tolist()
-            lines = _crossed_lines(a, b)
-            for k, eq in enumerate(EQUILIBRIUM_IDS):
-                if ca[k] != cb[k]:
-                    yield TransitionPair(
-                        node_a=a, node_b=b, eq=eq,
-                        tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
-                        lines=lines)
+    t = _edge_table(m)
+    v_list, c_list = m.v_values.tolist(), m.c_values.tolist()
+    lines = [tuple(line for line, hit in zip(_LINES, row) if hit)
+             for row in t.lines[:, :4].tolist()]
+    for e, k in np.argwhere(t.codes_a != t.codes_b).tolist():
+        (i, j), (i2, j2) = t.node_a[e].tolist(), t.node_b[e].tolist()
+        yield TransitionPair(
+            node_a=(v_list[i], c_list[j]), node_b=(v_list[i2], c_list[j2]),
+            eq=EQUILIBRIUM_IDS[k],
+            tags=(CLASS_BY_CODE[t.codes_a[e, k]], CLASS_BY_CODE[t.codes_b[e, k]]),
+            lines=lines[e])
 
 
 @dataclass(frozen=True)
@@ -212,23 +245,35 @@ class BifurcationLine:
     affected: tuple[tuple[EquilibriumId, str], ...]
 
 
+# Tag codes ranked by their names, so the smaller rank of a tag pair is the
+# alphabetically first tag.
+_TAG_NAMES = sorted(cls.value for cls in CLASS_BY_CODE)
+_TAG_RANK = np.array([_TAG_NAMES.index(cls.value) for cls in CLASS_BY_CODE])
+
+
 def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     """Aggregate classification changes per destabilization line.
 
     Each affected entry is (equilibrium, "TagA<->TagB") with the tag pair
     in alphabetical order.  Changes whose node segment crosses none of the
-    four lines are collected under UNEXPLAINED for manual review.
+    four lines are collected under UNEXPLAINED for manual review.  Every
+    changed (edge, equilibrium) gets one integer key, from the equilibrium
+    and the tag pair, and each line takes the distinct keys of its edges.
     """
-    buckets: dict[LineId, set[tuple[EquilibriumId, str]]] = {}
-    for pair in transition_pairs(m):
-        desc = "<->".join(sorted(t.value for t in pair.tags))
-        for line in (pair.lines or (LineId.UNEXPLAINED,)):
-            buckets.setdefault(line, set()).add((pair.eq, desc))
+    t = _edge_table(m)
+    e, k = np.nonzero(t.codes_a != t.codes_b)
+    ra, rb = _TAG_RANK[t.codes_a[e, k]], _TAG_RANK[t.codes_b[e, k]]
+    n = len(_TAG_NAMES)
+    key = (k * n + np.minimum(ra, rb)) * n + np.maximum(ra, rb)
     out = []
-    for line in LineId:
-        if line in buckets:
-            affected = tuple(sorted(buckets[line], key=lambda t: (t[0].value, t[1])))
-            out.append(BifurcationLine(id=line, affected=affected))
+    for col, line in enumerate(LineId):
+        keys = np.unique(key[t.lines[e, col]]).tolist()
+        if keys:
+            affected = sorted(
+                ((EQUILIBRIUM_IDS[q // (n * n)], f"{_TAG_NAMES[q // n % n]}<->{_TAG_NAMES[q % n]}")
+                 for q in keys),
+                key=lambda a: (a[0].value, a[1]))
+            out.append(BifurcationLine(id=line, affected=tuple(affected)))
     return out
 
 

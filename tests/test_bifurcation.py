@@ -1,14 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
 from hawkdove.bifurcation import (
+    BifurcationLine,
     _CHUNK_NODES,
     DEFAULT_GRID,
     GridSpec,
     LineId,
     TransitionPair,
-    _crossed_lines,
     transition_pairs,
     write_region_csv,
 )
@@ -99,6 +102,35 @@ def test_scaled_boxes_keep_nodes_on_the_zero_lines():
         scaled = scan(GridSpec(k * spec.v_min, k * spec.v_max, k * spec.c_min, k * spec.c_max,
                                spec.n_v, spec.n_c))
         assert np.array_equal(scaled.codes, base.codes), k
+
+
+def test_box_whose_width_overflows_has_finite_nodes():
+    # linspace computes hi - lo, which overflows here: every node came out
+    # NaN and every tag Undefined
+    spec = GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = scan(spec)
+        for axis in (m.v_values, m.c_values):
+            assert np.all(np.isfinite(axis))
+            assert axis[0] == -1e308 and axis[-1] == 1e308 and axis[20] == 0.0
+            assert np.all(np.diff(axis) > 0)
+        from hawkdove import catalog
+        rng = np.random.default_rng(5)
+        nodes = [(0, 0), (40, 40), (0, 40), (20, 20)] + [
+            tuple(int(t) for t in rng.integers(41, size=2)) for _ in range(12)]
+        for i, j in nodes:
+            recs = {rec.id: rec.classification
+                    for rec in catalog(Params(float(m.v_values[i]), float(m.c_values[j])))}
+            assert m.tags(i, j) == tuple(recs[eq] for eq in EQS), (i, j)
+
+
+def test_box_near_the_top_of_the_float_range_keeps_the_unit_box_tags():
+    # from about +-8e307 some P3 and P6 tags are Undefined, because an
+    # eigenvalue overflows; below that the tags are scale invariant
+    base = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 41, 41))
+    wide = scan(GridSpec(-1e307, 1e307, -1e307, 1e307, 41, 41))
+    assert np.array_equal(wide.codes, base.codes)
 
 
 def test_transition_lines_are_scale_invariant():
@@ -245,6 +277,30 @@ def test_linearized_undefined_at_zero_cost():
 
 # -- the per-cell writers the array versions replaced, kept as references ----
 
+_LINE_FUNCS = {
+    LineId.VEQC: (lambda v, c: v - c, math.sqrt(2.0)),
+    LineId.CEQ0: (lambda v, c: c, 1.0),
+    LineId.VEQ0: (lambda v, c: v, 1.0),
+    LineId.CEQ2V: (lambda v, c: c - 2.0 * v, math.sqrt(5.0)),
+}
+
+
+def _crossed_lines(a, b):
+    # relative to the edge's nodes, so a box scaled by k gives the same lines
+    on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    crossed = []
+    for line, (func, norm) in _LINE_FUNCS.items():
+        fa, fb = func(*a), func(*b)
+        if fa * fb <= 0.0 or min(abs(fa), abs(fb)) <= on_tol:
+            mid_v, mid_c = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
+            crossed.append((abs(func(mid_v, mid_c)) / norm, line))
+    if not crossed:
+        return ()
+    dmin = min(d for d, _ in crossed)
+    # Tie near the origin: report every line at the minimal distance.
+    return tuple(line for d, line in crossed if d <= dmin + on_tol)
+
+
 def reference_transition_pairs(m):
     n_v, n_c = m.spec.n_v, m.spec.n_c
     for i in range(n_v):
@@ -266,6 +322,18 @@ def reference_transition_pairs(m):
                             node_a=a, node_b=b, eq=eq,
                             tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
                             lines=lines)
+
+
+def reference_detect_transitions(pairs):
+    """``detect_transitions``'s aggregation rule, one pair at a time."""
+    buckets = {}
+    for pair in pairs:
+        desc = "<->".join(sorted(t.value for t in pair.tags))
+        for line in (pair.lines or (LineId.UNEXPLAINED,)):
+            buckets.setdefault(line, set()).add((pair.eq, desc))
+    return [BifurcationLine(id=line,
+                            affected=tuple(sorted(buckets[line], key=lambda t: (t[0].value, t[1]))))
+            for line in LineId if line in buckets]
 
 
 def reference_region_csv(m, path):
@@ -349,6 +417,26 @@ def reference_case(request):
 def test_transition_pairs_match_reference_loop(reference_case):
     m, _ = reference_case
     assert list(transition_pairs(m)) == list(reference_transition_pairs(m))
+
+
+def test_detect_transitions_matches_reference_aggregation(reference_case):
+    m, _ = reference_case
+    assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
+    GridSpec(-3e11, 3e11, -3e11, 3e11, 41, 41),
+    # edges near the corners have midpoints that overflow to inf
+    GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41),
+    GridSpec(0.1, 0.1, 0.2, 0.2, 1, 1),
+    GridSpec(0.15, 0.25, 0.2, 0.2, 2, 1),
+], ids=["3e-14", "3e11", "1e308", "1x1", "2x1"])
+def test_transitions_match_reference_loop_on_scaled_and_tiny_grids(spec):
+    m = scan(spec)
+    ref = list(reference_transition_pairs(m))
+    assert list(transition_pairs(m)) == ref
+    assert detect_transitions(m) == reference_detect_transitions(ref)
 
 
 def test_region_csv_matches_reference_writer(reference_case, tmp_path):
