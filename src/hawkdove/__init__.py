@@ -13,7 +13,6 @@ from .game_core import (
     HD,
     HH,
     Params,
-    PayoffMatrix,
     STRATEGIES,
     SimplexState,
     TOL_SIMPLEX,
@@ -48,7 +47,7 @@ from .bifurcation import (
     linearized_field,
     scan,
 )
-from .nash import NashReport, best_response_check, nash_via_stability
+from .nash import NashReport, best_response_check, nash_report, nash_via_stability
 from .two_strategy import classify_1d, correspondence, f, f_prime, simulate_hawk_share
 from .integrator import (
     IntegrationConfig,
@@ -61,7 +60,7 @@ from .integrator import (
 
 __all__ = [
     "__version__",
-    "Params", "PayoffMatrix", "SimplexState", "ReducedState", "STRATEGIES",
+    "Params", "SimplexState", "ReducedState", "STRATEGIES",
     "HH", "HD", "DH", "DD", "TOL_SIMPLEX",
     "build_payoff_matrix", "strategy_payoff", "average_payoff",
     "field_3d", "field_4d", "consistency_residual", "lift",
@@ -69,7 +68,7 @@ __all__ = [
     "EquilibriumId", "EquilibriumRecord", "catalog", "region_predicate",
     "GridSpec", "RegionMap", "LineId", "BifurcationLine",
     "scan", "detect_transitions", "linearized_field",
-    "NashReport", "nash_via_stability", "best_response_check",
+    "NashReport", "nash_via_stability", "best_response_check", "nash_report",
     "f", "f_prime", "classify_1d", "correspondence", "simulate_hawk_share",
     "IntegrationConfig", "Trajectory", "Terminal",
     "integrate", "batch_integrate", "random_interior_starts",

@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import UndefinedPointError
 from .equilibrium_catalog import (
     CLASS_BY_CODE,
     EQUILIBRIUM_IDS,
@@ -301,7 +300,7 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
         return mat, zero3
     if eq is EquilibriumId.P3:
         if c == 0:
-            raise UndefinedPointError("P3 is undefined at c = 0")
+            raise ValueError("P3 is undefined at c = 0")
         mat = np.array([[0.0, 0.0, 0.0],
                         [-v * (c - 2 * v) / (4 * c), v * v / (4 * c), v * (v - c) / (4 * c)],
                         [-v * (c - 2 * v) / (4 * c), v * (v - c) / (4 * c), v * v / (4 * c)]])
@@ -318,7 +317,7 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
         return mat, zero3
     if eq is EquilibriumId.P6:
         if c == 0:
-            raise UndefinedPointError("P6 is undefined at c = 0")
+            raise ValueError("P6 is undefined at c = 0")
         mat = np.array([[v * (v - c) / (2 * c), v * (v - c) / (4 * c), 0.0],
                         [0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0]])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,11 +39,10 @@ from .integrator import (
     trajectory_sidecar,
 )
 from .linear_analysis import Classification
-from .nash import best_response_check, nash_via_stability, reports_to_json
+from .nash import nash_report
 from .replicator_field import ReducedState
 from .svg import Canvas
 from .two_strategy import classify_1d, correspondence, simulate_hawk_share
-from .game_core import STRATEGIES, SimplexState
 
 EXIT_OK = 0
 EXIT_NUMERIC = 3
@@ -274,8 +274,13 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
                  [_REGION_COLORS[tag] for tag in CLASS_BY_CODE])
 
     def frac(t, lo, hi):
-        # a zero-width axis (a 1-D sweep) maps to the middle of the panel
-        return (t - lo) / (hi - lo) if hi > lo else 0.5
+        # a zero-width axis (a 1-D sweep) maps to the middle of the panel; a
+        # width that overflows is taken at half scale (exact), as in the scan
+        if not hi > lo:
+            return 0.5
+        if math.isfinite(hi - lo):
+            return (t - lo) / (hi - lo)
+        return (t / 2 - lo / 2) / (hi / 2 - lo / 2)
 
     def to_canvas(v, c):
         fx = frac(v, spec.v_min, spec.v_max)
@@ -315,24 +320,7 @@ def cmd_bifurcation(args) -> int:
 # ---------------------------------------------------------------------- nash
 
 def cmd_nash(args) -> int:
-    p = Params(args.v, args.c).validate()
-    reports = nash_via_stability(p)
-    payload = reports_to_json(p, reports)
-    pure_checks = []
-    degenerate = True
-    for k, name in enumerate(STRATEGIES):
-        sigma = SimplexState(*(1.0 if i == k else 0.0 for i in range(4)))
-        chk = best_response_check(p, sigma)
-        degenerate = degenerate and abs(chk.margin) <= 1e-15 * max(abs(p.v), abs(p.c))
-        pure_checks.append({
-            "strategy": name,
-            "via_best_response": chk.via_best_response,
-            "margin": chk.margin,
-        })
-    payload["pure_strategy_checks"] = pure_checks
-    payload["degenerate"] = degenerate
-    text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(json.dumps(nash_report(Params(args.v, args.c)), indent=2) + "\n", args.out)
     return EXIT_OK
 
 

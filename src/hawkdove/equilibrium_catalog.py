@@ -298,17 +298,12 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     records = []
     for k, eq in enumerate(EQUILIBRIUM_IDS):
         coords = ReducedState(*points[k].tolist())
-        if defined[k]:
-            rec = EquilibriumRecord(
-                id=eq, coords=coords, defined=True, in_simplex=_in_simplex(coords),
-                eigenvalues=tuple(eigs[k].tolist()),
-                classification=CLASS_BY_CODE[codes[k]],
-                paper_region_class=region_predicate(eq, p),
-                coincides_with=tuple(compress(EQUILIBRIUM_IDS, twins[k])))
-        else:
-            rec = EquilibriumRecord(
-                id=eq, coords=coords, defined=False, in_simplex=False,
-                eigenvalues=None, classification=Classification.UNDEFINED,
-                paper_region_class=None)
-        records.append(rec)
+        ok = bool(defined[k])
+        # an undefined point's code is UNDEFINED and its coincidence row empty
+        records.append(EquilibriumRecord(
+            id=eq, coords=coords, defined=ok, in_simplex=ok and _in_simplex(coords),
+            eigenvalues=tuple(eigs[k].tolist()) if ok else None,
+            classification=CLASS_BY_CODE[codes[k]],
+            paper_region_class=region_predicate(eq, p) if ok else None,
+            coincides_with=tuple(compress(EQUILIBRIUM_IDS, twins[k]))))
     return records

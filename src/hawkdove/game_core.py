@@ -22,7 +22,6 @@ the column player's payoff is the transpose read and is never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -35,8 +34,8 @@ __all__ = [
     "DD",
     "TOL_SIMPLEX",
     "Params",
-    "PayoffMatrix",
     "SimplexState",
+    "unit_scale",
     "build_payoff_matrix",
     "strategy_payoff",
     "average_payoff",
@@ -76,23 +75,6 @@ class SimplexState(NamedTuple):
 StateLike = Union[SimplexState, Sequence[float], np.ndarray]
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """4x4 row-player payoff table in the fixed strategy order."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (4, 4):
-            raise ValueError(f"payoff matrix must be 4x4, got shape {e.shape}")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-
 def _strategy_index(i: Union[int, str]) -> int:
     if isinstance(i, str):
         try:
@@ -105,23 +87,40 @@ def _strategy_index(i: Union[int, str]) -> int:
     return i
 
 
-def build_payoff_matrix(p: Params) -> PayoffMatrix:
-    """Row-player payoffs of the asymmetric game, generated from (v, c)."""
+def unit_scale(p: Params) -> tuple[int, Params]:
+    """The exponent e of frexp(max(|v|, |c|)) (0 at the origin), and (v, c) / 2^e.
+
+    The scaled max(|v|, |c|) lies in [0.5, 1).  Dividing by a power of two
+    is exact unless the smaller parameter falls below the normal range, so
+    a quantity linear in (v, c) can be computed here and multiplied back by
+    ``math.ldexp(_, e)`` without overflowing at the top of the float range.
+    """
+    v, c = p
+    e = math.frexp(max(abs(v), abs(c)))[1]
+    return e, Params(math.ldexp(v, -e), math.ldexp(c, -e))
+
+
+def build_payoff_matrix(p: Params) -> np.ndarray:
+    """Row-player payoffs of the asymmetric game, a read-only (4, 4) array
+    generated from (v, c) in the fixed strategy order."""
     v, c = Params(*p).validate()
-    return PayoffMatrix(np.array([
+    m = np.array([
         [(v - c) / 2, (3 * v - c) / 4, (3 * v - c) / 4, v],
         [(v - c) / 4, v / 2, (2 * v - c) / 4, 3 * v / 4],
         [(v - c) / 4, (2 * v - c) / 4, v / 2, 3 * v / 4],
         [0.0, v / 4, v / 4, v / 2],
-    ]))
+    ])
+    m.flags.writeable = False
+    return m
 
 
-def strategy_payoff(m: PayoffMatrix, i: Union[int, str], s: StateLike) -> float:
+def strategy_payoff(m: np.ndarray, i: Union[int, str], s: StateLike) -> float:
     """Expected payoff of strategy ``i`` against population state ``s``.
 
-    Linear in ``s``: the contraction of row ``i`` with (x, y, z, w).
+    Linear in ``s``: the contraction of row ``i`` of the payoff table ``m``
+    with (x, y, z, w).
     """
-    row = m.entries[_strategy_index(i)]
+    row = m[_strategy_index(i)]
     x, y, z, w = s
     return float(row[0] * x + row[1] * y + row[2] * z + row[3] * w)
 

@@ -56,9 +56,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidStartError
 from .equilibrium_catalog import EQUILIBRIUM_IDS, EquilibriumId, equilibrium_coords
-from .game_core import Params, TOL_SIMPLEX
+from .game_core import Params, TOL_SIMPLEX, unit_scale
 from .replicator_field import Reduced, ReducedState, field_3d_rows, on_reduced_simplex
 
 __all__ = [
@@ -155,16 +154,16 @@ class Trajectory:
 def time_scale(p: Params, t_end: float) -> tuple[int, Params]:
     """The exponent e of s = 2^e, and (v, c) / s: the params that are stepped.
 
-    e is frexp's exponent of max(|v|, |c|) (0 at the origin), the one
-    ``equilibrium_catalog`` scales by, so the scaled max(|v|, |c|) lies in
-    [0.5, 1).  Dimensionless time is tau = s t.
+    e and the scaled params come from ``game_core.unit_scale``, with the
+    exponent ``equilibrium_catalog`` scales by, so the scaled max(|v|, |c|)
+    lies in [0.5, 1).  Dimensionless time is tau = s t.
 
     Raises ValueError unless t_end / s is finite and _H_UNDERFLOW / s is a
     normal float.  Every recorded tau is 0 or in [_H_UNDERFLOW, t_end],
     since a shorter step fails, so then every physical time t = tau / s is
     exact and t is strictly increasing, as tau is.
     """
-    e = math.frexp(max(abs(p.v), abs(p.c)))[1]
+    e, scaled = unit_scale(p)
     try:
         ok = (math.isfinite(math.ldexp(t_end, -e))
               and math.ldexp(_H_UNDERFLOW, -e) >= sys.float_info.min)
@@ -174,7 +173,7 @@ def time_scale(p: Params, t_end: float) -> tuple[int, Params]:
         raise ValueError(f"physical time t = tau / 2^{e} cannot be represented "
                          f"exactly at (v, c) = ({p.v!r}, {p.c!r}) for tau up to "
                          f"t_end = {t_end!r}")
-    return e, Params(math.ldexp(p.v, -e), math.ldexp(p.c, -e))
+    return e, scaled
 
 
 def _norm_inf(vec: Sequence[float]) -> float:
@@ -424,8 +423,8 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     cfg = (cfg or IntegrationConfig()).validate()
     for idx, s0 in enumerate(starts):
         if not on_reduced_simplex(s0):
-            raise InvalidStartError(f"start #{idx} {tuple(float(t) for t in s0)!r} "
-                                    "is off the simplex")
+            raise ValueError(f"start #{idx} {tuple(float(t) for t in s0)!r} "
+                             "is off the simplex")
     if not len(starts):
         return []
     e, scaled = time_scale(p, cfg.t_end)

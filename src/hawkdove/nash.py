@@ -9,7 +9,8 @@ equilibrium.
 ``best_response_check`` is the independent oracle: a state is a symmetric
 Nash equilibrium iff no pure strategy earns more against it than the
 population earns against itself.  The margin it reports is the worst-case
-payoff slack (>= 0 means Nash).
+payoff slack (>= 0 means Nash).  ``nash_report`` assembles both, with the
+check of each pure strategy, into the ``nash`` command's JSON payload.
 
 The pure HD/DH pairs are sometimes quoted as Nash for all v > 0, c > 0,
 but the best-response margin shows c >= v is required; report exports
@@ -19,7 +20,8 @@ picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .equilibrium_catalog import catalog
 from .game_core import (
@@ -30,6 +32,7 @@ from .game_core import (
     build_payoff_matrix,
     require_simplex,
     strategy_payoff,
+    unit_scale,
 )
 from .linear_analysis import Classification
 from .replicator_field import lift
@@ -40,7 +43,7 @@ __all__ = [
     "best_response_check",
     "nash_via_stability",
     "discrepancy_notes",
-    "reports_to_json",
+    "nash_report",
 ]
 
 
@@ -65,21 +68,24 @@ def best_response_check(p: Params, sigma) -> NashReport:
 
     margin = (payoff of sigma against sigma) - max_i (payoff of pure i
     against sigma); Nash iff margin >= -nash_tol(p), in payoff units.  The
+    margin is computed at (v, c) / 2^e (``unit_scale``) and multiplied back
+    by 2^e, both exact, so it is finite at the top of the float range, and
+    scaling (v, c) by 2^m scales a normal margin by exactly 2^m.  The
     support lists the strategies whose share exceeds TOL_SIMPLEX, in share
     units, so it does not depend on the scale of (v, c).
     """
     p = Params(*p).validate()
     s = require_simplex(sigma)
-    m = build_payoff_matrix(p)
-    tol = nash_tol(p)
+    e, unit = unit_scale(p)
+    m = build_payoff_matrix(unit)
     u = [strategy_payoff(m, i, s) for i in range(4)]
     u_bar = sum(si * ui for si, ui in zip(s, u))
-    margin = u_bar - max(u)
+    margin = math.ldexp(u_bar - max(u), e)
     support = tuple(name for name, si in zip(STRATEGIES, s) if si > TOL_SIMPLEX)
     return NashReport(
         candidate=s,
         via_stability=False,
-        via_best_response=margin >= -tol,
+        via_best_response=margin >= -nash_tol(p),
         support=support,
         margin=margin,
     )
@@ -97,15 +103,8 @@ def nash_via_stability(p: Params) -> list[NashReport]:
     for rec in catalog(p):
         if rec.classification is not Classification.STABLE_NODE:
             continue
-        candidate = SimplexState(*lift(rec.coords))
-        checked = best_response_check(p, candidate)
-        out.append(NashReport(
-            candidate=candidate,
-            via_stability=True,
-            via_best_response=checked.via_best_response,
-            support=checked.support,
-            margin=checked.margin,
-        ))
+        checked = best_response_check(p, SimplexState(*lift(rec.coords)))
+        out.append(replace(checked, via_stability=True))
     return out
 
 
@@ -122,20 +121,37 @@ def discrepancy_notes(p: Params) -> list[str]:
     return notes
 
 
-def reports_to_json(p: Params, reports: list[NashReport]) -> dict:
+def nash_report(p: Params) -> dict:
+    """The ``nash`` command's JSON payload at ``p``.
+
+    The stability route's reports, the discrepancy notes, the
+    best-response check of each pure strategy, and ``degenerate``: whether
+    all four pure margins are zero, which holds only in the zero game
+    v = c = 0.  It is read from (v, c), not from the margins, which
+    underflow to zero at subnormal (v, c); at every normal scale it equals
+    the test |margin| <= 1e-15 * max(|v|, |c|) on all four.
+    """
+    p = Params(*p).validate()
     v, c = p
+    pure = [best_response_check(p, tuple(float(i == k) for i in range(4)))
+            for k in range(4)]
     return {
         "v": v,
         "c": c,
         "reports": [
             {
-                "candidate": [t for t in r.candidate],
+                "candidate": list(r.candidate),
                 "via_stability": r.via_stability,
                 "via_best_response": r.via_best_response,
                 "margin": r.margin,
                 "support": list(r.support),
             }
-            for r in reports
+            for r in nash_via_stability(p)
         ],
         "notes": discrepancy_notes(p),
+        "pure_strategy_checks": [
+            {"strategy": name, "via_best_response": r.via_best_response, "margin": r.margin}
+            for name, r in zip(STRATEGIES, pure)
+        ],
+        "degenerate": v == 0 and c == 0,
     }

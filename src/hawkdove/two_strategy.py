@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
-from .game_core import Params, TOL_SIMPLEX
+from .game_core import Params, TOL_SIMPLEX, unit_scale
 from .linear_analysis import zero_tol
 
 __all__ = [
@@ -64,9 +64,11 @@ def equilibria_1d(p: Params) -> list[float]:
 
 
 def _tag(p: Params, z: float) -> str:
-    v, c = p
-    fp = f_prime(p, z)
-    if abs(fp) <= zero_tol(v, c):
+    # at (v, c) / 2^e, exact, so 2v cannot overflow and a subnormal (v, c)
+    # keeps its bits; the sign and the zero test do not change
+    _e, unit = unit_scale(p)
+    fp = f_prime(unit, z)
+    if abs(fp) <= zero_tol(*unit):
         return "degenerate"
     return "stable" if fp < 0 else "unstable"
 

@@ -22,7 +22,6 @@ from hawkdove.equilibrium_catalog import (
     EquilibriumId,
     classification_codes,
 )
-from hawkdove.errors import UndefinedPointError
 from hawkdove.linear_analysis import Classification
 from hawkdove.svg import Canvas
 
@@ -271,7 +270,7 @@ def test_linearized_systems_match_jacobian_in_deviation_coordinates():
 
 def test_linearized_undefined_at_zero_cost():
     for eq in (EquilibriumId.P3, EquilibriumId.P6):
-        with pytest.raises(UndefinedPointError):
+        with pytest.raises(ValueError, match=f"{eq.value} is undefined at c = 0"):
             linearized_field(Params(0.2, 0.0), eq)
 
 

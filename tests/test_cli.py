@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import pytest
 
@@ -274,6 +276,39 @@ def test_bifurcation_svg_lines_are_clipped_to_the_panel(tmp_path, capsys):
         assert len(on) == 1, ends
         drawn += on
     assert drawn == ["v=c", "c=2v"]
+
+
+def test_bifurcation_svg_lines_are_finite_on_a_box_whose_width_overflows(tmp_path, capsys):
+    # hi - lo is inf on this box; the panel maps it at half scale, as the scan does
+    out = tmp_path / "huge"
+    code, _ = run(capsys, "bifurcation", "--v-min=-1e308", "--v-max=1e308", "--c-min=-1e308",
+                  "--c-max=1e308", "--nv", "5", "--nc", "5", "--svg", "--out-dir", str(out))
+    assert code == 0
+    svg = (out / "region_P1.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    lines = re.findall(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', svg)
+    assert lines == [("40", "460", "460", "40"), ("40", "250", "460", "250"),
+                     ("250", "460", "250", "40"), ("145", "460", "355", "40")]
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("v, c", [("1e308", "1e308"), ("6e307", "1e307"), ("1e308", "-1e308"),
+                                  ("-1e308", "1e308"), ("5e-324", "1e-323")])
+@pytest.mark.parametrize("command", ["nash", "two-strategy"])
+def test_extreme_parameters_give_strict_json_without_warnings(capsys, command, v, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, command, f"--v={v}", f"--c={c}")
+    assert code == 0
+    payload = _strict_json(out)
+    if command == "nash":
+        assert all(math.isfinite(r["margin"])
+                   for r in payload["reports"] + payload["pure_strategy_checks"])
 
 
 def test_nash_reports(capsys):

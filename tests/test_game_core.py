@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,16 @@ from hawkdove import (
     build_payoff_matrix,
     strategy_payoff,
 )
-from hawkdove.game_core import on_simplex, require_simplex
+from hawkdove.game_core import on_simplex, require_simplex, unit_scale
 
 from util import rand_params, rand_simplex4
 
 
 def test_zero_parameters_give_zero_matrix():
     m = build_payoff_matrix(Params(0.0, 0.0))
-    assert np.all(m.entries == 0.0)
+    assert isinstance(m, np.ndarray) and m.shape == (4, 4)
+    assert not m.flags.writeable
+    assert np.all(m == 0.0)
 
 
 def test_table_entries_at_small_parameters():
@@ -100,14 +104,14 @@ def test_average_payoff_equals_weighted_strategy_payoffs():
 def test_payoff_homogeneity():
     rng = np.random.default_rng(7)
     p = Params(0.23, -0.57)
-    base = build_payoff_matrix(p).entries
+    base = build_payoff_matrix(p)
     # powers of two scale without rounding, so equality is exact
     for k in (2.0, 0.5, 8.0):
-        scaled = build_payoff_matrix(Params(k * p.v, k * p.c)).entries
+        scaled = build_payoff_matrix(Params(k * p.v, k * p.c))
         assert np.array_equal(scaled, k * base)
     for _ in range(20):
         k = float(rng.uniform(0.1, 10))
-        scaled = build_payoff_matrix(Params(k * p.v, k * p.c)).entries
+        scaled = build_payoff_matrix(Params(k * p.v, k * p.c))
         np.testing.assert_allclose(scaled, k * base, rtol=1e-14, atol=0)
 
 
@@ -140,3 +144,11 @@ def test_params_must_be_finite():
         Params(float("inf"), 0.0).validate()
     with pytest.raises(ValueError):
         build_payoff_matrix(Params(0.0, float("nan")))
+
+
+def test_unit_scale_divides_by_an_exact_power_of_two():
+    assert unit_scale(Params(0.0, 0.0)) == (0, Params(0.0, 0.0))
+    for v, c in ((0.1, 0.2), (-3.0, 0.0), (0.0, 0.75), (1e308, -1e308), (5e-324, 1e-323)):
+        e, unit = unit_scale(Params(v, c))
+        assert 0.5 <= max(abs(unit.v), abs(unit.c)) < 1.0
+        assert (math.ldexp(unit.v, e), math.ldexp(unit.c, e)) == (v, c)

@@ -17,7 +17,6 @@ from hawkdove import (
     simulate_hawk_share,
 )
 from hawkdove.equilibrium_catalog import EquilibriumId
-from hawkdove.errors import InvalidStartError
 from hawkdove.integrator import (
     CONVERGENCE_EPS,
     _project,
@@ -56,13 +55,13 @@ def test_interior_start_reaches_hawk_vertex():
 
 
 def test_invalid_start_raises():
-    with pytest.raises(InvalidStartError):
+    # a ValueError, as every other rejected input
+    with pytest.raises(ValueError, match=r"start #0 \(0.5, 0.6, 0.2\) is off"):
         integrate(Params(0.1, 0.2), (0.5, 0.6, 0.2))
-    with pytest.raises(InvalidStartError):
+    with pytest.raises(ValueError, match=r"start #0 \(-0.1, 0.5, 0.2\) is off"):
         integrate(Params(0.1, 0.2), (-0.1, 0.5, 0.2))
-    with pytest.raises(InvalidStartError, match=r"start #1 \(0.9, 0.9, 0.9\) is off") as exc:
+    with pytest.raises(ValueError, match=r"start #1 \(0.9, 0.9, 0.9\) is off"):
         batch_integrate(Params(0.1, 0.2), [(0.2, 0.3, 0.4), (0.9, 0.9, 0.9)])
-    assert isinstance(exc.value, ValueError)    # as every other rejected input
 
 
 def test_step_size_underflow_reports_failure():

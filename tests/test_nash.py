@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from hawkdove import Params, best_response_check, build_payoff_matrix, nash_via_stability
 from hawkdove.game_core import on_simplex, strategy_payoff
-from hawkdove.nash import discrepancy_notes, nash_tol, reports_to_json
+from hawkdove.nash import discrepancy_notes, nash_report, nash_tol
 
 from util import rand_params
 
@@ -112,8 +113,9 @@ def test_discrepancy_note_only_in_disputed_region():
 
 def test_json_export_round_trip():
     p = Params(0.2, 0.1)
-    reports = nash_via_stability(p)
-    payload = json.loads(json.dumps(reports_to_json(p, reports)))
+    payload = json.loads(json.dumps(nash_report(p)))
+    assert list(payload) == ["v", "c", "reports", "notes", "pure_strategy_checks",
+                             "degenerate"]
     assert payload["v"] == 0.2 and payload["c"] == 0.1
     assert len(payload["reports"]) == 1
     rep = payload["reports"][0]
@@ -121,7 +123,10 @@ def test_json_export_round_trip():
     assert rep["via_stability"] and rep["via_best_response"]
     assert rep["support"] == ["HH"]
     assert payload["notes"]  # disputed region carries the annotation
-    assert payload == reports_to_json(p, reports)
+    assert [(r["strategy"], r["via_best_response"]) for r in payload["pure_strategy_checks"]] \
+        == [("HH", True), ("HD", False), ("DH", False), ("DD", False)]
+    assert payload["degenerate"] is False
+    assert payload == nash_report(p)
 
 
 def test_every_stable_node_is_a_strict_pure_equilibrium():
@@ -148,3 +153,28 @@ def test_every_stable_node_is_a_strict_pure_equilibrium():
             assert u[k] - best_other > 1e-10 * max(abs(p.v), abs(p.c)), (p, k, u)
             checked += 1
     assert checked > n
+
+
+def _bits(x):
+    return (x, math.copysign(1.0, x))          # tells 0.0 from -0.0
+
+
+def test_margins_scale_exactly_with_powers_of_two():
+    # every margin is computed at (v, c) / 2^e and multiplied back by 2^e,
+    # so at 2^m (0.1, 0.2) it is ldexp(margin at (0.1, 0.2), m) bit for bit,
+    # from the bottom of the normal range to the top of the float range
+    base = nash_report(Params(0.1, 0.2))
+    margins = [r["margin"] for r in base["reports"] + base["pure_strategy_checks"]]
+    flags = [r["via_best_response"] for r in base["reports"] + base["pure_strategy_checks"]]
+    assert flags == [True, True, False, True, True, False]
+    for m in range(-1018, 1026):
+        p = Params(math.ldexp(0.1, m), math.ldexp(0.2, m))
+        rep = nash_report(p)
+        rows = rep["reports"] + rep["pure_strategy_checks"]
+        assert [_bits(r["margin"]) for r in rows] == [_bits(math.ldexp(x, m)) for x in margins], m
+        # below about 2^-20 the margins are smaller than nash_tol's absolute
+        # part, 1e-10, which then accepts every pure strategy; flags are
+        # compared above that
+        if m >= -20:
+            assert [r["via_best_response"] for r in rows] == flags, m
+

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from hawkdove import (Params, classify_1d, correspondence, f, f_prime, integrate,
+from hawkdove import (Params, catalog, classify_1d, correspondence, f, f_prime, integrate,
                       simulate_hawk_share)
 from hawkdove.equilibrium_catalog import EquilibriumId
+from hawkdove.linear_analysis import zero_tol
 from hawkdove.two_strategy import equilibria_1d, two_strategy_payoff_matrix
 
 from util import rand_params
@@ -144,3 +147,63 @@ def test_1d_oracle_follows_the_full_system_on_the_hh_dd_edge(v, c, z0):
     assert len(samples) == len(traj.samples)
     assert not traj.samples[:, 2:4].any()
     assert abs(samples[-1][1] - traj.samples[-1, 1]) <= 1e-9
+
+
+# On the HH-DD edge (y = z = 0) the 1D equilibria are catalog points, and
+# f' there is the catalog eigenvalue along the edge.
+_EDGE_POINTS = {"z=0": EquilibriumId.P7, "z=1": EquilibriumId.P5, "z=v/c": EquilibriumId.P6}
+
+
+def _edge_eigenvalue(p, eq):
+    """The catalog's eigenvalue of ``eq`` along the HH-DD edge: the largest
+    in magnitude (v/2 of P7, (c-v)/2 of P5, v(v-c)/(2c) of P6).  Where it
+    overflows (the catalog then reports the point Undefined), it is read
+    at (v, c) / 2^e with e = frexp(max(|v|, |c|))[1]: dividing by a power
+    of two is exact and keeps its sign."""
+    rec = {r.id: r for r in catalog(p)}[eq]
+    lam = max(rec.eigenvalues, key=abs)
+    if math.isfinite(lam):
+        return lam, zero_tol(*p)
+    e = math.frexp(max(abs(p.v), abs(p.c)))[1]
+    unit = Params(math.ldexp(p.v, -e), math.ldexp(p.c, -e))
+    rec = {r.id: r for r in catalog(unit)}[eq]
+    return max(rec.eigenvalues, key=abs), zero_tol(*unit)
+
+
+def test_1d_tags_are_the_signs_of_the_catalog_edge_eigenvalues():
+    rng = np.random.default_rng(311)
+    checked = 0
+    for k in range(-300, 309, 4):               # magnitudes 1e-300 .. 1e308
+        r = 10.0 ** k
+        for _ in range(3):
+            s = float(rng.choice((-1.0, 1.0)))
+            theta = float(rng.uniform(0.0, 2.0 * np.pi))
+            points = (Params(s * r, s * r),                         # v = c
+                      Params(0.0, s * r),                           # v = 0
+                      Params(s * r / 2, s * r),                     # c = 2v
+                      Params(r * math.cos(theta), r * math.sin(theta)))
+            for p in points:
+                tagged = classify_1d(p)             # z = 0, 1 and, if c != 0, v/c
+                assert len(tagged) == (3 if p.c != 0 else 2), p
+                for label, (_z, tag) in zip(("z=0", "z=1", "z=v/c"), tagged):
+                    lam, tol = _edge_eigenvalue(p, _EDGE_POINTS[label])
+                    assert math.isfinite(lam), (p, label)
+                    want = ("degenerate" if abs(lam) <= tol
+                            else "stable" if lam < 0 else "unstable")
+                    assert tag == want, (p, label, lam)
+                    checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("v, c, tags", [
+    (1e308, 1e308, ["unstable", "degenerate", "degenerate"]),
+    (1.0, 1.0, ["unstable", "degenerate", "degenerate"]),
+    (1e308, -1e308, ["unstable", "stable", "stable"]),
+    (5e-324, 1e-323, ["unstable", "unstable", "stable"]),
+    (0.5, 1.0, ["unstable", "unstable", "stable"]),
+])
+def test_1d_tags_at_both_ends_of_the_float_range(v, c, tags):
+    # f' is evaluated at (v, c) / 2^e: 2v no longer overflows at 1e308
+    # (inf * 0 gave NaN, read as unstable), and the subnormal pair keeps
+    # its bits instead of falling under the zero threshold
+    assert [t for _, t in classify_1d(Params(v, c))] == tags
