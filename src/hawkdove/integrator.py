@@ -30,18 +30,24 @@ for bit.  Because each field component carries its own share as an exact
 factor, a share that starts at exactly zero stays exactly zero: boundary
 faces are invariant to the last bit.
 
-Both steppers apply one simplex projection after each accepted step:
+Every stepper applies one simplex projection after each accepted step:
 shares in [-TOL_SIMPLEX, 0) are clamped to zero, then a share sum in
 (1, 1 + TOL_SIMPLEX] is rescaled to 1; each fix counts as a clamp.  For
 the 1D oracle's single share this clamps z to [0, 1], since z / z == 1.
 
-``adaptive_integrate`` is the scalar driver over tuples.  It runs the 1D
-two-strategy oracle and is the reference the lockstep stepper is tested
-against.  The oracle stays scalar: it integrates one start per call, and
-for a single lane NumPy's per-call overhead dominates.  On a 2-core Xeon
-(Python 3.11, NumPy 2.4) one ``_lockstep`` lane took 5.8 ms for 41 step
-attempts, about 140 us each, where the scalar 1D run took 0.27 ms for 32
-samples; the ``two-strategy`` command makes one such run per ``--z0``.
+``adaptive_integrate`` is the scalar driver over tuples, and the reference
+that both the lockstep stepper and ``integrate_hawk_share`` are tested
+against bit for bit.  ``integrate_hawk_share`` runs the 1D two-strategy
+oracle: the same Dormand-Prince step written out as straight-line float
+code for one share, with the rate inlined, since the oracle integrates one
+start per call and a single lane pays NumPy's per-call overhead.  On a
+2-core Xeon (Python 3.11, NumPy 2.4) one ``_lockstep`` lane took 5.8 ms
+for 41 step attempts, about 140 us each; ``adaptive_integrate`` takes
+about 18 us per step on the 1D rate and ``integrate_hawk_share`` about
+3.5 us.  The ``two-strategy`` command makes one run per ``--z0``; the
+benchmark's ``point_queries`` workload makes 238 per rep, which spent
+0.56 s in the 1D oracle through ``adaptive_integrate`` and 0.12 s through
+``integrate_hawk_share`` (traced, seed 1).
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ __all__ = [
     "integrate",
     "batch_integrate",
     "adaptive_integrate",
+    "integrate_hawk_share",
     "CONVERGENCE_EPS",
     "random_interior_starts",
     "time_scale",
@@ -193,8 +200,9 @@ def _project(y):
 
 
 def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig):
-    """Scalar adaptive embedded-pair driver: the 1D oracle's stepper, and the
-    reference for the lockstep stepper behind ``batch_integrate``.
+    """Scalar adaptive embedded-pair driver over state tuples: the reference
+    for the lockstep stepper behind ``batch_integrate`` and for the 1D
+    kernel ``integrate_hawk_share``.
 
     Every accepted step is followed by the simplex projection.  Returns
     (samples, terminal, (accepted, rejected), clamp_count) with samples a
@@ -258,6 +266,93 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
             last_recorded = t
         converged = _norm_inf(k1) < CONVERGENCE_EPS
         if converged or t >= cfg.t_end:
+            if samples[-1][0] != t:
+                samples.append((t, y))
+            status = Terminal.CONVERGED if converged else Terminal.TIME_LIMIT
+            return samples, status, (accepted, rejected), clamps
+
+        factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+        h *= factor
+
+
+def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
+    """Dormand-Prince 5(4) on the 1D two-strategy rate
+    f(z) = 0.5 z (1 - z) (v - c z), from the Hawk share z0.
+
+    ``adaptive_integrate(lambda s: (f(s[0]),), (z0,), cfg)`` written out for
+    one share: the tableau is unpacked once, and each stage, the error sum,
+    the step control and the simplex projection are straight-line float
+    code doing the same operations in the same order, down to the 0.0 each
+    sum starts from and the zero coefficients, so every result is bit for
+    bit the same.  Returns (samples, terminal, (accepted, rejected),
+    clamp_count) with samples a list of (t, z).
+    """
+    cfg = cfg.validate()
+    rtol, atol, t_end, max_step = cfg.rtol, cfg.atol, cfg.t_end, cfg.max_step
+    stride = cfg.record_stride
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _STAGE_A
+    e1, e2, e3, e4, e5, e6, e7 = _ERR
+    eps, h_min, tol, top = CONVERGENCE_EPS, _H_UNDERFLOW, TOL_SIMPLEX, 1.0 + TOL_SIMPLEX
+
+    y = float(z0)
+    t = 0.0
+    k1 = 0.5 * y * (1.0 - y) * (v - c * y)
+    samples = [(t, y)]
+    clamps = 0
+    accepted = rejected = 0
+    if abs(k1) < eps:
+        return samples, Terminal.CONVERGED, (0, 0), 0
+
+    h = min(max_step, t_end, 0.01 / (1.0 + abs(k1)))
+    last_recorded = 0.0
+    time_eps = 1e-13 * max(1.0, t_end)
+    while True:
+        remaining = t_end - t
+        if remaining <= time_eps:
+            return samples, Terminal.TIME_LIMIT, (accepted, rejected), clamps
+        h = min(h, max_step, remaining)
+        if h < h_min:
+            return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
+
+        ys = y + h * (0.0 + a21 * k1)
+        k2 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
+        ys = y + h * (0.0 + a31 * k1 + a32 * k2)
+        k3 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
+        ys = y + h * (0.0 + a41 * k1 + a42 * k2 + a43 * k3)
+        k4 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
+        ys = y + h * (0.0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        k5 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
+        ys = y + h * (0.0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
+        y_new = y + h * (0.0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4 + a75 * k5
+                         + a76 * k6)
+        k7 = 0.5 * y_new * (1.0 - y_new) * (v - c * y_new)
+
+        err = max(0.0, abs(h * (0.0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
+                                + e6 * k6 + e7 * k7)))
+        ratio = err / (atol + rtol * max(abs(y), abs(y_new)))
+
+        if ratio > 1.0:
+            rejected += 1
+            h *= max(0.2, 0.9 * ratio ** -0.2)
+            continue
+
+        accepted += 1
+        t = t + h
+        # the projection of one share: clamp [-tol, 0) to 0, rescale
+        # (1, 1 + tol] by itself, which gives exactly 1
+        y, k1 = y_new, k7
+        if -tol <= y < 0.0 or 1.0 < y <= top:
+            y = 0.0 if y < 0.0 else 1.0
+            clamps += 1
+            k1 = 0.5 * y * (1.0 - y) * (v - c * y)
+
+        if stride is None or t - last_recorded >= stride - 1e-12:
+            samples.append((t, y))
+            last_recorded = t
+        converged = abs(k1) < eps
+        if converged or t >= t_end:
             if samples[-1][0] != t:
                 samples.append((t, y))
             status = Terminal.CONVERGED if converged else Terminal.TIME_LIMIT

@@ -49,9 +49,18 @@ __all__ = [
 
 def nash_tol(p: Params) -> float:
     """Payoffs are exact rational combinations of v and c; only rounding
-    noise is tolerated: 1e-10 * (1 + |v| + |c|)."""
+    noise is tolerated: 1e-10 * (1 + |v| + |c|).
+
+    Where max(|v|, |c|) >= 1 (e > 0 in ``unit_scale``), the formula is
+    evaluated at (v, c) / 2^e, with 2^-e in place of 1, and multiplied back
+    by 2^e.  That rounds exactly as the direct form wherever the direct
+    form is finite, and stays finite where |v| + |c| overflows.
+    """
     v, c = p
-    return 1e-10 * (1.0 + abs(v) + abs(c))
+    e, unit = unit_scale(p)
+    if e <= 0:
+        return 1e-10 * (1.0 + abs(v) + abs(c))
+    return math.ldexp(1e-10 * (math.ldexp(1.0, -e) + abs(unit.v) + abs(unit.c)), e)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
 from .game_core import Params, TOL_SIMPLEX, unit_scale
+from .integrator import IntegrationConfig, integrate_hawk_share, time_scale
 from .linear_analysis import zero_tol
 
 __all__ = [
@@ -102,25 +103,21 @@ def correspondence(p: Params) -> list[CorrespondenceEntry]:
 def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, float]]:
     """Integrate the 1D dynamics from z0; returns (t, z) samples.
 
-    Shares the adaptive stepper with the full-game integrator, in the same
-    dimensionless time (see ``integrator.time_scale``): the samples carry
-    physical time, and at 2^m (v, c) the shares are bit-identical and t
-    scales by exactly 2^-m.  The state is clamped to [0, 1] by the simplex
+    Steps the rate at (v, c) / s in dimensionless time (see
+    ``integrator.time_scale``) with ``integrator.integrate_hawk_share``, the
+    scalar Dormand-Prince kernel that is bit-identical to the full-game
+    reference stepper ``adaptive_integrate``: the samples carry physical
+    time, and at 2^m (v, c) the shares are bit-identical and t scales by
+    exactly 2^-m.  The state is clamped to [0, 1] by the simplex
     projection.  Raises ValueError when z0 lies more than TOL_SIMPLEX
     outside [0, 1], or where physical time cannot be represented (see
     ``integrator.time_scale``).
     """
-    from .integrator import IntegrationConfig, adaptive_integrate, time_scale
-
     p = Params(*p).validate()
     z0 = float(z0)
     if not -TOL_SIMPLEX <= z0 <= 1.0 + TOL_SIMPLEX:
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
     cfg = (cfg or IntegrationConfig()).validate()
-    e, scaled = time_scale(p, cfg.t_end)
-
-    def rate(state):
-        return (f(scaled, state[0]),)
-
-    samples, _terminal, _nsteps, _clamps = adaptive_integrate(rate, (z0,), cfg)
-    return [(math.ldexp(t, -e), y[0]) for t, y in samples]
+    e, (v, c) = time_scale(p, cfg.t_end)
+    samples, _terminal, _nsteps, _clamps = integrate_hawk_share(v, c, z0, cfg)
+    return [(math.ldexp(t, -e), z) for t, z in samples]

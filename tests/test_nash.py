@@ -178,3 +178,35 @@ def test_margins_scale_exactly_with_powers_of_two():
         if m >= -20:
             assert [r["via_best_response"] for r in rows] == flags, m
 
+
+def test_tolerance_rounds_as_the_direct_formula_wherever_that_is_finite():
+    # above max(|v|, |c|) = 1 nash_tol is evaluated at (v, c) / 2^e;
+    # wherever 1e-10 (1 + |v| + |c|) is finite it gives the same bits,
+    # and where that overflows it stays finite
+    rng = np.random.default_rng(173)
+    finite = 0
+    for _ in range(4000):
+        v, c = (float(s * 2.0 ** x) for s, x in zip(rng.choice((-1.0, 1.0), 2),
+                                                    rng.uniform(-1074.0, 1023.9, 2)))
+        direct = 1e-10 * (1.0 + abs(v) + abs(c))
+        tol = nash_tol(Params(v, c))
+        if math.isfinite(direct):
+            assert _bits(tol) == _bits(direct), (v, c)
+            finite += 1
+        else:
+            assert math.isfinite(tol) and tol > 0.0, (v, c)
+    assert finite > 3000
+
+
+@pytest.mark.parametrize("big, unit", [((1e308, 1e308), (1.0, 1.0)),
+                                       ((1.7e308, 1.7e308), (1.0, 1.0)),
+                                       ((1e308, -1e308), (1.0, -1.0))])
+def test_pure_flags_where_the_direct_tolerance_overflows(big, unit):
+    # 1e-10 (1 + |v| + |c|) is inf at these points, which let every pure
+    # strategy pass (DD with margin -5e+307 at (1e308, 1e308))
+    assert math.isinf(1e-10 * (1.0 + abs(big[0]) + abs(big[1])))
+
+    def flags(p):
+        return [r["via_best_response"] for r in nash_report(Params(*p))["pure_strategy_checks"]]
+
+    assert flags(big) == flags(unit)

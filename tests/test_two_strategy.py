@@ -6,6 +6,9 @@ import pytest
 from hawkdove import (Params, catalog, classify_1d, correspondence, f, f_prime, integrate,
                       simulate_hawk_share)
 from hawkdove.equilibrium_catalog import EquilibriumId
+from hawkdove.game_core import TOL_SIMPLEX
+from hawkdove.integrator import (IntegrationConfig, Terminal, adaptive_integrate,
+                                 integrate_hawk_share, time_scale)
 from hawkdove.linear_analysis import zero_tol
 from hawkdove.two_strategy import equilibria_1d, two_strategy_payoff_matrix
 
@@ -129,6 +132,45 @@ def test_simulation_converges_to_interior_share():
     assert abs(samples[-1][1] - 0.5) < 1e-6
     ts = [t for t, _ in samples]
     assert ts == sorted(ts)
+
+
+def _bits(samples):
+    """(t, z) samples as hex strings: tells -0.0 from 0.0, and a NaN equals a NaN."""
+    return [(t.hex(), z.hex()) for t, z in samples]
+
+
+def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
+    # v = c, c = 0, v = 0, c = 2v and off every line, each with both signs,
+    # at magnitudes 2^-1000 .. 2^960, stepped at time_scale's (v, c) as the
+    # oracle steps them; every start the oracle accepts; a run that
+    # converges, one that hits the time limit (t_end = 5), one whose step
+    # underflows (max_step = 1e-15), and runs with and without a stride
+    bases = [(1.0, 1.0), (0.7, 0.0), (0.0, 0.7), (0.3, 0.6), (0.3, 0.7), (-0.45, 0.2),
+             (-1.0, -1.0), (-0.7, 0.0), (0.0, -0.7), (-0.3, -0.6), (0.8, -0.1)]
+    configs = (IntegrationConfig(), IntegrationConfig(t_end=5.0),
+               IntegrationConfig(max_step=1e-15),
+               IntegrationConfig(t_end=3.0, record_stride=0.5),
+               IntegrationConfig(record_stride=7.0))
+    rng = np.random.default_rng(131)
+    seen, rejected, clamps = set(), 0, 0
+    for k in range(-1000, 961, 490):
+        for bv, bc in bases:
+            p = Params(math.ldexp(bv, k), math.ldexp(bc, k))
+            for z0 in (0.0, 1.0, -TOL_SIMPLEX, 1.0 + TOL_SIMPLEX, float(rng.random())):
+                for cfg in configs:
+                    _e, scaled = time_scale(p, cfg.t_end)
+                    ref, terminal, steps, n_clamped = adaptive_integrate(
+                        lambda s: (f(scaled, s[0]),), (z0,), cfg)
+                    got, got_terminal, got_steps, got_clamped = integrate_hawk_share(
+                        scaled.v, scaled.c, z0, cfg)
+                    assert _bits(got) == _bits([(t, y[0]) for t, y in ref]), (p, z0, cfg)
+                    assert (got_terminal, got_steps, got_clamped) == \
+                        (terminal, steps, n_clamped), (p, z0, cfg)
+                    seen.add(terminal)
+                    rejected += steps[1]
+                    clamps += n_clamped
+    assert seen == set(Terminal)
+    assert rejected > 0 and clamps > 0
 
 
 def test_simulation_rejects_bad_start():
