@@ -4,9 +4,12 @@ All outputs are file-based (CSV/JSON, optional static SVG projections).
 Floats in CSV are printed with 17 significant digits so files re-parse to
 the exact in-memory values.  Exit codes: 0 success, 2 usage error,
 3 numerical failure.  A usage error is an input the parser or the library
-rejects, or an output path that cannot be written.  Every input is checked
-before the first file is written, so a rejected input writes no files; an
-unwritable path keeps the files written before it.
+rejects, or an output path that cannot be written.  Each ``cmd_*`` only
+computes, and returns its report text, its ``--out`` (None: stdout), its
+files as (path, writer) pairs and its exit code; ``main`` does the writing.
+Nothing is written until the command has finished computing; then its files
+are written in order, then its report.  An unwritable path keeps the files
+written before it.
 """
 
 from __future__ import annotations
@@ -49,17 +52,11 @@ EXIT_NUMERIC = 3
 
 
 def _out_dir(arg: str | None) -> Path:
-    base = arg or os.environ.get("HAWKDOVE_OUTDIR", ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(arg or os.environ.get("HAWKDOVE_OUTDIR", "."))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_text(text: str, path) -> None:
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _add_params(sub: argparse.ArgumentParser) -> None:
@@ -69,7 +66,7 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
 
 # ---------------------------------------------------------------- equilibria
 
-def cmd_equilibria(args) -> int:
+def cmd_equilibria(args) -> tuple:
     p = Params(args.v, args.c).validate()
     records = catalog(p)
     rows = []
@@ -116,8 +113,7 @@ def cmd_equilibria(args) -> int:
                 f"{r['classification']:<28}{r['paper_region_class']:<28}{r['paper_agrees']:<6}")
         text = "\n".join(lines) + "\n"
 
-    _emit(text, args.out)
-    return EXIT_OK
+    return text, args.out, (), EXIT_OK
 
 
 # ----------------------------------------------------------------- simulate
@@ -187,7 +183,7 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
     cv.write(path)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     p = Params(args.v, args.c).validate()
     starts = _parse_starts(args)
     cfg = IntegrationConfig(rtol=args.rtol, atol=args.atol, t_end=args.t_end,
@@ -196,8 +192,10 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args.out_dir)
 
     histogram: dict[str, int] = {}
+    files = []
     for i, traj in enumerate(trajectories):
-        write_trajectory_csv(traj, out / f"trajectory_{i:03d}.csv")
+        files.append((out / f"trajectory_{i:03d}.csv",
+                      functools.partial(write_trajectory_csv, traj)))
         if traj.terminal is Terminal.CONVERGED:
             key = traj.nearest.value if traj.nearest else "unidentified"
         else:
@@ -210,16 +208,15 @@ def cmd_simulate(args) -> int:
         "terminals": dict(sorted(histogram.items())),
         "trajectories": [trajectory_sidecar(t) for t in trajectories],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                      encoding="utf-8")
+    files.append((out / "summary.json",
+                  functools.partial(_write_text, json.dumps(summary, indent=2) + "\n")))
     if args.svg:
-        _simulate_svg(p, trajectories, starts, out / "portrait.svg")
+        files.append((out / "portrait.svg",
+                      functools.partial(_simulate_svg, p, trajectories, starts)))
 
-    sys.stdout.write(json.dumps({"terminals": summary["terminals"],
-                                 "out_dir": str(out)}) + "\n")
-    if any(t.terminal is Terminal.STEP_FAILURE for t in trajectories):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    text = json.dumps({"terminals": summary["terminals"], "out_dir": str(out)}) + "\n"
+    failed = any(t.terminal is Terminal.STEP_FAILURE for t in trajectories)
+    return text, None, files, EXIT_NUMERIC if failed else EXIT_OK
 
 
 # --------------------------------------------------------------- bifurcation
@@ -293,12 +290,12 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
     cv.write(path)
 
 
-def cmd_bifurcation(args) -> int:
+def cmd_bifurcation(args) -> tuple:
     m = scan(GridSpec(args.v_min, args.v_max, args.c_min, args.c_max, args.nv, args.nc))
+    lines = detect_transitions(m)
     out = _out_dir(args.out_dir)
     csv_path = out / (args.out or "region_map.csv")
-    write_region_csv(m, csv_path)
-    lines = detect_transitions(m)
+    files = [(csv_path, functools.partial(write_region_csv, m))]
     report = {
         "grid": m.spec._asdict(),
         "csv": str(csv_path),
@@ -311,22 +308,20 @@ def cmd_bifurcation(args) -> int:
     if args.svg:
         eq = EquilibriumId(args.point)
         svg_path = out / f"region_{eq.value}.svg"
-        _region_svg(m, eq, svg_path)
+        files.append((svg_path, functools.partial(_region_svg, m, eq)))
         report["svg"] = str(svg_path)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
+    return json.dumps(report, indent=2) + "\n", None, files, EXIT_OK
 
 
 # ---------------------------------------------------------------------- nash
 
-def cmd_nash(args) -> int:
-    _emit(json.dumps(nash_report(Params(args.v, args.c)), indent=2) + "\n", args.out)
-    return EXIT_OK
+def cmd_nash(args) -> tuple:
+    return json.dumps(nash_report(Params(args.v, args.c)), indent=2) + "\n", args.out, (), EXIT_OK
 
 
 # -------------------------------------------------------------- two-strategy
 
-def cmd_two_strategy(args) -> int:
+def cmd_two_strategy(args) -> tuple:
     p = Params(args.v, args.c).validate()
     notes = []
     if p.c == 0:
@@ -342,23 +337,19 @@ def cmd_two_strategy(args) -> int:
         ],
         "notes": notes,
     }
+    files = []
     if args.z0:
         cfg = IntegrationConfig(t_end=args.t_end)
-        # every run is checked before anything is written: a rejected input leaves no files
-        runs = [(z0, simulate_hawk_share(p, z0, cfg)) for z0 in args.z0]
         out = _out_dir(args.out_dir)
         finals = []
-        for i, (z0, samples) in enumerate(runs):
+        for i, z0 in enumerate(args.z0):
+            samples = simulate_hawk_share(p, z0, cfg)
             path = out / f"hawk_share_{i:03d}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("t,z\n")
-                for t, z in samples:
-                    fh.write(f"{t:.17g},{z:.17g}\n")
+            csv = "t,z\n" + "".join("%.17g,%.17g\n" % s for s in samples)
+            files.append((path, functools.partial(_write_text, csv)))
             finals.append({"z0": z0, "z_final": samples[-1][1], "csv": str(path)})
         payload["simulations"] = finals
-    text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n", args.out, files, EXIT_OK
 
 
 # --------------------------------------------------------------------- main
@@ -478,7 +469,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     try:
-        return args.func(args)
+        text, out, files, code = args.func(args)
+        if files:
+            _out_dir(args.out_dir).mkdir(parents=True, exist_ok=True)
+        for path, write in files:
+            write(path)
+        if out:
+            _write_text(text, out)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError) as exc:    # a rejected input or an unusable path
         parser.error(str(exc))
 

@@ -121,7 +121,8 @@ def equilibrium_coords(v, c):
     c = np.asarray(c, dtype=float)
     shape = np.broadcast(v, c).shape
     nonzero = np.broadcast_to(c != 0.0, shape)
-    q = np.divide(v, c, out=np.zeros(shape), where=nonzero)
+    with np.errstate(over="ignore"):    # |v/c| past the float range is +-inf
+        q = np.divide(v, c, out=np.zeros(shape), where=nonzero)
     expand = (slice(None), slice(None)) + (None,) * len(shape)
     x, y, z = np.where(_COORD_IS_Q[expand], q, _COORD_FIXED[expand])
     defined = nonzero | ~_COORD_IS_Q.any(axis=0)[expand[1:]]
@@ -293,7 +294,10 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     points = np.stack((x, y, z), axis=-1)
     # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
-    twins = ((np.abs(points[:, None] - points[None]).max(axis=-1) <= _COINCIDE_TOL)
+    # An infinite v/c minus itself is nan, which coincides with nothing.
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(points[:, None] - points[None]).max(axis=-1)
+    twins = ((gaps <= _COINCIDE_TOL)
              & defined[:, None] & defined[None] & ~np.eye(len(points), dtype=bool))
     records = []
     for k, eq in enumerate(EQUILIBRIUM_IDS):

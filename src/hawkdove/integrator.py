@@ -34,6 +34,9 @@ Every stepper applies one simplex projection after each accepted step:
 shares in [-TOL_SIMPLEX, 0) are clamped to zero, then a share sum in
 (1, 1 + TOL_SIMPLEX] is rescaled to 1; each fix counts as a clamp.  For
 the 1D oracle's single share this clamps z to [0, 1], since z / z == 1.
+``batch_integrate`` and ``two_strategy.simulate_hawk_share`` also project
+each start before the first step (not counted as a clamp); the steppers
+take the start as given.
 
 ``adaptive_integrate`` is the scalar driver over tuples, and the reference
 that both the lockstep stepper and ``integrate_hawk_share`` are tested
@@ -512,7 +515,9 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     reduced coordinates), the distance to it and the final scaled field
     norm; on convergence that point is also attached as ``nearest`` if it
     lies within 1e-3.  A trajectory does not depend on which other starts
-    share the batch.
+    share the batch.  Each start first goes through the projection that
+    follows every step, so a start within TOL_SIMPLEX of the simplex
+    begins, and is recorded, on it.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -523,7 +528,8 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     if not len(starts):
         return []
     e, scaled = time_scale(p, cfg.t_end)
-    lanes = _lockstep(scaled, np.array([[float(t) for t in s0] for s0 in starts]), cfg)
+    y0 = np.array([_project(tuple(float(t) for t in s0))[0] for s0 in starts])
+    lanes = _lockstep(scaled, y0, cfg)
 
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     ids = list(compress(EQUILIBRIUM_IDS, defined))

@@ -206,14 +206,25 @@ def test_off_simplex_start_is_a_usage_error(tmp_path, capsys, source):
 
 
 def test_simulate_step_failure_exits_3_with_partial_outputs(tmp_path, capsys):
+    # both lanes fail on their first step: every file is still written, in full
     out = tmp_path / "fail"
-    code, _ = run(capsys, "simulate", "--v", "0.1", "--c", "0.2",
-                  "--start", "0.2,0.3,0.4", "--max-step", "1e-15",
-                  "--out-dir", str(out))
+    code, text = run(capsys, "simulate", "--v", "0.1", "--c", "0.2", "--start", "0.2,0.3,0.4",
+                     "--start", "0.1,0.1,0.1", "--max-step", "1e-15", "--svg",
+                     "--out-dir", str(out))
     assert code == 3
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["terminals"] == {"StepFailure": 1}
-    assert (out / "trajectory_000.csv").exists()
+    assert text == json.dumps({"terminals": {"StepFailure": 2}, "out_dir": str(out)}) + "\n"
+    assert sorted(f.name for f in out.iterdir()) == [
+        "portrait.svg", "summary.json", "trajectory_000.csv", "trajectory_001.csv"]
+    assert (out / "trajectory_000.csv").read_text() == (
+        "t,x,y,z,w\n0,0.20000000000000001,0.29999999999999999,0.40000000000000002,"
+        "0.10000000000000009\n")
+    assert (out / "trajectory_001.csv").read_text() == (
+        "t,x,y,z,w\n0,0.10000000000000001,0.10000000000000001,0.10000000000000001,"
+        "0.69999999999999996\n")
+    summary = (out / "summary.json").read_text()
+    assert summary == json.dumps(json.loads(summary), indent=2) + "\n"
+    assert [t["terminal"] for t in json.loads(summary)["trajectories"]] == ["StepFailure"] * 2
+    assert (out / "portrait.svg").read_text().endswith("</svg>\n")
 
 
 def test_bifurcation_csv_and_svg(tmp_path, capsys):
@@ -297,9 +308,14 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("v, c", [("1e308", "1e308"), ("6e307", "1e307"), ("1e308", "-1e308"),
-                                  ("-1e308", "1e308"), ("5e-324", "1e-323")])
-@pytest.mark.parametrize("command", ["nash", "two-strategy"])
+_EXTREMES = [("1e308", "1e308"), ("6e307", "1e307"), ("1e308", "-1e308"),
+             ("-1e308", "1e308"), ("5e-324", "1e-323")]
+
+
+# at (1e300, 1e-300) v/c overflows; two-strategy prints it as Infinity there
+@pytest.mark.parametrize("command, v, c", [
+    *((command, v, c) for command in ("nash", "two-strategy") for v, c in _EXTREMES),
+    ("nash", "1e300", "1e-300")])
 def test_extreme_parameters_give_strict_json_without_warnings(capsys, command, v, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -309,6 +325,22 @@ def test_extreme_parameters_give_strict_json_without_warnings(capsys, command, v
     if command == "nash":
         assert all(math.isfinite(r["margin"])
                    for r in payload["reports"] + payload["pure_strategy_checks"])
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_equilibria_where_v_over_c_overflows_gives_no_warning(capsys, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "equilibria", "--v=1e300", "--c=1e-300", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(out)["equilibria"]
+        assert [r["classification"] for r in rows] == [
+            "Degenerate", "Degenerate", "Undefined", "Degenerate", "StableNode", "Undefined",
+            "UnstableNode"]
+        # the v/c points are infinite: a nan gap between them coincides with nothing
+        assert [r["coincides_with"] for r in rows] == ["-"] * 7
+        assert (rows[2]["y"], rows[5]["x"]) == (math.inf, math.inf)
 
 
 def test_nash_reports(capsys):
@@ -538,3 +570,35 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv, bad):
     assert err.startswith("usage: hawkdove")
     assert bad.format(**paths) in err
     assert "Traceback" not in err
+
+
+# ------------------------------------- commands compute, main writes afterwards
+
+@pytest.mark.parametrize("argv", [
+    ("equilibria", "--v", "nan", "--c", "0.1", "--out", "{out}"),
+    ("simulate", "--v=5e-324", "--c=1e-323", "--start", "0.2,0.3,0.4", "--out-dir", "{dir}"),
+    ("bifurcation", "--nv", "0", "--svg", "--out", "{out}", "--out-dir", "{dir}"),
+    ("nash", "--v", "inf", "--c", "0.1", "--out", "{out}"),
+    # the first --z0 has run when the second is rejected
+    ("two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.3", "--z0=1.5",
+     "--out", "{out}", "--out-dir", "{dir}"),
+], ids=COMMANDS)
+def test_a_rejected_input_writes_nothing(tmp_path, capsys, argv):
+    paths = {"out": tmp_path / "report.txt", "dir": tmp_path / "out"}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_never_creates_the_directory_of_an_out_file(tmp_path, capsys):
+    # the trajectory CSV, written before the report, is kept
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main(["two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.3",
+              "--out-dir", str(tmp_path / "two"), "--out", str(missing / "x.json")])
+    assert exc.value.code == 2
+    assert str(missing / "x.json") in capsys.readouterr().err
+    assert not missing.exists()
+    assert [f.name for f in (tmp_path / "two").iterdir()] == ["hawk_share_000.csv"]

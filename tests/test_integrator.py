@@ -215,6 +215,19 @@ def test_projection_clamps_and_rescales_within_the_simplex_tolerance():
     assert _project(y) == (y, 0)
 
 
+def test_a_start_just_off_the_simplex_is_projected_before_the_first_step():
+    # Left as given, (1 + 1e-9, 0, 0) has w = -1e-9 and drifts further off
+    # the simplex, to w = -2.6e-4 at t_end = 50 (TimeLimit); projected, it
+    # is the vertex P5, where the field vanishes.
+    cfg = IntegrationConfig(t_end=50.0)
+    traj = batch_integrate(Params(-1.0, -1e-9), [(1.000000001, 0.0, 0.0)], cfg)[0]
+    assert traj.terminal is Terminal.CONVERGED
+    assert _same_bits(traj.samples, [[0.0, 1.0, 0.0, 0.0, 0.0]])
+    # a share in [-TOL_SIMPLEX, 0) starts at 0.0, as after a step
+    traj = batch_integrate(Params(0.1, 0.2), [(-1e-10, 0.5, 0.5)], cfg)[0]
+    assert _same_bits(traj.samples[0], [0.0, 0.0, 0.5, 0.5, 0.0])
+
+
 @pytest.mark.parametrize("v, c", [(5e-324, 1e-323), (1e-308, 2e-308),
                                   (1e300, 2e300), (1e307, 2e307)])
 def test_unrepresentable_physical_time_is_rejected(v, c):

@@ -178,6 +178,14 @@ def test_simulation_rejects_bad_start():
         simulate_hawk_share(Params(0.1, 0.2), 1.5)
 
 
+def test_a_share_just_outside_the_unit_interval_is_projected_before_the_first_step():
+    # Left as given, z0 = 1 + 1e-9 drifts away from z = 1, to 1.00026 at
+    # t_end = 50; projected, it starts on the equilibrium z = 1.
+    cfg = IntegrationConfig(t_end=50.0)
+    assert simulate_hawk_share(Params(-1.0, -1e-9), 1.000000001, cfg) == [(0.0, 1.0)]
+    assert simulate_hawk_share(Params(0.1, 0.2), -1e-10, cfg) == [(0.0, 0.0)]
+
+
 @pytest.mark.parametrize("v, c", [(0.1, 0.3), (0.3, 0.7), (2.0, 3.0), (1e-4, 3e-4)])
 @pytest.mark.parametrize("z0", [0.9, 0.05])
 def test_1d_oracle_follows_the_full_system_on_the_hh_dd_edge(v, c, z0):
