@@ -59,6 +59,12 @@ def _write_text(text: str, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _json_float(x):
+    """x, or None (JSON null) where x is None or not finite: strict JSON
+    has no Infinity or NaN."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _add_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v", type=float, required=True, help="resource value v")
     sub.add_argument("--c", type=float, required=True, help="contest cost c")
@@ -87,7 +93,8 @@ def cmd_equilibria(args) -> tuple:
         })
 
     if args.format == "json":
-        payload = {"v": p.v, "c": p.c, "equilibria": rows}
+        payload = {"v": p.v, "c": p.c, "equilibria": [
+            {**r, **{k: _json_float(r[k]) for k in "xyz"}} for r in rows]}
         text = json.dumps(payload, indent=2, default=str) + "\n"
     elif args.format == "csv":
         lines = ["id,x,y,z,defined,in_simplex,eig1,eig2,eig3,"
@@ -329,9 +336,9 @@ def cmd_two_strategy(args) -> tuple:
                      "limit form dz/dt = (v/2) z (1-z).")
     payload = {
         "v": p.v, "c": p.c,
-        "equilibria": [{"z": z, "tag": tag} for z, tag in classify_1d(p)],
+        "equilibria": [{"z": _json_float(z), "tag": tag} for z, tag in classify_1d(p)],
         "correspondence": [
-            {"label": e.label, "z": e.z, "matches": [m.value for m in e.matches],
+            {"label": e.label, "z": _json_float(e.z), "matches": [m.value for m in e.matches],
              "unmapped": not e.matches}
             for e in correspondence(p)
         ],
@@ -470,9 +477,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         text, out, files, code = args.func(args)
-        if files:
-            _out_dir(args.out_dir).mkdir(parents=True, exist_ok=True)
+        made = False
         for path, write in files:
+            # the output directory is made for the first file in it, so a
+            # file in a missing subdirectory fails with nothing created
+            if not made and path.parent == _out_dir(args.out_dir):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made = True
             write(path)
         if out:
             _write_text(text, out)

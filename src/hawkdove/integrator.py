@@ -21,36 +21,25 @@ first stage (FSAL) except on a lane that was just projected.  A lane
 leaves the batch when it converges, reaches the time limit or its step
 size underflows.  ``integrate`` is a batch of one.
 
-Every operation on a lane is elementwise and in the scalar order of
-``adaptive_integrate``, and the step-size factor uses the scalar libm
-``pow``.  So a lane's bits do not depend on which other starts share its
-batch, fixed inputs give bitwise-identical trajectories on a fixed
-platform, and swapping y and z in a start swaps those sample columns bit
-for bit.  Because each field component carries its own share as an exact
-factor, a share that starts at exactly zero stays exactly zero: boundary
-faces are invariant to the last bit.
+Every operation on a lane is elementwise and in the order of the scalar
+reference stepper, and the step-size factor uses the scalar libm ``pow``.
+So a lane's bits do not depend on which other starts share its batch,
+fixed inputs give bitwise-identical trajectories on a fixed platform, and
+swapping y and z in a start swaps those sample columns bit for bit.
+Because each field component carries its own share as an exact factor, a
+share that starts at exactly zero stays exactly zero: boundary faces are
+invariant to the last bit.
 
-Every stepper applies one simplex projection after each accepted step:
-shares in [-TOL_SIMPLEX, 0) are clamped to zero, then a share sum in
-(1, 1 + TOL_SIMPLEX] is rescaled to 1; each fix counts as a clamp.  For
-the 1D oracle's single share this clamps z to [0, 1], since z / z == 1.
-``batch_integrate`` and ``two_strategy.simulate_hawk_share`` also project
-each start before the first step (not counted as a clamp); the steppers
-take the start as given.
-
-``adaptive_integrate`` is the scalar driver over tuples, and the reference
-that both the lockstep stepper and ``integrate_hawk_share`` are tested
-against bit for bit.  ``integrate_hawk_share`` runs the 1D two-strategy
-oracle: the same Dormand-Prince step written out as straight-line float
-code for one share, with the rate inlined, since the oracle integrates one
-start per call and a single lane pays NumPy's per-call overhead.  On a
-2-core Xeon (Python 3.11, NumPy 2.4) one ``_lockstep`` lane took 5.8 ms
-for 41 step attempts, about 140 us each; ``adaptive_integrate`` takes
-about 18 us per step on the 1D rate and ``integrate_hawk_share`` about
-3.5 us.  The ``two-strategy`` command makes one run per ``--z0``; the
-benchmark's ``point_queries`` workload makes 238 per rep, which spent
-0.56 s in the 1D oracle through ``adaptive_integrate`` and 0.12 s through
-``integrate_hawk_share`` (traced, seed 1).
+Both steppers, ``_lockstep`` and the 1D kernel ``integrate_hawk_share``,
+keep one contract: project the start, take each step, project after each
+accepted step; the first sample is the projected start.  The projection
+clamps shares in [-TOL_SIMPLEX, 0) to zero, then rescales a share sum in
+(1, 1 + TOL_SIMPLEX] to 1; each fix after a step counts as a clamp.  For
+one share it clamps z to [0, 1], since z / z == 1.  The 1D kernel is the
+step written out as straight-line float code with the rate inlined: the
+two-strategy oracle runs one start per call, and a single lane pays NumPy's
+per-call overhead.  Both are tested bit for bit against the scalar
+stepper over tuples in ``tests/util.py``, which keeps the same contract.
 """
 
 from __future__ import annotations
@@ -61,7 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +64,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "batch_integrate",
-    "adaptive_integrate",
     "integrate_hawk_share",
     "CONVERGENCE_EPS",
     "random_interior_starts",
@@ -186,109 +174,18 @@ def time_scale(p: Params, t_end: float) -> tuple[int, Params]:
     return e, scaled
 
 
-def _norm_inf(vec: Sequence[float]) -> float:
-    return max(abs(t) for t in vec)
-
-
-def _project(y):
-    """(state, fixes): the simplex projection of a state tuple, in
-    ``_lockstep``'s order, with the sum taken as y0 + (y1 + y2)."""
-    clip = [-TOL_SIMPLEX <= t < 0.0 for t in y]
-    out = tuple(0.0 if c else t for c, t in zip(clip, y))
-    fixed = sum(clip)
-    total = out[0] + sum(out[1:])
-    if 1.0 < total <= 1.0 + TOL_SIMPLEX:
-        out, fixed = tuple(t / total for t in out), fixed + 1
-    return out, fixed
-
-
-def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig):
-    """Scalar adaptive embedded-pair driver over state tuples: the reference
-    for the lockstep stepper behind ``batch_integrate`` and for the 1D
-    kernel ``integrate_hawk_share``.
-
-    Every accepted step is followed by the simplex projection.  Returns
-    (samples, terminal, (accepted, rejected), clamp_count) with samples a
-    list of (t, state-tuple).
-    """
-    cfg = cfg.validate()
-    y = tuple(float(t) for t in y0)
-    t = 0.0
-    k1 = tuple(float(g) for g in rate(y))
-    samples = [(t, y)]
-    clamps = 0
-    accepted = rejected = 0
-    if _norm_inf(k1) < CONVERGENCE_EPS:
-        return samples, Terminal.CONVERGED, (0, 0), 0
-
-    h = min(cfg.max_step, cfg.t_end, 0.01 / (1.0 + _norm_inf(k1)))
-    last_recorded = 0.0
-    while True:
-        remaining = cfg.t_end - t
-        if remaining <= 1e-13 * max(1.0, cfg.t_end):
-            return samples, Terminal.TIME_LIMIT, (accepted, rejected), clamps
-        h = min(h, cfg.max_step, remaining)
-        if h < _H_UNDERFLOW:
-            return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
-
-        ks = [k1]
-        for coeffs in _STAGE_A[1:]:
-            ys = []
-            for i, yi in enumerate(y):
-                acc = 0.0
-                for a, k in zip(coeffs, ks):
-                    acc += a * k[i]
-                ys.append(yi + h * acc)
-            ys = tuple(ys)
-            ks.append(tuple(float(g) for g in rate(ys)))
-        y_new = ys  # stage 7 state uses the fifth-order weights
-        k7 = ks[6]
-
-        err = 0.0
-        for i in range(len(y)):
-            acc = 0.0
-            for e, k in zip(_ERR, ks):
-                acc += e * k[i]
-            err = max(err, abs(h * acc))
-        scale = cfg.atol + cfg.rtol * max(_norm_inf(y), _norm_inf(y_new))
-        ratio = err / scale
-
-        if ratio > 1.0:
-            rejected += 1
-            h *= max(0.2, 0.9 * ratio ** -0.2)
-            continue
-
-        accepted += 1
-        t = t + h
-        y, n_clamped = _project(y_new)
-        clamps += n_clamped
-        k1 = tuple(float(g) for g in rate(y)) if n_clamped else k7
-
-        if cfg.record_stride is None or t - last_recorded >= cfg.record_stride - 1e-12:
-            samples.append((t, y))
-            last_recorded = t
-        converged = _norm_inf(k1) < CONVERGENCE_EPS
-        if converged or t >= cfg.t_end:
-            if samples[-1][0] != t:
-                samples.append((t, y))
-            status = Terminal.CONVERGED if converged else Terminal.TIME_LIMIT
-            return samples, status, (accepted, rejected), clamps
-
-        factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-        h *= factor
-
-
 def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
     """Dormand-Prince 5(4) on the 1D two-strategy rate
     f(z) = 0.5 z (1 - z) (v - c z), from the Hawk share z0.
 
-    ``adaptive_integrate(lambda s: (f(s[0]),), (z0,), cfg)`` written out for
-    one share: the tableau is unpacked once, and each stage, the error sum,
-    the step control and the simplex projection are straight-line float
-    code doing the same operations in the same order, down to the 0.0 each
-    sum starts from and the zero coefficients, so every result is bit for
-    bit the same.  Returns (samples, terminal, (accepted, rejected),
-    clamp_count) with samples a list of (t, z).
+    The scalar reference stepper of the test suite, written out for one
+    share: the tableau is unpacked once, and the projection of the start,
+    each stage, the error sum, the step control and each step's projection
+    are straight-line float code doing the same operations in the same
+    order, down to the 0.0 each sum starts from and the zero coefficients,
+    so every result is bit for bit the same.  Returns (samples, terminal,
+    (accepted, rejected), clamp_count) with samples a list of (t, z), the
+    first being the projected z0.
     """
     cfg = cfg.validate()
     rtol, atol, t_end, max_step = cfg.rtol, cfg.atol, cfg.t_end, cfg.max_step
@@ -298,7 +195,11 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
     e1, e2, e3, e4, e5, e6, e7 = _ERR
     eps, h_min, tol, top = CONVERGENCE_EPS, _H_UNDERFLOW, TOL_SIMPLEX, 1.0 + TOL_SIMPLEX
 
+    # the projection of one share: clamp [-tol, 0) to 0, rescale
+    # (1, 1 + tol] by itself, which gives exactly 1
     y = float(z0)
+    if -tol <= y < 0.0 or 1.0 < y <= top:
+        y = 0.0 if y < 0.0 else 1.0
     t = 0.0
     k1 = 0.5 * y * (1.0 - y) * (v - c * y)
     samples = [(t, y)]
@@ -343,8 +244,6 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
 
         accepted += 1
         t = t + h
-        # the projection of one share: clamp [-tol, 0) to 0, rescale
-        # (1, 1 + tol] by itself, which gives exactly 1
         y, k1 = y_new, k7
         if -tol <= y < 0.0 or 1.0 < y <= top:
             y = 0.0 if y < 0.0 else 1.0
@@ -368,11 +267,11 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
 def _step_factors(ratio: np.ndarray) -> np.ndarray:
     """Per-lane step-size multipliers after an attempt with these error ratios.
 
-    Equal, value for value, to ``adaptive_integrate``'s
-    ``min(5.0, max(0.2, 0.9 * ratio ** -0.2))`` (5.0 at ratio 0).  The power
-    is the scalar libm ``pow``, as there: NumPy's vectorised ``power`` may
-    round differently, and then a lane's bits would depend on its batch.
-    ``fmax`` returns 0.2 for a NaN, as ``max(0.2, nan)`` does.
+    Equal, value for value, to ``min(5.0, max(0.2, 0.9 * ratio ** -0.2))``
+    (5.0 at ratio 0), the factor of the scalar steppers.  The power is the
+    scalar libm ``pow``, as there: NumPy's vectorised ``power`` may round
+    differently, and then a lane's bits would depend on its batch.  ``fmax``
+    returns 0.2 for a NaN, as ``max(0.2, nan)`` does.
     """
     safe = np.where(ratio == 0.0, 1.0, ratio).tolist()
     powered = np.fromiter(map(pow, safe, repeat(-0.2)), float, len(safe))
@@ -396,22 +295,38 @@ def _combine(terms, ks):
     return acc
 
 
-def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
+def _project_rows(y: np.ndarray) -> np.ndarray:
+    """Project each row of the (N, 3) array ``y`` onto the simplex in place,
+    with the row sum taken as y0 + (y1 + y2); returns the fixes per row.
+    """
+    clip = (y >= -TOL_SIMPLEX) & (y < 0.0)
+    y[clip] = 0.0
+    total = y[:, 0] + (y[:, 1] + y[:, 2])
+    over = (total > 1.0) & (total <= 1.0 + TOL_SIMPLEX)
+    if over.any():
+        y[over] /= total[over, None]
+    return clip.sum(axis=1) + over
+
+
+def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
     """Dormand-Prince 5(4) on every start at once, one lane per row.
 
-    Each lane keeps its own t and h and takes exactly the steps
-    ``adaptive_integrate`` takes from that start: every operation is
+    Each lane keeps its own t and h and takes exactly the steps the scalar
+    reference stepper takes from that start: every operation is
     elementwise, in the scalar order, so a lane's bits do not depend on
-    which other starts share the batch.  A lane retires on convergence, at
-    the time limit or on step underflow.
+    which other starts share the batch.  The starts are projected first
+    (not counted as a clamp).  A lane retires on convergence, at the time
+    limit or on step underflow.
 
     Returns per start (samples (n, 5), terminal, accepted, rejected, clamps),
     with t in the time of the field of ``p``.
     """
     n = len(starts)
     out: list = [None] * n
-    # Samples as flat (t, x, y, z) runs; the first is the start as given.
-    bufs = [array("d", (0.0, *row)) for row in starts.tolist()]
+    y = np.array(starts, dtype=float)
+    _project_rows(y)
+    # Samples as flat (t, x, y, z) runs; the first is the projected start.
+    bufs = [array("d", (0.0, *row)) for row in y.tolist()]
 
     def retire(idx, terminal):
         for i in idx.tolist():
@@ -423,7 +338,7 @@ def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
                             int(clamps[i]))
 
     # +0.0 turns -0.0 into 0.0; the scalar path does that in its first step.
-    y = starts + 0.0
+    y += 0.0
     k1 = field_3d_rows(p, y)
     lane = np.arange(n)
     t = np.zeros(n)
@@ -470,14 +385,7 @@ def _lockstep(p: Params, starts: np.ndarray, cfg: IntegrationConfig):
         accepted += ok
         t = np.where(ok, t + h, t)
 
-        # Clamp shares in [-tol, 0) to zero, then rescale a sum in (1, 1 + tol].
-        clip = (y_new >= -TOL_SIMPLEX) & (y_new < 0.0)
-        y_new[clip] = 0.0
-        total = y_new[:, 0] + (y_new[:, 1] + y_new[:, 2])
-        over = (total > 1.0) & (total <= 1.0 + TOL_SIMPLEX)
-        if over.any():
-            y_new[over] /= total[over, None]
-        fixed = np.where(ok, clip.sum(axis=1) + over, 0)
+        fixed = np.where(ok, _project_rows(y_new), 0)
         clamps += fixed
         redo = fixed > 0
         if redo.any():
@@ -515,9 +423,9 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     reduced coordinates), the distance to it and the final scaled field
     norm; on convergence that point is also attached as ``nearest`` if it
     lies within 1e-3.  A trajectory does not depend on which other starts
-    share the batch.  Each start first goes through the projection that
-    follows every step, so a start within TOL_SIMPLEX of the simplex
-    begins, and is recorded, on it.
+    share the batch.  The stepper projects each start as it projects every
+    step, so a start within TOL_SIMPLEX of the simplex begins, and is
+    recorded, on it.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -528,8 +436,7 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     if not len(starts):
         return []
     e, scaled = time_scale(p, cfg.t_end)
-    y0 = np.array([_project(tuple(float(t) for t in s0))[0] for s0 in starts])
-    lanes = _lockstep(scaled, y0, cfg)
+    lanes = _lockstep(scaled, starts, cfg)
 
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     ids = list(compress(EQUILIBRIUM_IDS, defined))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
 from .game_core import Params, TOL_SIMPLEX, unit_scale
-from .integrator import IntegrationConfig, _project, integrate_hawk_share, time_scale
+from .integrator import IntegrationConfig, integrate_hawk_share, time_scale
 from .linear_analysis import zero_tol
 
 __all__ = [
@@ -105,19 +105,17 @@ def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, flo
 
     Steps the rate at (v, c) / s in dimensionless time (see
     ``integrator.time_scale``) with ``integrator.integrate_hawk_share``, the
-    scalar Dormand-Prince kernel that is bit-identical to the full-game
-    reference stepper ``adaptive_integrate``: the samples carry physical
-    time, and at 2^m (v, c) the shares are bit-identical and t scales by
-    exactly 2^-m.  The start and every step are clamped to [0, 1] by the
-    simplex projection, so the first sample is the projected z0.  Raises
-    ValueError when z0 lies more than TOL_SIMPLEX outside [0, 1], or where
-    physical time cannot be represented (see ``integrator.time_scale``).
+    scalar Dormand-Prince kernel: the samples carry physical time, and at
+    2^m (v, c) the shares are bit-identical and t scales by exactly 2^-m.
+    The kernel clamps the start and every step to [0, 1] with the simplex
+    projection, so the first sample is the projected z0.  Raises ValueError
+    when z0 lies more than TOL_SIMPLEX outside [0, 1], or where physical
+    time cannot be represented (see ``integrator.time_scale``).
     """
     p = Params(*p).validate()
     z0 = float(z0)
     if not -TOL_SIMPLEX <= z0 <= 1.0 + TOL_SIMPLEX:
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
-    (z0,), _fixes = _project((z0,))
     cfg = (cfg or IntegrationConfig()).validate()
     e, (v, c) = time_scale(p, cfg.t_end)
     samples, _terminal, _nsteps, _clamps = integrate_hawk_share(v, c, z0, cfg)

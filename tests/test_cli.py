@@ -312,10 +312,9 @@ _EXTREMES = [("1e308", "1e308"), ("6e307", "1e307"), ("1e308", "-1e308"),
              ("-1e308", "1e308"), ("5e-324", "1e-323")]
 
 
-# at (1e300, 1e-300) v/c overflows; two-strategy prints it as Infinity there
 @pytest.mark.parametrize("command, v, c", [
     *((command, v, c) for command in ("nash", "two-strategy") for v, c in _EXTREMES),
-    ("nash", "1e300", "1e-300")])
+    ("nash", "1e300", "1e-300"), ("two-strategy", "1e300", "1e-300")])
 def test_extreme_parameters_give_strict_json_without_warnings(capsys, command, v, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -334,13 +333,15 @@ def test_equilibria_where_v_over_c_overflows_gives_no_warning(capsys, fmt):
         code, out = run(capsys, "equilibria", "--v=1e300", "--c=1e-300", "--format", fmt)
     assert code == 0
     if fmt == "json":
-        rows = json.loads(out)["equilibria"]
+        rows = _strict_json(out)["equilibria"]
         assert [r["classification"] for r in rows] == [
             "Degenerate", "Degenerate", "Undefined", "Degenerate", "StableNode", "Undefined",
             "UnstableNode"]
         # the v/c points are infinite: a nan gap between them coincides with nothing
         assert [r["coincides_with"] for r in rows] == ["-"] * 7
-        assert (rows[2]["y"], rows[5]["x"]) == (math.inf, math.inf)
+        # an infinite coordinate is written as null
+        assert [(r["x"], r["y"], r["z"]) for r in (rows[2], rows[5])] == [
+            (0.0, None, None), (None, 0.0, 0.0)]
 
 
 def test_nash_reports(capsys):
@@ -589,6 +590,22 @@ def test_a_rejected_input_writes_nothing(tmp_path, capsys, argv):
         main([a.format(**paths) for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("svg", [(), ("--svg",)], ids=["csv", "csv-and-svg"])
+def test_a_file_in_a_missing_subdirectory_leaves_no_out_dir(tmp_path, capsys, svg):
+    # the output directory is made only for a file directly in it, and the
+    # CSV, written first, fails
+    new = tmp_path / "new"
+    with pytest.raises(SystemExit) as exc:
+        main(["bifurcation", "--nv", "3", "--nc", "3", "--out", "sub/x.csv",
+              "--out-dir", str(new), *svg])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hawkdove")
+    assert err.endswith("hawkdove: error: [Errno 2] No such file or directory: "
+                        f"{str(new / 'sub' / 'x.csv')!r}\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -19,12 +19,13 @@ from hawkdove import (
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.integrator import (
     CONVERGENCE_EPS,
-    _project,
-    adaptive_integrate,
+    _project_rows,
     time_scale,
     trajectory_sidecar,
     write_trajectory_csv,
 )
+
+from util import _project, adaptive_integrate
 
 
 def _same_bits(a, b):
@@ -107,11 +108,12 @@ def test_batch_matches_individual_calls_and_preserves_order():
     # Mixed lanes: converged at step 0 (P2), a y = 0 face start (as -0.0)
     # and interior starts, at a preset, at the (2, 3) preset, whose field is
     # divided by s = 4, at a time limit short enough to end its lanes there,
-    # and under a step size that underflows.  Comparing a batch of five with
+    # and under a step size that underflows.  Comparing a batch of eight with
     # batches of one and with the scalar driver on the scaled field also
     # checks the ratio ** -0.2 step factor, which a vectorised pow may round
-    # differently.
-    starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11)]
+    # differently.  The last three starts need projecting first.
+    starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11),
+              (-1e-10, 0.5, 0.5), (-0.0, 0.3, 0.3), (1.000000001, 0.0, 0.0)]
     seen = set()
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig()),
@@ -192,27 +194,43 @@ def test_every_terminal_records_its_closest_point():
                 (traj.closest.value, traj.closest_distance, traj.final_field_norm)
 
 
-def test_projection_clamps_and_rescales_within_the_simplex_tolerance():
+def _projection_cases():
+    """(shares, projected shares, fixes)"""
     tol = TOL_SIMPLEX
     # one share, as the 1D oracle steps it: clamped to [0, 1]
-    assert _project((-tol,)) == ((0.0,), 1)
-    assert _project((-0.5 * tol,)) == ((0.0,), 1)
-    assert _project((-2 * tol,)) == ((-2 * tol,), 0)
-    assert _project((1.0 + tol,)) == ((1.0,), 1)
-    assert _project((1.0 + 2 * tol,)) == ((1.0 + 2 * tol,), 0)
-    assert _project((0.5,)) == ((0.5,), 0)
+    yield (-tol,), (0.0,), 1
+    yield (-0.5 * tol,), (0.0,), 1
+    yield (-2 * tol,), (-2 * tol,), 0
+    yield (1.0 + tol,), (1.0,), 1
+    yield (1.0 + 2 * tol,), (1.0 + 2 * tol,), 0
+    yield (0.5,), (0.5,), 0
     # three shares: each clamp counts, and the rescale counts once
-    assert _project((-tol, 0.5, -0.5 * tol)) == ((0.0, 0.5, 0.0), 2)
-    assert _project((-2 * tol, 0.5, 0.25)) == ((-2 * tol, 0.5, 0.25), 0)
+    yield (-tol, 0.5, -0.5 * tol), (0.0, 0.5, 0.0), 2
+    yield (-2 * tol, 0.5, 0.25), (-2 * tol, 0.5, 0.25), 0
     y = (0.5, 0.25, 0.25 + tol)
     total = y[0] + (y[1] + y[2])
     assert 1.0 < total <= 1.0 + tol
-    assert _project(y) == (tuple(t / total for t in y), 1)
+    yield y, tuple(t / total for t in y), 1
     y = (-tol, 0.5, 0.5 + 0.5 * tol)
     total = 0.5 + (0.5 + 0.5 * tol)
-    assert _project(y) == ((0.0, 0.5 / total, (0.5 + 0.5 * tol) / total), 2)
+    yield y, (0.0, 0.5 / total, (0.5 + 0.5 * tol) / total), 2
     y = (0.5, 0.25, 0.25 + 2 * tol)
-    assert _project(y) == (y, 0)
+    yield y, y, 0
+
+
+def test_projection_clamps_and_rescales_within_the_simplex_tolerance():
+    for shares, projected, fixes in _projection_cases():
+        assert _project(shares) == (projected, fixes), shares
+
+
+def test_the_library_projection_matches_the_reference_on_3_share_rows():
+    # one share z is the row (z, 0, 0): the same clamp, and z / z for the
+    # rescale; every case in one array, as the lockstep projects its lanes
+    cases = list(_projection_cases())
+    rows = np.array([(*shares, 0.0, 0.0)[:3] for shares, _, _ in cases])
+    fixes = _project_rows(rows)
+    assert _same_bits(rows, [(*projected, 0.0, 0.0)[:3] for _, projected, _ in cases])
+    assert fixes.tolist() == [n for _, _, n in cases]
 
 
 def test_a_start_just_off_the_simplex_is_projected_before_the_first_step():

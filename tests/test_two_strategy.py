@@ -7,12 +7,11 @@ from hawkdove import (Params, catalog, classify_1d, correspondence, f, f_prime, 
                       simulate_hawk_share)
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.game_core import TOL_SIMPLEX
-from hawkdove.integrator import (IntegrationConfig, Terminal, adaptive_integrate,
-                                 integrate_hawk_share, time_scale)
+from hawkdove.integrator import IntegrationConfig, Terminal, integrate_hawk_share, time_scale
 from hawkdove.linear_analysis import zero_tol
 from hawkdove.two_strategy import equilibria_1d, two_strategy_payoff_matrix
 
-from util import rand_params
+from util import adaptive_integrate, rand_params
 
 
 def test_boundary_shares_are_equilibria():
@@ -142,9 +141,12 @@ def _bits(samples):
 def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
     # v = c, c = 0, v = 0, c = 2v and off every line, each with both signs,
     # at magnitudes 2^-1000 .. 2^960, stepped at time_scale's (v, c) as the
-    # oracle steps them; every start the oracle accepts; a run that
-    # converges, one that hits the time limit (t_end = 5), one whose step
-    # underflows (max_step = 1e-15), and runs with and without a stride
+    # oracle steps them; every start the oracle accepts, with starts that
+    # need projecting first at both ends of [0, 1], and starts just beyond
+    # the tolerance, left alone until a step brings them within it and
+    # clamps them there; a run that converges, one that hits the time limit
+    # (t_end = 5), one whose step underflows (max_step = 1e-15), and runs
+    # with and without a stride
     bases = [(1.0, 1.0), (0.7, 0.0), (0.0, 0.7), (0.3, 0.6), (0.3, 0.7), (-0.45, 0.2),
              (-1.0, -1.0), (-0.7, 0.0), (0.0, -0.7), (-0.3, -0.6), (0.8, -0.1)]
     configs = (IntegrationConfig(), IntegrationConfig(t_end=5.0),
@@ -156,7 +158,8 @@ def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
     for k in range(-1000, 961, 490):
         for bv, bc in bases:
             p = Params(math.ldexp(bv, k), math.ldexp(bc, k))
-            for z0 in (0.0, 1.0, -TOL_SIMPLEX, 1.0 + TOL_SIMPLEX, float(rng.random())):
+            for z0 in (0.0, 1.0, -TOL_SIMPLEX, 1.0 + TOL_SIMPLEX, float(rng.random()),
+                       -5e-10, 1.0 + 5e-10, -2 * TOL_SIMPLEX, 1.0 + 2 * TOL_SIMPLEX):
                 for cfg in configs:
                     _e, scaled = time_scale(p, cfg.t_end)
                     ref, terminal, steps, n_clamped = adaptive_integrate(

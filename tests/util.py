@@ -1,10 +1,22 @@
-"""Shared test helpers: samplers and closed-form eigenvalue oracles."""
+"""Shared test helpers: samplers, closed-form eigenvalue oracles and the
+scalar reference stepper."""
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
 from hawkdove import Params
+from hawkdove.game_core import TOL_SIMPLEX
+from hawkdove.integrator import (
+    _ERR,
+    _H_UNDERFLOW,
+    _STAGE_A,
+    CONVERGENCE_EPS,
+    IntegrationConfig,
+    Terminal,
+)
 
 
 def rand_params(rng, lo=-1.0, hi=1.0, c_min=0.0, line_margin=0.0) -> Params:
@@ -56,3 +68,98 @@ def multiset_close(got, expected, tol: float) -> bool:
     gs = sorted(g.real for g in got)
     es = sorted(float(e) for e in expected)
     return max(abs(a - b) for a, b in zip(gs, es)) <= tol
+
+
+# Scalar reference stepper: the library's steppers are tested against it
+# bit for bit.
+def _norm_inf(vec: Sequence[float]) -> float:
+    return max(abs(t) for t in vec)
+
+
+def _project(y):
+    """(state, fixes): the simplex projection of a state tuple, in the
+    library's order, with the sum taken as y0 + (y1 + y2)."""
+    clip = [-TOL_SIMPLEX <= t < 0.0 for t in y]
+    out = tuple(0.0 if c else t for c, t in zip(clip, y))
+    fixed = sum(clip)
+    total = out[0] + sum(out[1:])
+    if 1.0 < total <= 1.0 + TOL_SIMPLEX:
+        out, fixed = tuple(t / total for t in out), fixed + 1
+    return out, fixed
+
+
+def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig):
+    """Scalar adaptive embedded-pair stepper over state tuples: the reference
+    for the lockstep stepper behind ``batch_integrate`` and for the 1D
+    kernel ``integrate_hawk_share``, which are compared with it bit for bit.
+
+    The start is projected onto the simplex (not counted as a clamp), and
+    so is every accepted step.  Returns (samples, terminal, (accepted,
+    rejected), clamp_count) with samples a list of (t, state-tuple), the
+    first being the projected start.
+    """
+    cfg = cfg.validate()
+    y, _fixes = _project(tuple(float(t) for t in y0))
+    t = 0.0
+    k1 = tuple(float(g) for g in rate(y))
+    samples = [(t, y)]
+    clamps = 0
+    accepted = rejected = 0
+    if _norm_inf(k1) < CONVERGENCE_EPS:
+        return samples, Terminal.CONVERGED, (0, 0), 0
+
+    h = min(cfg.max_step, cfg.t_end, 0.01 / (1.0 + _norm_inf(k1)))
+    last_recorded = 0.0
+    while True:
+        remaining = cfg.t_end - t
+        if remaining <= 1e-13 * max(1.0, cfg.t_end):
+            return samples, Terminal.TIME_LIMIT, (accepted, rejected), clamps
+        h = min(h, cfg.max_step, remaining)
+        if h < _H_UNDERFLOW:
+            return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
+
+        ks = [k1]
+        for coeffs in _STAGE_A[1:]:
+            ys = []
+            for i, yi in enumerate(y):
+                acc = 0.0
+                for a, k in zip(coeffs, ks):
+                    acc += a * k[i]
+                ys.append(yi + h * acc)
+            ys = tuple(ys)
+            ks.append(tuple(float(g) for g in rate(ys)))
+        y_new = ys  # stage 7 state uses the fifth-order weights
+        k7 = ks[6]
+
+        err = 0.0
+        for i in range(len(y)):
+            acc = 0.0
+            for e, k in zip(_ERR, ks):
+                acc += e * k[i]
+            err = max(err, abs(h * acc))
+        scale = cfg.atol + cfg.rtol * max(_norm_inf(y), _norm_inf(y_new))
+        ratio = err / scale
+
+        if ratio > 1.0:
+            rejected += 1
+            h *= max(0.2, 0.9 * ratio ** -0.2)
+            continue
+
+        accepted += 1
+        t = t + h
+        y, n_clamped = _project(y_new)
+        clamps += n_clamped
+        k1 = tuple(float(g) for g in rate(y)) if n_clamped else k7
+
+        if cfg.record_stride is None or t - last_recorded >= cfg.record_stride - 1e-12:
+            samples.append((t, y))
+            last_recorded = t
+        converged = _norm_inf(k1) < CONVERGENCE_EPS
+        if converged or t >= cfg.t_end:
+            if samples[-1][0] != t:
+                samples.append((t, y))
+            status = Terminal.CONVERGED if converged else Terminal.TIME_LIMIT
+            return samples, status, (accepted, rejected), clamps
+
+        factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+        h *= factor
