@@ -14,11 +14,11 @@ preallocated int8 array, so its temporaries stay bounded on any grid.
 An axis node within rounding of zero is put exactly on zero, so the lines
 c = 0 and v = 0 pass through nodes on every box that straddles them.
 A box too wide for ``hi - lo`` to be finite is spaced at half scale.
-Changed edges are found by comparing shifted code arrays, and lines are
-attributed only on those, in one array pass over all of them.
-``detect_transitions`` aggregates that edge table with one integer key
-per changed (edge, equilibrium) and ``np.unique`` per line;
-``transition_pairs`` lists the same table pair by pair.
+``detect_transitions`` finds changed edges by comparing shifted code
+arrays and attributes lines only on those, in one array pass over all of
+them; an edge midpoint whose sum overflows is halved before it is summed,
+so it stays finite at the top of the float range.  It aggregates with one
+integer key per changed (edge, equilibrium) and ``np.unique`` per line.
 ``write_region_csv`` formats each axis value and each distinct tag row
 once; its bytes match a cell-by-cell writer's.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,16 +45,13 @@ from .equilibrium_catalog import (
     classification_codes,
 )
 from .game_core import Params
-from .linear_analysis import Classification
 
 __all__ = [
     "LineId",
     "GridSpec",
     "RegionMap",
     "BifurcationLine",
-    "TransitionPair",
     "scan",
-    "transition_pairs",
     "detect_transitions",
     "linearized_field",
     "write_region_csv",
@@ -99,12 +96,6 @@ class RegionMap:
     c_values: np.ndarray          # (n_c,)
     codes: np.ndarray             # (n_v, n_c, 7) int8 indexing CLASS_BY_CODE
 
-    def tag(self, i: int, j: int, eq: EquilibriumId) -> Classification:
-        return CLASS_BY_CODE[self.codes[i, j, EQUILIBRIUM_IDS.index(eq)]]
-
-    def tags(self, i: int, j: int) -> tuple[Classification, ...]:
-        return tuple(CLASS_BY_CODE[k] for k in self.codes[i, j])
-
 
 # Nodes classified per chunk of whole rows: about 8192 point
 # classifications, seven per node, bounds the scan's temporaries whatever
@@ -148,94 +139,14 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
 
-# The four lines in report order, each as a signed value at (v, c) and the
+# The four lines in LineId order, each as a signed value at (v, c) and the
 # norm of its gradient; a fifth column of the line mask is UNEXPLAINED.
-_LINES = tuple(LineId)[:4]
 _LINE_NORMS = np.array([math.sqrt(2.0), 1.0, 1.0, math.sqrt(5.0)])
 
 
 def _line_values(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(E, 4): v - c, c, v and c - 2v at each point."""
     return np.stack([v - c, c, v, c - 2.0 * v], axis=-1)
-
-
-class TransitionPair(NamedTuple):
-    """One adjacent-node classification change, before aggregation."""
-
-    node_a: tuple[float, float]
-    node_b: tuple[float, float]
-    eq: EquilibriumId
-    tags: tuple[Classification, Classification]
-    lines: tuple[LineId, ...]     # empty = unexplained
-
-
-class _EdgeTable(NamedTuple):
-    node_a: np.ndarray     # (E, 2) grid indices (i, j) of the lower node
-    node_b: np.ndarray     # (E, 2) the upper node, (i + 1, j) or (i, j + 1)
-    codes_a: np.ndarray    # (E, 7)
-    codes_b: np.ndarray    # (E, 7)
-    lines: np.ndarray      # (E, 5) bool, columns in LineId order
-
-
-def _edge_table(m: RegionMap) -> _EdgeTable:
-    """Every changed edge with the lines it crosses.
-
-    Edges come row-major in the lower node (i, j), the edge to (i + 1, j)
-    before the edge to (i, j + 1).  A line is crossed when its signed value
-    changes sign over the edge or an end node lies on it, within a
-    tolerance relative to the edge's nodes (so a box scaled by k gives the
-    same lines); of the crossed lines, those nearest the edge's midpoint
-    are reported, every one of them on a tie near the origin.  An edge that
-    crosses none is UNEXPLAINED.
-    """
-    codes = m.codes
-    step = np.zeros((m.spec.n_v, m.spec.n_c, 2), dtype=bool)
-    step[:-1, :, 0] = (codes[1:] != codes[:-1]).any(axis=-1)
-    step[:, :-1, 1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
-    i, j, along_c = np.nonzero(step)
-    i2, j2 = i + (1 - along_c), j + along_c
-    va, ca = m.v_values[i], m.c_values[j]
-    vb, cb = m.v_values[i2], m.c_values[j2]
-    on_tol = 1e-12 * np.maximum.reduce([np.abs(va), np.abs(ca), np.abs(vb), np.abs(cb)])
-    # sums and products of huge nodes overflow to inf, as Python floats do
-    with np.errstate(over="ignore", invalid="ignore"):
-        fa, fb = _line_values(va, ca), _line_values(vb, cb)
-        crossed = (fa * fb <= 0.0) | (np.minimum(np.abs(fa), np.abs(fb)) <= on_tol[:, None])
-        dist = np.abs(_line_values(0.5 * (va + vb), 0.5 * (ca + cb))) / _LINE_NORMS
-    # Python's min over the crossed lines in order: the first one's distance
-    # (NaN at an overflowed midpoint, which then matches no line), replaced
-    # only by a smaller one.
-    dmin = np.full(len(i), np.inf)
-    seen = np.zeros(len(i), dtype=bool)
-    for k in range(len(_LINES)):
-        take = crossed[:, k] & (~seen | (dist[:, k] < dmin))
-        dmin[take] = dist[take, k]
-        seen |= crossed[:, k]
-    near = crossed & (dist <= (dmin + on_tol)[:, None])
-    return _EdgeTable(
-        node_a=np.stack([i, j], axis=-1), node_b=np.stack([i2, j2], axis=-1),
-        codes_a=codes[i, j], codes_b=codes[i2, j2],
-        lines=np.column_stack([near, ~near.any(axis=1)]))
-
-
-def transition_pairs(m: RegionMap) -> Iterator[TransitionPair]:
-    """All adjacent-node classification changes with their crossed lines.
-
-    Built from the same edge table as ``detect_transitions``.  Pairs come
-    row-major in the lower node (i, j), the edge to (i + 1, j) before the
-    edge to (i, j + 1), equilibria in catalog order.
-    """
-    t = _edge_table(m)
-    v_list, c_list = m.v_values.tolist(), m.c_values.tolist()
-    lines = [tuple(line for line, hit in zip(_LINES, row) if hit)
-             for row in t.lines[:, :4].tolist()]
-    for e, k in np.argwhere(t.codes_a != t.codes_b).tolist():
-        (i, j), (i2, j2) = t.node_a[e].tolist(), t.node_b[e].tolist()
-        yield TransitionPair(
-            node_a=(v_list[i], c_list[j]), node_b=(v_list[i2], c_list[j2]),
-            eq=EQUILIBRIUM_IDS[k],
-            tags=(CLASS_BY_CODE[t.codes_a[e, k]], CLASS_BY_CODE[t.codes_b[e, k]]),
-            lines=lines[e])
 
 
 @dataclass(frozen=True)
@@ -254,19 +165,46 @@ def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     """Aggregate classification changes per destabilization line.
 
     Each affected entry is (equilibrium, "TagA<->TagB") with the tag pair
-    in alphabetical order.  Changes whose node segment crosses none of the
-    four lines are collected under UNEXPLAINED for manual review.  Every
-    changed (edge, equilibrium) gets one integer key, from the equilibrium
-    and the tag pair, and each line takes the distinct keys of its edges.
+    in alphabetical order.  A line is crossed by an edge between adjacent
+    nodes when its signed value changes sign over the edge or an end node
+    lies on it, within a tolerance relative to the edge's nodes (so a box
+    scaled by k gives the same lines); of the crossed lines, those nearest
+    the edge's midpoint are reported, every one of them on a tie near the
+    origin.  Changes on an edge that crosses none of the four lines are
+    collected under UNEXPLAINED for manual review.  Every changed (edge,
+    equilibrium) gets one integer key, from the equilibrium and the tag
+    pair, and each line takes the distinct keys of its edges.
     """
-    t = _edge_table(m)
-    e, k = np.nonzero(t.codes_a != t.codes_b)
-    ra, rb = _TAG_RANK[t.codes_a[e, k]], _TAG_RANK[t.codes_b[e, k]]
+    codes = m.codes
+    step = np.zeros((m.spec.n_v, m.spec.n_c, 2), dtype=bool)
+    step[:-1, :, 0] = (codes[1:] != codes[:-1]).any(axis=-1)
+    step[:, :-1, 1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
+    i, j, along_c = np.nonzero(step)
+    i2, j2 = i + (1 - along_c), j + along_c
+    va, ca = m.v_values[i], m.c_values[j]
+    vb, cb = m.v_values[i2], m.c_values[j2]
+    on_tol = 1e-12 * np.maximum.reduce([np.abs(va), np.abs(ca), np.abs(vb), np.abs(cb)])
+    # sums and products of huge nodes overflow to inf, as Python floats do.
+    # A midpoint whose sum overflows is halved before summing, so no distance
+    # is NaN; only there, since halving a subnormal rounds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa, fb = _line_values(va, ca), _line_values(vb, cb)
+        crossed = (fa * fb <= 0.0) | (np.minimum(np.abs(fa), np.abs(fb)) <= on_tol[:, None])
+        mid_v, mid_c = (np.where(np.isfinite(a + b), 0.5 * (a + b), 0.5 * a + 0.5 * b)
+                        for a, b in ((va, vb), (ca, cb)))
+        dist = np.abs(_line_values(mid_v, mid_c)) / _LINE_NORMS
+    dmin = np.where(crossed, dist, np.inf).min(axis=1)
+    near = crossed & (dist <= (dmin + on_tol)[:, None])
+    lines = np.column_stack([near, ~near.any(axis=1)])
+
+    codes_a, codes_b = codes[i, j], codes[i2, j2]
+    e, k = np.nonzero(codes_a != codes_b)
+    ra, rb = _TAG_RANK[codes_a[e, k]], _TAG_RANK[codes_b[e, k]]
     n = len(_TAG_NAMES)
     key = (k * n + np.minimum(ra, rb)) * n + np.maximum(ra, rb)
     out = []
     for col, line in enumerate(LineId):
-        keys = np.unique(key[t.lines[e, col]]).tolist()
+        keys = np.unique(key[lines[e, col]]).tolist()
         if keys:
             affected = sorted(
                 ((EQUILIBRIUM_IDS[q // (n * n)], f"{_TAG_NAMES[q // n % n]}<->{_TAG_NAMES[q % n]}")

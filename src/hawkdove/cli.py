@@ -95,7 +95,7 @@ def cmd_equilibria(args) -> tuple:
     if args.format == "json":
         payload = {"v": p.v, "c": p.c, "equilibria": [
             {**r, **{k: _json_float(r[k]) for k in "xyz"}} for r in rows]}
-        text = json.dumps(payload, indent=2, default=str) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         lines = ["id,x,y,z,defined,in_simplex,eig1,eig2,eig3,"
                  "classification,paper_region_class,paper_agrees,coincides_with"]

@@ -66,9 +66,13 @@ def equilibria_1d(p: Params) -> list[float]:
 
 def _tag(p: Params, z: float) -> str:
     # at (v, c) / 2^e, exact, so 2v cannot overflow and a subnormal (v, c)
-    # keeps its bits; the sign and the zero test do not change
+    # keeps its bits; the sign and the zero test do not change.  Where v/c
+    # nears the top of the float range or overflows, the expanded f' is
+    # inf - inf or inf; f'(v/c) = z(v - c)/2 keeps its sign.
     _e, unit = unit_scale(p)
     fp = f_prime(unit, z)
+    if not math.isfinite(fp):
+        fp = 0.5 * z * (unit.v - unit.c)
     if abs(fp) <= zero_tol(*unit):
         return "degenerate"
     return "stable" if fp < 0 else "unstable"

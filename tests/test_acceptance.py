@@ -20,6 +20,7 @@ from hawkdove import (
     best_response_check,
     catalog,
     consistency_residual,
+    detect_transitions,
     eigenvalues,
     f_prime,
     field_3d,
@@ -30,7 +31,7 @@ from hawkdove import (
     scan,
     simulate_hawk_share,
 )
-from hawkdove.bifurcation import DEFAULT_GRID, transition_pairs
+from hawkdove.bifurcation import DEFAULT_GRID, LineId
 from hawkdove.equilibrium_catalog import (
     CODE_BY_CLASS,
     EquilibriumId,
@@ -197,15 +198,7 @@ def test_criterion_8_bifurcation_map():
     with criterion(8, "201x201 region map: runtime, attribution, P5 half-plane",
                    budget_s=10.0):
         m = scan(DEFAULT_GRID)
-        step = (DEFAULT_GRID.v_max - DEFAULT_GRID.v_min) / (DEFAULT_GRID.n_v - 1)
-        unattributed = []
-        for pair in transition_pairs(m):
-            near_origin = min(
-                max(abs(pair.node_a[0]), abs(pair.node_a[1])),
-                max(abs(pair.node_b[0]), abs(pair.node_b[1]))) <= step + 1e-12
-            if not pair.lines and not near_origin:
-                unattributed.append(pair)
-        assert unattributed == []
+        assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
         k5 = list(EquilibriumId).index(EquilibriumId.P5)
         vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
         stable = m.codes[:, :, k5] == CODE_BY_CLASS[Classification.STABLE_NODE]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from hawkdove.bifurcation import (
     DEFAULT_GRID,
     GridSpec,
     LineId,
-    TransitionPair,
-    transition_pairs,
     write_region_csv,
 )
 from hawkdove.cli import _REGION_COLORS, _region_svg
@@ -30,7 +29,11 @@ EQS = list(EquilibriumId)
 
 
 def tag_at(m, i, j, eq):
-    return m.tag(i, j, eq)
+    return CLASS_BY_CODE[m.codes[i, j, EQS.index(eq)]]
+
+
+def tags_at(m, i, j):
+    return tuple(CLASS_BY_CODE[k] for k in m.codes[i, j])
 
 
 def test_scan_shape_2x2():
@@ -121,7 +124,7 @@ def test_box_whose_width_overflows_has_finite_nodes():
         for i, j in nodes:
             recs = {rec.id: rec.classification
                     for rec in catalog(Params(float(m.v_values[i]), float(m.c_values[j])))}
-            assert m.tags(i, j) == tuple(recs[eq] for eq in EQS), (i, j)
+            assert tags_at(m, i, j) == tuple(recs[eq] for eq in EQS), (i, j)
 
 
 def test_box_near_the_top_of_the_float_range_keeps_the_unit_box_tags():
@@ -141,6 +144,19 @@ def test_transition_lines_are_scale_invariant():
     assert [len(bl.affected) for bl in base] == [15, 11, 15, 15]
     for b in (3e-14, 3e-6, 3e11):
         assert lines(b) == base, b
+
+
+def test_transition_lines_keep_the_unit_box_lines_at_the_top_of_the_float_range():
+    # a midpoint summed before halving overflowed to inf, its distance to
+    # v = c came out NaN, and changes at nodes exactly on v = c fell to
+    # UNEXPLAINED; the only changes left there are tags that overflow
+    def lines(b):
+        return {bl.id: bl.affected
+                for bl in detect_transitions(scan(GridSpec(-b, b, -b, b, 41, 41)))}
+    base, huge = lines(0.3), lines(1e308)
+    unexplained = huge.pop(LineId.UNEXPLAINED, ())
+    assert huge == base and LineId.UNEXPLAINED not in base
+    assert all("Undefined" in desc.split("<->") for _, desc in unexplained)
 
 
 def test_transitions_across_diagonal_attributed_to_veqc():
@@ -173,8 +189,7 @@ def test_on_line_nodes_split_transitions_but_stay_attributed():
     k = EQS.index(EquilibriumId.P1)
     diag = [m.codes[i, i, k] for i in range(5)]
     assert all(d == CODE_BY_CLASS[C.DEGENERATE] for d in diag)
-    for pair in transition_pairs(m):
-        assert pair.lines, pair
+    assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
 
 
 def test_region_csv_round_trip(tmp_path):
@@ -207,7 +222,7 @@ def test_scan_matches_scalar_catalog_path():
         j = int(rng.integers(spec.n_c))
         p = Params(float(m.v_values[i]), float(m.c_values[j]))
         recs = {rec.id: rec.classification for rec in catalog(p)}
-        assert m.tags(i, j) == tuple(recs[eq] for eq in EQS)
+        assert tags_at(m, i, j) == tuple(recs[eq] for eq in EQS)
 
 
 def test_grid_spec_validation():
@@ -284,6 +299,11 @@ _LINE_FUNCS = {
 }
 
 
+def _midpoint(a, b):
+    # halved first only where the sum overflows: halving a subnormal rounds
+    return 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
+
+
 def _crossed_lines(a, b):
     # relative to the edge's nodes, so a box scaled by k gives the same lines
     on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
@@ -291,13 +311,20 @@ def _crossed_lines(a, b):
     for line, (func, norm) in _LINE_FUNCS.items():
         fa, fb = func(*a), func(*b)
         if fa * fb <= 0.0 or min(abs(fa), abs(fb)) <= on_tol:
-            mid_v, mid_c = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-            crossed.append((abs(func(mid_v, mid_c)) / norm, line))
+            crossed.append((abs(func(_midpoint(a[0], b[0]), _midpoint(a[1], b[1]))) / norm, line))
     if not crossed:
         return ()
     dmin = min(d for d, _ in crossed)
     # Tie near the origin: report every line at the minimal distance.
     return tuple(line for d, line in crossed if d <= dmin + on_tol)
+
+
+class TransitionPair(NamedTuple):
+    """One adjacent-node classification change, before aggregation."""
+
+    eq: EquilibriumId
+    tags: tuple[Classification, Classification]
+    lines: tuple[LineId, ...]     # empty = unexplained
 
 
 def reference_transition_pairs(m):
@@ -318,7 +345,7 @@ def reference_transition_pairs(m):
                 for k, eq in enumerate(EQS):
                     if ca[k] != cb[k]:
                         yield TransitionPair(
-                            node_a=a, node_b=b, eq=eq,
+                            eq=eq,
                             tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
                             lines=lines)
 
@@ -413,11 +440,6 @@ def reference_case(request):
     return scan(spec), eq
 
 
-def test_transition_pairs_match_reference_loop(reference_case):
-    m, _ = reference_case
-    assert list(transition_pairs(m)) == list(reference_transition_pairs(m))
-
-
 def test_detect_transitions_matches_reference_aggregation(reference_case):
     m, _ = reference_case
     assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
@@ -426,16 +448,16 @@ def test_detect_transitions_matches_reference_aggregation(reference_case):
 @pytest.mark.parametrize("spec", [
     GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
     GridSpec(-3e11, 3e11, -3e11, 3e11, 41, 41),
-    # edges near the corners have midpoints that overflow to inf
+    # near the corners the line values of nodes and midpoints overflow to inf
     GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41),
+    # every node a multiple of the smallest subnormal, half of which rounds
+    GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21),
     GridSpec(0.1, 0.1, 0.2, 0.2, 1, 1),
     GridSpec(0.15, 0.25, 0.2, 0.2, 2, 1),
-], ids=["3e-14", "3e11", "1e308", "1x1", "2x1"])
+], ids=["3e-14", "3e11", "1e308", "5e-323", "1x1", "2x1"])
 def test_transitions_match_reference_loop_on_scaled_and_tiny_grids(spec):
     m = scan(spec)
-    ref = list(reference_transition_pairs(m))
-    assert list(transition_pairs(m)) == ref
-    assert detect_transitions(m) == reference_detect_transitions(ref)
+    assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
 
 
 def test_region_csv_matches_reference_writer(reference_case, tmp_path):

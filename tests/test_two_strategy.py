@@ -254,9 +254,18 @@ def test_1d_tags_are_the_signs_of_the_catalog_edge_eigenvalues():
     (1e308, -1e308, ["unstable", "stable", "stable"]),
     (5e-324, 1e-323, ["unstable", "unstable", "stable"]),
     (0.5, 1.0, ["unstable", "unstable", "stable"]),
+    # v/c overflows: f'(v/c) has the sign of (v/c)(v - c)
+    (1e300, -1e-300, ["unstable", "stable", "stable"]),
+    (-1e300, -1e-300, ["stable", "unstable", "stable"]),
+    (1.0, -1e-320, ["unstable", "stable", "stable"]),
+    (-1.0, -1e-320, ["stable", "unstable", "stable"]),
+    (1e300, 1e-300, ["unstable", "stable", "unstable"]),
+    # v/c = -1.7e308 is finite, but 2vz and 3cz^2 overflow
+    (0.99, -0.99 / 1.7e308, ["unstable", "stable", "stable"]),
 ])
 def test_1d_tags_at_both_ends_of_the_float_range(v, c, tags):
     # f' is evaluated at (v, c) / 2^e: 2v no longer overflows at 1e308
     # (inf * 0 gave NaN, read as unstable), and the subnormal pair keeps
-    # its bits instead of falling under the zero threshold
+    # its bits instead of falling under the zero threshold; where the
+    # expanded f' at z = v/c is inf - inf, the tag comes from z(v - c)/2
     assert [t for _, t in classify_1d(Params(v, c))] == tags
