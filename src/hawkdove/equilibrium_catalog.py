@@ -22,9 +22,13 @@ closed form in (v, c) from the stability analysis, such as (v - c)/4,
 structural zero an exact zero; the Jacobian with a LAPACK solve is the
 reference the tests hold the table to.  (v, c) is first divided by a
 power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
-unless an eigenvalue overflows (then UNDEFINED).  The grid scan calls it
-on chunks of the grid; ``catalog`` is the same call on a 0-d grid, with
-the eigenvalues sorted for display.
+unless an eigenvalue overflows (then UNDEFINED).  The table is
+component-major: three eigenvalue columns, each of shape (7,) + shape,
+which ``stability_codes``, still the one code rule, reads column by
+column; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
+place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
+same call on a 0-d grid, and only it stacks the columns into descending
+(7, 3) rows, for display.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
@@ -88,7 +92,7 @@ STRUCTURAL_ZERO_EIGS = {
 
 #: P1..P7 in catalog order: the point axis of every array over all seven.
 EQUILIBRIUM_IDS = tuple(EquilibriumId)
-_STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS])
+_STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS], dtype=np.int8)
 # Two defined points coincide when no coordinate differs by more than this.
 _COINCIDE_TOL = 1e-12
 
@@ -191,60 +195,53 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
 
 
 def _eigenvalue_table(v, c, q):
-    """The paper's closed-form eigenvalues of P1..P7, shape (7,) + shape + (3,).
+    """The paper's closed-form eigenvalues of P1..P7 as three columns.
 
-    q = v / c; every eigenvalue is real.  P1 and P4 share one row.
+    Each column has shape (7,) + shape, point axis first, and holds one
+    eigenvalue of every point; a point's three are unordered.  q = v / c;
+    every eigenvalue is real.  P1 and P4 share their values.
     """
     d = v - c
     r = c - 2.0 * v
     zero = np.zeros_like(d)
-    p1 = (0.25 * d, -0.25 * c, -0.25 * v)
-    rows = (
-        p1,                                        # P1
-        (0.125 * c, 0.125 * r, -0.125 * r),        # P2
-        (0.25 * v, -0.25 * q * r, zero),           # P3
-        p1,                                        # P4
-        (-0.5 * d, -0.25 * d, -0.25 * d),          # P5
-        (zero, zero, 0.5 * q * d),                 # P6
-        (0.5 * v, 0.25 * v, 0.25 * v),             # P7
-    )
-    return np.stack([np.stack(row, axis=-1) for row in rows])
+    d4, c4, v4 = 0.25 * d, 0.25 * c, 0.25 * v
+    return (np.stack((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v)),
+            np.stack((-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4)),
+            np.stack((-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
+
+
+_DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
+_UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 
 
 def _classify(v, c):
-    """((x, y, z, defined), eigenvalues, codes) of P1..P7 at (v, c).
+    """(eigenvalue columns, codes) of P1..P7 at (v, c).
 
-    Point axis first.  The eigenvalues come from ``_eigenvalue_table``,
-    unordered along the last axis; structural zeros are exact zeros.
-    A code is the stability code, raised to DEGENERATE where more real
-    parts are zero than the point's structural count, and UNDEFINED where
-    the point is not defined or an eigenvalue overflows at (v, c) itself
-    (those eigenvalues are NaN).
+    Point axis first.  The three eigenvalue columns, each of shape (7,) +
+    shape, come from ``_eigenvalue_table`` scaled back to (v, c);
+    structural zeros are exact zeros.  A code is the stability code,
+    raised to DEGENERATE where more real parts are zero than the point's
+    structural count, and UNDEFINED where an eigenvalue is not finite:
+    where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
+    where an eigenvalue overflows at (v, c) itself.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
-    x, y, z, defined = equilibrium_coords(v, c)
     # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
     # so only a huge q can overflow the table; the exponent, not 2^e, is
-    # carried, since 2^1024 is not a float.  q = v / c is taken unscaled,
-    # from P6's x, so it stays right where the scaled c underflows.
-    q = x[EQUILIBRIUM_IDS.index(EquilibriumId.P6)]
-    e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
-    v, c = np.ldexp(v, -e), np.ldexp(c, -e)
-    with np.errstate(over="ignore"):
+    # carried, since 2^1024 is not a float.  q is taken unscaled, so it
+    # stays right where the scaled c underflows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = v / c
+        e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
+        v, c = np.ldexp(v, -e), np.ldexp(c, -e)
         re = _eigenvalue_table(v, c, q)
-        eigs = np.ldexp(re, e[..., None])
+        eigs = tuple(np.ldexp(col, e) for col in re)
     codes, zeros = stability_codes(re, zero_tol(v, c))
-    structural = _STRUCTURAL.reshape((-1,) + (1,) * (x.ndim - 1))
-    codes = np.where(zeros > structural, CODE_BY_CLASS[Classification.DEGENERATE], codes)
-    # an infinite q makes P3's or P6's eigenvalues non-finite, and so does an
-    # eigenvalue that overflows when scaled back; slices, as a bool reduction
-    # over the length-3 axis is slow
-    fin = np.isfinite(eigs)
-    finite = fin[..., 0] & fin[..., 1] & fin[..., 2]
-    codes = np.where(defined & finite, codes, CODE_BY_CLASS[Classification.UNDEFINED])
-    eigs = np.where(finite[..., None], eigs, np.nan)
-    return (x, y, z, defined), eigs, codes.astype(np.int8)
+    np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
+    finite = np.isfinite(eigs[0]) & np.isfinite(eigs[1]) & np.isfinite(eigs[2])
+    np.copyto(codes, _UNDEFINED, where=~finite)
+    return eigs, codes
 
 
 def classification_codes(v, c) -> np.ndarray:
@@ -254,7 +251,7 @@ def classification_codes(v, c) -> np.ndarray:
     lines and UNDEFINED where a point's formula divides by zero.  The
     catalog's tags at a point are these codes at that (v, c).
     """
-    return _classify(v, c)[2]
+    return _classify(v, c)[1]
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,10 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     in descending order for display.
     """
     p = Params(*p).validate()
-    (x, y, z, defined), eigs, codes = _classify(p.v, p.c)
+    x, y, z, defined = equilibrium_coords(p.v, p.c)
+    columns, codes = _classify(p.v, p.c)
+    eigs = np.stack(columns, axis=-1)
+    eigs[codes == _UNDEFINED] = np.nan      # an overflowed triple shows as NaN
     # descending; adding 0.0 turns a -0.0 into 0.0
     eigs = np.sort(eigs, axis=-1)[:, ::-1] + 0.0
     points = np.stack((x, y, z), axis=-1)

@@ -24,6 +24,8 @@ from hawkdove.equilibrium_catalog import (
 from hawkdove.linear_analysis import Classification
 from hawkdove.svg import Canvas
 
+from util import closed_form_codes
+
 C = Classification
 EQS = list(EquilibriumId)
 
@@ -157,6 +159,50 @@ def test_transition_lines_keep_the_unit_box_lines_at_the_top_of_the_float_range(
     unexplained = huge.pop(LineId.UNEXPLAINED, ())
     assert huge == base and LineId.UNEXPLAINED not in base
     assert all("Undefined" in desc.split("<->") for _, desc in unexplained)
+
+
+@pytest.mark.parametrize("half_width", [5e-323, 1e-310])
+def test_subnormal_boxes_keep_the_integer_box_codes_and_lines(half_width):
+    # The nodes of the +-5e-323 box are the integers -10..10 times the
+    # smallest subnormal: the +-10 box's codes, and its lines once each edge
+    # is attributed at a normal scale (an unscaled on-line tolerance
+    # underflowed to 0 and reported 16/14/17/19 entries).  On the +-1e-310
+    # box the zero threshold of the axis underflowed too: the middle node
+    # sat 9 subnormal steps off zero, and 41 nodes took other codes.
+    base = scan(GridSpec(-10, 10, -10, 10, 21, 21))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = scan(GridSpec(-half_width, half_width, -half_width, half_width, 21, 21))
+        lines = detect_transitions(m)
+    assert m.v_values[10] == 0.0 and m.c_values[10] == 0.0
+    assert np.array_equal(m.codes, base.codes)
+    assert lines == detect_transitions(base)
+    assert [len(bl.affected) for bl in lines] == [15, 11, 15, 15]
+
+
+@pytest.mark.parametrize("exponent", [-1000, 0, 1000])
+def test_scan_codes_match_closed_form_and_catalog_over_chunks(exponent):
+    # more than two chunks, the last short, at 2^m times the +-0.3 box:
+    # scaling by a power of two is exact, so the nodes are 2^m times the
+    # unit box's and every code is the closed-form code at the unit node
+    unit = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 121, 101))
+    assert unit.codes.shape[0] * unit.codes.shape[1] > 2 * _CHUNK_NODES
+    spec = GridSpec(*(math.ldexp(b, exponent) for b in unit.spec[:4]), *unit.spec[4:])
+    m = scan(spec)
+    assert np.array_equal(np.ldexp(m.v_values, -exponent), unit.v_values)
+    assert np.array_equal(np.ldexp(m.c_values, -exponent), unit.c_values)
+    v, c = np.meshgrid(unit.v_values, unit.c_values, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, eq in enumerate(EQS):
+            expected = closed_form_codes(eq, v, c)
+            if eq in (EquilibriumId.P3, EquilibriumId.P6):
+                expected = np.where(c == 0.0, CODE_BY_CLASS[C.UNDEFINED], expected)
+            assert np.array_equal(m.codes[..., k], expected), eq
+    from hawkdove import catalog
+    rng = np.random.default_rng(131)
+    for i, j in zip(rng.integers(spec.n_v, size=20), rng.integers(spec.n_c, size=20)):
+        recs = catalog(Params(float(m.v_values[i]), float(m.c_values[j])))
+        assert tags_at(m, i, j) == tuple(rec.classification for rec in recs), (i, j)
 
 
 def test_transitions_across_diagonal_attributed_to_veqc():
@@ -299,19 +345,18 @@ _LINE_FUNCS = {
 }
 
 
-def _midpoint(a, b):
-    # halved first only where the sum overflows: halving a subnormal rounds
-    return 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
-
-
 def _crossed_lines(a, b):
-    # relative to the edge's nodes, so a box scaled by k gives the same lines
+    # at the edge's nodes divided by a power of two, which is exact, so a box
+    # scaled by k gives the same lines, and neither the tolerance nor a
+    # midpoint rounds or overflows at either end of the float range
+    e = math.frexp(max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1])))[1]
+    a, b = ([math.ldexp(t, -e) for t in node] for node in (a, b))
     on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
     crossed = []
     for line, (func, norm) in _LINE_FUNCS.items():
         fa, fb = func(*a), func(*b)
         if fa * fb <= 0.0 or min(abs(fa), abs(fb)) <= on_tol:
-            crossed.append((abs(func(_midpoint(a[0], b[0]), _midpoint(a[1], b[1]))) / norm, line))
+            crossed.append((abs(func(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))) / norm, line))
     if not crossed:
         return ()
     dmin = min(d for d, _ in crossed)
@@ -448,9 +493,10 @@ def test_detect_transitions_matches_reference_aggregation(reference_case):
 @pytest.mark.parametrize("spec", [
     GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
     GridSpec(-3e11, 3e11, -3e11, 3e11, 41, 41),
-    # near the corners the line values of nodes and midpoints overflow to inf
+    # near the corners the unscaled line values and midpoint sums overflow
     GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41),
-    # every node a multiple of the smallest subnormal, half of which rounds
+    # every node a multiple of the smallest subnormal, where an unscaled
+    # tolerance underflows to 0 and half of the midpoints round
     GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21),
     GridSpec(0.1, 0.1, 0.2, 0.2, 1, 1),
     GridSpec(0.15, 0.25, 0.2, 0.2, 2, 1),

@@ -5,16 +5,15 @@ from hawkdove import Params, catalog, field_3d, jacobian
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
-    STRUCTURAL_ZERO_EIGS,
     EquilibriumId,
     _classify,
     classification_codes,
     equilibrium_coords,
     region_predicate,
 )
-from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
+from hawkdove.linear_analysis import Classification
 
-from util import closed_form_eigs, multiset_close, rand_params
+from util import closed_form_codes, closed_form_eigs, multiset_close, rand_params
 
 C = Classification
 EQS = list(EquilibriumId)
@@ -225,13 +224,6 @@ def test_overflowing_jacobian_is_not_an_error_and_matches_predicate():
     assert codes[1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
 
 
-def closed_form_codes(eq, v, c):
-    """The catalog's tag rule applied to the closed-form eigenvalues, as codes."""
-    lam = np.stack(np.broadcast_arrays(*closed_form_eigs(eq.value, v, c)), axis=-1)
-    code, zeros = stability_codes(lam, zero_tol(v, c))
-    return np.where(zeros > STRUCTURAL_ZERO_EIGS[eq], CODE_BY_CLASS[C.DEGENERATE], code)
-
-
 def closed_form_tag(eq, p):
     return CLASS_BY_CODE[int(closed_form_codes(eq, *p))]
 
@@ -261,7 +253,8 @@ def test_structural_zeros_are_exact_at_any_v_over_c():
     rng = np.random.default_rng(229)
     v, c = 10.0 ** rng.uniform(-12, 11, (2, 20000)) * rng.choice([-1.0, 1.0], (2, 20000))
     assert (np.abs(v / c) >= 1e7).sum() > 4000
-    _, eigs, codes = _classify(v, c)
+    columns, codes = _classify(v, c)
+    eigs = np.stack(columns, axis=-1)       # (7, 20000, 3)
     p3, p6 = EQS.index(EquilibriumId.P3), EQS.index(EquilibriumId.P6)
     assert ((eigs[p3] == 0.0).sum(axis=-1) >= 1).all()
     assert ((eigs[p6] == 0.0).sum(axis=-1) >= 2).all()

@@ -111,7 +111,7 @@ def test_eigenvalues_reject_a_non_finite_entry():
 
 def tags(re, tol):
     """Stability tags of real-part triples (..., 3) with zero threshold tol."""
-    codes, _ = stability_codes(re, tol)
+    codes, _ = stability_codes(np.moveaxis(np.asarray(re, dtype=float), -1, 0), tol)
     return [CLASS_BY_CODE[k] for k in np.ravel(codes)]
 
 

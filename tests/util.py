@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from hawkdove import Params
+from hawkdove.equilibrium_catalog import CODE_BY_CLASS, STRUCTURAL_ZERO_EIGS
 from hawkdove.game_core import TOL_SIMPLEX
 from hawkdove.integrator import (
     _ERR,
@@ -17,6 +18,7 @@ from hawkdove.integrator import (
     IntegrationConfig,
     Terminal,
 )
+from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 
 
 def rand_params(rng, lo=-1.0, hi=1.0, c_min=0.0, line_margin=0.0) -> Params:
@@ -57,6 +59,13 @@ def closed_form_eigs(eq: str, v: float, c: float) -> list[float]:
     if eq == "P7":
         return [v / 2, v / 4, v / 4]
     raise ValueError(eq)
+
+
+def closed_form_codes(eq, v, c):
+    """The catalog's tag rule applied to the closed-form eigenvalues, as codes."""
+    lam = np.broadcast_arrays(*closed_form_eigs(eq.value, v, c))
+    code, zeros = stability_codes(lam, zero_tol(v, c))
+    return np.where(zeros > STRUCTURAL_ZERO_EIGS[eq], CODE_BY_CLASS[Classification.DEGENERATE], code)
 
 
 def multiset_close(got, expected, tol: float) -> bool:
