@@ -9,8 +9,10 @@ change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
 The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
-rows, about 4096 nodes each, into one preallocated int8 array, through
-the catalog's one classification path.  That path works on whole
+rows, about 4096 nodes each, into one preallocated int8 array through
+the catalog's one classification path, and keeps that path's layout:
+``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
+(n_v, n_c) plane per equilibrium.  That path works on whole
 columns of seven floats per node, so the cache sets the chunk size: a
 4096-node chunk's columns stay within a core's L2 cache.  On a 2-core
 Xeon, 8192-node chunks spill it and take the 401x401 scan about 2x
@@ -20,14 +22,20 @@ the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
 on a subnormal box each node rounds once.  An axis node within rounding
 of zero is put exactly on zero, so the lines c = 0 and v = 0 pass
 through nodes on every box that straddles them.
-``detect_transitions`` finds changed edges by comparing shifted code
-arrays and attributes lines only on those, in one array pass over all of
+``detect_transitions`` finds changed edges by comparing each plane with
+itself shifted along v and along c, OR-ed over the seven planes, and
+attributes lines only on those, in one array pass over all of
 them, each edge at its nodes divided by a power of two, so its on-line
 tolerance and midpoint neither underflow, round nor overflow at either
 end of the float range.  It aggregates with one integer key per changed
 (edge, equilibrium) and ``np.unique`` per line.
-``write_region_csv`` formats each axis value and each distinct tag row
-once; its bytes match a cell-by-cell writer's.
+``write_region_csv`` builds one text piece per (distinct row of seven
+tags, c column) and writes each v row as one gather from that table and
+one ``str.join``; its bytes match a cell-by-cell writer's.  Every
+eigenvalue and the zero threshold are homogeneous of degree 1 in (v, c),
+so the tags depend on the direction of (v, c) only, and a grid has few
+distinct tag rows (at most 23 on every box probed, from subnormal to
++-1.7e308): the table grows with n_c, not with n_v * n_c.
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -101,7 +109,7 @@ class RegionMap:
     spec: GridSpec
     v_values: np.ndarray          # (n_v,)
     c_values: np.ndarray          # (n_c,)
-    codes: np.ndarray             # (n_v, n_c, 7) int8 indexing CLASS_BY_CODE
+    codes: np.ndarray             # (7, n_v, n_c) int8 indexing CLASS_BY_CODE, point first
 
 
 # Nodes classified per chunk of whole rows: bounds the scan's temporaries
@@ -131,17 +139,18 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
 
     The grid is classified in chunks of whole v rows (about _CHUNK_NODES
     nodes, at least one row), each written into its slice of one
-    preallocated int8 array.  Classification is per node, so the output
-    does not depend on the chunking, and two scans of one grid agree bitwise.
+    preallocated (7, n_v, n_c) int8 array, the layout the classification
+    path returns.  Classification is per node, so the output does not
+    depend on the chunking, and two scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
-    codes = np.empty((spec.n_v, spec.n_c, 7), dtype=np.int8)
+    codes = np.empty((7, spec.n_v, spec.n_c), dtype=np.int8)
     rows = max(1, _CHUNK_NODES // spec.n_c)
     for start in range(0, spec.n_v, rows):
         vv, cc = np.meshgrid(v_values[start:start + rows], c_values, indexing="ij")
-        codes[start:start + rows] = np.moveaxis(classification_codes(vv, cc), 0, -1)
+        codes[:, start:start + rows] = classification_codes(vv, cc)
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
@@ -183,9 +192,10 @@ def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     pair, and each line takes the distinct keys of its edges.
     """
     codes = m.codes
+    # an edge changed where any of the seven contiguous planes changed
     step = np.zeros((m.spec.n_v, m.spec.n_c, 2), dtype=bool)
-    step[:-1, :, 0] = (codes[1:] != codes[:-1]).any(axis=-1)
-    step[:, :-1, 1] = (codes[:, 1:] != codes[:, :-1]).any(axis=-1)
+    step[:-1, :, 0] = (codes[:, 1:] != codes[:, :-1]).any(axis=0)
+    step[:, :-1, 1] = (codes[:, :, 1:] != codes[:, :, :-1]).any(axis=0)
     i, j, along_c = np.nonzero(step)
     i2, j2 = i + (1 - along_c), j + along_c
     va, ca = m.v_values[i], m.c_values[j]
@@ -203,9 +213,9 @@ def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     near = crossed & (dist <= (dmin + on_tol)[:, None])
     lines = np.column_stack([near, ~near.any(axis=1)])
 
-    codes_a, codes_b = codes[i, j], codes[i2, j2]
-    e, k = np.nonzero(codes_a != codes_b)
-    ra, rb = _TAG_RANK[codes_a[e, k]], _TAG_RANK[codes_b[e, k]]
+    codes_a, codes_b = codes[:, i, j], codes[:, i2, j2]
+    k, e = np.nonzero(codes_a != codes_b)
+    ra, rb = _TAG_RANK[codes_a[k, e]], _TAG_RANK[codes_b[k, e]]
     n = len(_TAG_NAMES)
     key = (k * n + np.minimum(ra, rb)) * n + np.maximum(ra, rb)
     out = []
@@ -276,19 +286,27 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
 def write_region_csv(m: RegionMap, path) -> None:
     """Region map as CSV: header v,c,P1..P7, row-major in v then c.
 
-    Each axis value is formatted once and each distinct row of seven tags
-    is joined once, so a row of output is string concatenation only.
+    One text piece ``",c,tags\n"`` is built per (distinct row of seven
+    tags, c column), and a v row is one gather from that table joined with
+    the row's v text.  Tags depend on the direction of (v, c) only, so
+    there are few distinct tag rows (see the module docstring) and the
+    table grows with n_c, not with n_v * n_c.
     """
-    flat = m.codes.reshape(-1, 7)
-    # one int64 key per node: np.unique over rows (axis=0) is ~10x slower
-    key = flat.astype(np.int64) @ (len(CLASS_BY_CODE) ** np.arange(7, dtype=np.int64))
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n"
-                for row in flat[first].tolist()]
+    base = len(CLASS_BY_CODE)
+    # one key per node, the sum of code_k * base^k by Horner's rule over the
+    # planes (below 9^7, so int32 holds it); a key decodes to its tag row
+    key = m.codes[6].astype(np.int32)
+    for plane in m.codes[5::-1]:
+        key *= base
+        key += plane
+    distinct = np.unique(key)
+    rows = distinct[:, None] // base ** np.arange(7) % base
+    tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n" for row in rows.tolist()]
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
-    which = which.reshape(m.spec.n_v, m.spec.n_c).tolist()
+    pieces = np.array([[ct + tt for ct in c_text] for tt in tag_text], dtype=object)
+    columns = np.arange(m.spec.n_c)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
-        for v, row in zip(m.v_values.tolist(), which):
+        for v, row in zip(m.v_values.tolist(), np.searchsorted(distinct, key)):
             v_text = f"{v:.17g}"
-            fh.write("".join([v_text + ct + tag_text[t] for ct, t in zip(c_text, row)]))
+            fh.write(v_text + v_text.join(pieces[row, columns].tolist()))

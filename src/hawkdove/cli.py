@@ -274,17 +274,18 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
     k = EQUILIBRIUM_IDS.index(eq)
     cv.rect_grid([margin + i * dv for i in range(spec.n_v)],
                  [margin + size - (j + 1) * dc for j in range(spec.n_c)],
-                 dv + 0.5, dc + 0.5, m.codes[:, :, k].tolist(),
+                 dv + 0.5, dc + 0.5, m.codes[k],
                  [_REGION_COLORS[tag] for tag in CLASS_BY_CODE])
 
     def frac(t, lo, hi):
-        # a zero-width axis (a 1-D sweep) maps to the middle of the panel; a
-        # width that overflows is taken at half scale (exact), as in the scan
+        # a zero-width axis (a 1-D sweep) maps to the middle of the panel;
+        # the others are divided by the power of two that the scan's axes use
+        # (exact), so hi - lo cannot overflow
         if not hi > lo:
             return 0.5
-        if math.isfinite(hi - lo):
-            return (t - lo) / (hi - lo)
-        return (t / 2 - lo / 2) / (hi / 2 - lo / 2)
+        e = math.frexp(max(abs(lo), abs(hi)))[1]
+        t, lo, hi = (math.ldexp(x, -e) for x in (t, lo, hi))
+        return (t - lo) / (hi - lo)
 
     def to_canvas(v, c):
         fx = frac(v, spec.v_min, spec.v_max)

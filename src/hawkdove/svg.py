@@ -7,6 +7,8 @@ number formatting.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["Canvas"]
 
 
@@ -29,19 +31,24 @@ class Canvas:
             f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>')
 
     def rect_grid(self, xs, ys, width, height, fill_index, fills):
-        """One rect per cell (xs[i], ys[j]) with fill ``fills[fill_index[i][j]]``.
+        """One rect per cell (xs[i], ys[j]) with fill ``fills[fill_index[i, j]]``.
 
+        ``fill_index`` is a 2-D integer array of shape (len(xs), len(ys)).
         Cells come row-major in i then j.  Each cell is the text ``rect``
-        writes for it with the default stroke; every coordinate and fill is
-        formatted once, not once per cell.  Each row of cells is kept as one
-        string, its cells joined by newlines.
+        writes for it with the default stroke.  One text piece, from y to
+        the end of the element, is built per (fill, y), so the table grows
+        with len(ys), not with the cell count; a row of cells is one gather
+        from it joined with the row's ``<rect x=...`` head, one string with
+        its cells separated by newlines.
         """
-        y_text = [f'{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" fill="'
-                  for y in ys]
-        tails = [f'{fill}" stroke="none" stroke-width="{_fmt(0.0)}"/>' for fill in fills]
+        tails = [f'" width="{_fmt(width)}" height="{_fmt(height)}" fill="{fill}" '
+                 f'stroke="none" stroke-width="{_fmt(0.0)}"/>' for fill in fills]
+        y_text = [_fmt(y) for y in ys]
+        pieces = np.array([[yt + tail for yt in y_text] for tail in tails], dtype=object)
+        columns = np.arange(len(ys))
         for x, row in zip(xs, fill_index):
             head = f'<rect x="{_fmt(x)}" y="'
-            self._parts.append("\n".join([head + yt + tails[k] for yt, k in zip(y_text, row)]))
+            self._parts.append(head + ("\n" + head).join(pieces[row, columns].tolist()))
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""

@@ -201,7 +201,7 @@ def test_criterion_8_bifurcation_map():
         assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
         k5 = list(EquilibriumId).index(EquilibriumId.P5)
         vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
-        stable = m.codes[:, :, k5] == CODE_BY_CLASS[Classification.STABLE_NODE]
+        stable = m.codes[k5] == CODE_BY_CLASS[Classification.STABLE_NODE]
         assert np.array_equal(stable, cc < vv)
 
 

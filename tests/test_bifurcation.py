@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -31,16 +32,16 @@ EQS = list(EquilibriumId)
 
 
 def tag_at(m, i, j, eq):
-    return CLASS_BY_CODE[m.codes[i, j, EQS.index(eq)]]
+    return CLASS_BY_CODE[m.codes[EQS.index(eq), i, j]]
 
 
 def tags_at(m, i, j):
-    return tuple(CLASS_BY_CODE[k] for k in m.codes[i, j])
+    return tuple(CLASS_BY_CODE[k] for k in m.codes[:, i, j])
 
 
 def test_scan_shape_2x2():
     m = scan(GridSpec(0.05, 0.06, 0.2, 0.21, 2, 2))
-    assert m.codes.shape == (2, 2, 7)
+    assert m.codes.shape == (7, 2, 2)
     assert m.codes.size == 28
 
 
@@ -56,7 +57,7 @@ def test_scan_uniform_region_unstable_p1():
     # v < 0 and c < v everywhere
     m = scan(GridSpec(-0.3, -0.2, -0.6, -0.5, 4, 4))
     k = EQS.index(EquilibriumId.P1)
-    assert np.all(m.codes[:, :, k] == CODE_BY_CLASS[C.UNSTABLE_NODE])
+    assert np.all(m.codes[k] == CODE_BY_CLASS[C.UNSTABLE_NODE])
 
 
 def test_scan_is_deterministic():
@@ -69,7 +70,7 @@ def test_scan_chunks_match_one_whole_grid_classification():
     assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # more than two chunks, the last short
     vv, cc = np.meshgrid(np.linspace(-0.3, 0.3, 201), np.linspace(-0.3, 0.3, 101),
                          indexing="ij")
-    whole = np.moveaxis(classification_codes(vv, cc), 0, -1)
+    whole = classification_codes(vv, cc)
     assert np.array_equal(scan(spec).codes, whole)
 
 
@@ -186,7 +187,7 @@ def test_scan_codes_match_closed_form_and_catalog_over_chunks(exponent):
     # scaling by a power of two is exact, so the nodes are 2^m times the
     # unit box's and every code is the closed-form code at the unit node
     unit = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 121, 101))
-    assert unit.codes.shape[0] * unit.codes.shape[1] > 2 * _CHUNK_NODES
+    assert unit.codes.shape[1] * unit.codes.shape[2] > 2 * _CHUNK_NODES
     spec = GridSpec(*(math.ldexp(b, exponent) for b in unit.spec[:4]), *unit.spec[4:])
     m = scan(spec)
     assert np.array_equal(np.ldexp(m.v_values, -exponent), unit.v_values)
@@ -197,7 +198,7 @@ def test_scan_codes_match_closed_form_and_catalog_over_chunks(exponent):
             expected = closed_form_codes(eq, v, c)
             if eq in (EquilibriumId.P3, EquilibriumId.P6):
                 expected = np.where(c == 0.0, CODE_BY_CLASS[C.UNDEFINED], expected)
-            assert np.array_equal(m.codes[..., k], expected), eq
+            assert np.array_equal(m.codes[k], expected), eq
     from hawkdove import catalog
     rng = np.random.default_rng(131)
     for i, j in zip(rng.integers(spec.n_v, size=20), rng.integers(spec.n_c, size=20)):
@@ -233,7 +234,7 @@ def test_on_line_nodes_split_transitions_but_stay_attributed():
     # 5x5 square grid has nodes exactly on the diagonal: Degenerate there
     m = scan(GridSpec(0.05, 0.25, 0.05, 0.25, 5, 5))
     k = EQS.index(EquilibriumId.P1)
-    diag = [m.codes[i, i, k] for i in range(5)]
+    diag = [m.codes[k, i, i] for i in range(5)]
     assert all(d == CODE_BY_CLASS[C.DEGENERATE] for d in diag)
     assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
 
@@ -253,7 +254,7 @@ def test_region_csv_round_trip(tmp_path):
             parts = lines[row].split(",")
             assert float(parts[0]) == m.v_values[i]
             assert float(parts[1]) == m.c_values[j]
-            tags = tuple(CLASS_BY_CODE[k].value for k in m.codes[i, j])
+            tags = tuple(CLASS_BY_CODE[k].value for k in m.codes[:, i, j])
             assert tuple(parts[2:]) == tags
             row += 1
 
@@ -280,7 +281,7 @@ def test_grid_spec_validation():
         GridSpec(0, float("inf"), 0, 1, 5, 5).validate()
     # a 1xN sweep is legal
     m = scan(GridSpec(0.1, 0.1, -0.3, 0.3, 1, 7))
-    assert m.codes.shape == (1, 7, 7)
+    assert m.codes.shape == (7, 1, 7)
 
 
 def test_linearized_origin_system_is_uncoupled_diagonal():
@@ -382,8 +383,8 @@ def reference_transition_pairs(m):
                 if i2 >= n_v or j2 >= n_c:
                     continue
                 b = (float(m.v_values[i2]), float(m.c_values[j2]))
-                ca = m.codes[i, j]
-                cb = m.codes[i2, j2]
+                ca = m.codes[:, i, j]
+                cb = m.codes[:, i2, j2]
                 if np.array_equal(ca, cb):
                     continue
                 lines = _crossed_lines(a, b)
@@ -413,7 +414,7 @@ def reference_region_csv(m, path):
         for i in range(m.spec.n_v):
             v = m.v_values[i]
             for j in range(m.spec.n_c):
-                tags = ",".join(CLASS_BY_CODE[k].value for k in m.codes[i, j])
+                tags = ",".join(CLASS_BY_CODE[k].value for k in m.codes[:, i, j])
                 fh.write(f"{v:.17g},{m.c_values[j]:.17g},{tags}\n")
 
 
@@ -444,14 +445,18 @@ def reference_region_svg(m, eq, path):
     k = EQS.index(eq)
     for i in range(spec.n_v):
         for j in range(spec.n_c):
-            tag = CLASS_BY_CODE[m.codes[i, j, k]]
+            tag = CLASS_BY_CODE[m.codes[k, i, j]]
             x = margin + i * dv
             y = margin + size - (j + 1) * dc
             cv.rect(x, y, dv + 0.5, dc + 0.5, fill=_REGION_COLORS[tag])
     if spec.v_min < spec.v_max and spec.c_min < spec.c_max:
+        def frac(t, lo, hi):
+            # the exact ratio, rounded once, so no width overflows
+            return float((Fraction(t) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)))
+
         def to_canvas(v, c):
-            fx = (v - spec.v_min) / (spec.v_max - spec.v_min)
-            fy = (c - spec.c_min) / (spec.c_max - spec.c_min)
+            fx = frac(v, spec.v_min, spec.v_max)
+            fy = frac(c, spec.c_min, spec.c_max)
             return margin + fx * size, margin + size - fy * size
 
         for (v1, c1), (v2, c2) in reference_line_segments(spec):
@@ -506,15 +511,31 @@ def test_transitions_match_reference_loop_on_scaled_and_tiny_grids(spec):
     assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
 
 
-def test_region_csv_matches_reference_writer(reference_case, tmp_path):
-    m, _ = reference_case
+# The reference grids plus the ends of the float range, where a writer's
+# per-axis text tables hold the widest and the most finely rounded values.
+WRITER_GRIDS = {
+    **REFERENCE_GRIDS,
+    "1e308-41x41": (GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41), EquilibriumId.P3),
+    "5e-323-21x21": (GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21), EquilibriumId.P6),
+    "3e-14-41x41": (GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41), EquilibriumId.P1),
+}
+
+
+@pytest.fixture(scope="module", params=list(WRITER_GRIDS), ids=list(WRITER_GRIDS))
+def writer_case(request):
+    spec, eq = WRITER_GRIDS[request.param]
+    return scan(spec), eq
+
+
+def test_region_csv_matches_reference_writer(writer_case, tmp_path):
+    m, _ = writer_case
     write_region_csv(m, tmp_path / "new.csv")
     reference_region_csv(m, tmp_path / "ref.csv")
     assert_same_lines((tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes())
 
 
-def test_region_svg_matches_reference_writer(reference_case, tmp_path):
-    m, eq = reference_case
+def test_region_svg_matches_reference_writer(writer_case, tmp_path):
+    m, eq = writer_case
     _region_svg(m, eq, tmp_path / "new.svg")
     reference_region_svg(m, eq, tmp_path / "ref.svg")
     new = (tmp_path / "new.svg").read_bytes()

@@ -290,7 +290,8 @@ def test_bifurcation_svg_lines_are_clipped_to_the_panel(tmp_path, capsys):
 
 
 def test_bifurcation_svg_lines_are_finite_on_a_box_whose_width_overflows(tmp_path, capsys):
-    # hi - lo is inf on this box; the panel maps it at half scale, as the scan does
+    # hi - lo is inf on this box; the panel maps it divided by a power of
+    # two, as the scan spaces its axes
     out = tmp_path / "huge"
     code, _ = run(capsys, "bifurcation", "--v-min=-1e308", "--v-max=1e308", "--c-min=-1e308",
                   "--c-max=1e308", "--nv", "5", "--nc", "5", "--svg", "--out-dir", str(out))
