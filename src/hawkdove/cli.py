@@ -152,8 +152,8 @@ def _parse_starts(args) -> list[ReducedState]:
     return starts
 
 
-def _project_xy(val_a: float, val_b: float, origin, size):
-    # unit square [0,1]^2 to canvas coordinates, y axis flipped
+def _project_xy(val_a, val_b, origin, size):
+    # unit square [0,1]^2 to canvas coordinates, y axis flipped; floats or arrays
     ox, oy = origin
     return ox + val_a * size, oy + size - val_b * size
 
@@ -173,9 +173,7 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
         cv.line(*_project_xy(0, 1, (ox, oy), panel), *_project_xy(1, 0, (ox, oy), panel),
                 stroke="gray", width=0.8, dash="4 3")
         for traj in trajectories:
-            # _project_xy on whole sample columns: the same arithmetic per point
-            xs = ox + traj.samples[:, 1 + ia] * panel
-            ys = (oy + panel) - traj.samples[:, 1 + ib] * panel
+            xs, ys = _project_xy(traj.samples[:, 1 + ia], traj.samples[:, 1 + ib], (ox, oy), panel)
             cv.polyline(zip(xs.tolist(), ys.tolist()), stroke="steelblue", width=0.9,
                         opacity=0.75)
         for s in starts:

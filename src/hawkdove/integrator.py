@@ -123,10 +123,10 @@ class IntegrationConfig:
     record_stride: Optional[float] = None   # tau; None = record every accepted step
 
     def validate(self) -> "IntegrationConfig":
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        # inf tolerances would accept every step; max_step and record_stride may be inf
+        for name in ("rtol", "atol", "t_end"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
         if self.record_stride is not None and not self.record_stride > 0:

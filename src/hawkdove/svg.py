@@ -16,6 +16,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _rect_tail(w, h, fill, stroke, stroke_width) -> str:
+    return (f'" width="{_fmt(w)}" height="{_fmt(h)}" fill="{fill}" '
+            f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>')
+
+
 class Canvas:
     def __init__(self, width: float, height: float):
         self.width = width
@@ -27,22 +32,19 @@ class Canvas:
 
     def rect(self, x, y, w, h, fill, stroke="none", stroke_width=0.0):
         self._parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>')
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}' + _rect_tail(w, h, fill, stroke, stroke_width))
 
     def rect_grid(self, xs, ys, width, height, fill_index, fills):
         """One rect per cell (xs[i], ys[j]) with fill ``fills[fill_index[i, j]]``.
 
         ``fill_index`` is a 2-D integer array of shape (len(xs), len(ys)).
-        Cells come row-major in i then j.  Each cell is the text ``rect``
-        writes for it with the default stroke.  One text piece, from y to
-        the end of the element, is built per (fill, y), so the table grows
-        with len(ys), not with the cell count; a row of cells is one gather
-        from it joined with the row's ``<rect x=...`` head, one string with
-        its cells separated by newlines.
+        Cells come row-major in i then j, each as ``rect`` writes it with
+        the default stroke.  One text piece, from y to the end of the
+        element, is built per (fill, y), so the table grows with len(ys),
+        not with the cell count; a row is one gather from it joined with
+        the row's ``<rect x=...`` head, its cells separated by newlines.
         """
-        tails = [f'" width="{_fmt(width)}" height="{_fmt(height)}" fill="{fill}" '
-                 f'stroke="none" stroke-width="{_fmt(0.0)}"/>' for fill in fills]
+        tails = [_rect_tail(width, height, fill, "none", 0.0) for fill in fills]
         y_text = [_fmt(y) for y in ys]
         pieces = np.array([[yt + tail for yt in y_text] for tail in tails], dtype=object)
         columns = np.arange(len(ys))

@@ -115,23 +115,25 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
 
 
 def test_simulate_is_scale_invariant_under_powers_of_two(tmp_path, capsys):
-    # 102.4 and 204.8 are exactly 2^10 times the floats 0.1 and 0.2: the
-    # terminals and share columns must match and every t scale by 2^-10.
-    outs = []
-    for v, c in (("0.1", "0.2"), ("102.4", "204.8")):
-        out = tmp_path / v
-        code, stdout = run(capsys, "simulate", "--v", v, "--c", c, "--random-starts", "5",
-                           "--seed", "7", "--out-dir", str(out))
-        assert code == 0
-        outs.append((out, json.loads(stdout)["terminals"]))
-    (small, hist_small), (big, hist_big) = outs
-    assert hist_small == hist_big
-    for i in range(5):
-        rows_small, rows_big = ([line.split(",", 1) for line in
-                                 (out / f"trajectory_{i:03d}.csv").read_text().splitlines()[1:]]
-                                for out in (small, big))
-        assert [r[1] for r in rows_big] == [r[1] for r in rows_small]
-        assert [float(r[0]) for r in rows_big] == [float(r[0]) / 1024 for r in rows_small]
+    # 102.4 and 204.8 are exactly 2^10 times the floats 0.1 and 0.2, on
+    # c = 2v; 307.2 and 716.8 are 2^10 times 0.3 and 0.7, off every line:
+    # the terminals and share columns must match and every t scale by 2^-10.
+    for pair in (("0.1", "0.2"), ("102.4", "204.8")), (("0.3", "0.7"), ("307.2", "716.8")):
+        outs = []
+        for v, c in pair:
+            out = tmp_path / v
+            code, stdout = run(capsys, "simulate", "--v", v, "--c", c, "--random-starts", "5",
+                               "--seed", "7", "--out-dir", str(out))
+            assert code == 0
+            outs.append((out, json.loads(stdout)["terminals"]))
+        (small, hist_small), (big, hist_big) = outs
+        assert hist_small == hist_big
+        for i in range(5):
+            rows_small, rows_big = ([line.split(",", 1) for line in
+                                     (out / f"trajectory_{i:03d}.csv").read_text().splitlines()[1:]]
+                                    for out in (small, big))
+            assert [r[1] for r in rows_big] == [r[1] for r in rows_small]
+            assert [float(r[0]) for r in rows_big] == [float(r[0]) / 1024 for r in rows_small]
 
 
 def test_simulate_explicit_start_and_stride(tmp_path, capsys):
@@ -311,20 +313,44 @@ def _strict_json(text):
 
 _EXTREMES = [("1e308", "1e308"), ("6e307", "1e307"), ("1e308", "-1e308"),
              ("-1e308", "1e308"), ("5e-324", "1e-323")]
+# Scaling (v, c) by k > 0 scales every eigenvalue and margin by k, so at
+# these points the tags and nash's pure-strategy flags are those at the
+# point of scale 1 they map to.  At v/c = 1e8 that holds only while P3's
+# and P6's structural zero eigenvalues stay exact zeros.
+_C_EQ_2V = [("1e-7", "2e-7"), ("1e5", "2e5"), ("1e300", "2e300")]
+_V_OVER_C_1E8 = [("1e-7", "1e-15"), ("1e5", "1e-3"), ("1e300", "1e292")]
+_AT_SCALE_1 = {("1e308", "1e308"): ("1", "1"), ("1e-300", "2e-300"): ("0.1", "0.2"),
+               **dict.fromkeys(_C_EQ_2V, ("0.1", "0.2")),
+               **dict.fromkeys(_V_OVER_C_1E8, ("1", "1e-8"))}
+
+
+def _scale_free(command, payload):
+    if command == "nash":
+        return [r["via_best_response"] for r in payload["pure_strategy_checks"]]
+    key = "classification" if command == "equilibria" else "tag"
+    return [r[key] for r in payload["equilibria"]]
 
 
 @pytest.mark.parametrize("command, v, c", [
-    *((command, v, c) for command in ("nash", "two-strategy") for v, c in _EXTREMES),
-    ("nash", "1e300", "1e-300"), ("two-strategy", "1e300", "1e-300")])
+    *((command, v, c) for command in ("nash", "two-strategy") for v, c in _EXTREMES + _C_EQ_2V),
+    ("nash", "1e300", "1e-300"), ("two-strategy", "1e300", "1e-300"),
+    ("two-strategy", "1e300", "-1e-300"),
+    *(("equilibria", v, c) for v, c in [*_C_EQ_2V, ("1e-300", "2e-300"), *_V_OVER_C_1E8])])
 def test_extreme_parameters_give_strict_json_without_warnings(capsys, command, v, c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(capsys, command, f"--v={v}", f"--c={c}")
-    assert code == 0
-    payload = _strict_json(out)
+    def answer(v, c):
+        json_format = ("--format", "json") if command == "equilibria" else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, command, f"--v={v}", f"--c={c}", *json_format)
+        assert code == 0
+        return _strict_json(out)
+
+    payload = answer(v, c)
     if command == "nash":
         assert all(math.isfinite(r["margin"])
                    for r in payload["reports"] + payload["pure_strategy_checks"])
+    if (v, c) in _AT_SCALE_1:
+        assert _scale_free(command, payload) == _scale_free(command, answer(*_AT_SCALE_1[v, c]))
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -406,6 +432,10 @@ def test_unrepresentable_physical_time_is_a_usage_error(tmp_path, capsys, v, c):
 @pytest.mark.parametrize("argv, message", [
     (("--random-starts", "-3"), "number of random starts must be >= 0"),
     (("--random-starts", "2", "--seed", "-1"), "seed must be >= 0"),
+    # rtol, atol and t_end must be finite: an infinite tolerance turns error control off
+    (("--start", "0.2,0.3,0.4", "--rtol", "inf"), "rtol must be finite and positive"),
+    (("--start", "0.2,0.3,0.4", "--atol", "inf"), "atol must be finite and positive"),
+    (("--start", "0.2,0.3,0.4", "--t-end", "inf"), "t_end must be finite and positive"),
 ])
 def test_negative_random_starts_or_seed_is_a_usage_error(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,16 @@ def test_invalid_start_raises():
         batch_integrate(Params(0.1, 0.2), [(0.2, 0.3, 0.4), (0.9, 0.9, 0.9)])
 
 
+def test_config_needs_finite_positive_tolerances_and_t_end():
+    # with rtol or atol = inf every error ratio is 0 and every step is accepted
+    for name in ("rtol", "atol", "t_end"):
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+                IntegrationConfig(**{name: bad}).validate()
+    cfg = IntegrationConfig(max_step=math.inf, record_stride=math.inf)
+    assert cfg.validate() is cfg
+
+
 def test_step_size_underflow_reports_failure():
     cfg = IntegrationConfig(max_step=1e-15)
     traj = integrate(Params(0.1, 0.2), (0.2, 0.3, 0.4), cfg)
@@ -141,7 +151,10 @@ def test_power_of_two_scaling_is_bit_exact():
     # At 2^m (v, c) the field divided by s is the same floats, so the shares
     # are bit-identical and t scales by exactly 2^-m, for every terminal.
     starts = [(0.3, -0.0, 0.5), *random_interior_starts(3, seed=19)]
+    # (0.3, 0.7) lies off every bifurcation line; at m = 10 it is (307.2, 716.8)
+    assert (math.ldexp(0.3, 10), math.ldexp(0.7, 10)) == (307.2, 716.8)
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
+                   (Params(0.3, 0.7), IntegrationConfig()),
                    (Params(-0.2, -0.1), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0, record_stride=0.5))):
         base = batch_integrate(p, starts, cfg)

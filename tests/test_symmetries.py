@@ -1,17 +1,28 @@
 """The game's exact symmetries, checked at the scan and at the command line.
 
-Swapping y and z maps P1 onto P4, so their codes agree at every node.
-Scaling (v, c) by k > 0 scales every eigenvalue by k, so tags and
-transition lines must not change with the box's scale, down to subnormal
-boxes and up to the top of the float range.  The command-line checks run
-``python -m hawkdove.cli`` as a subprocess, as a user would, under
-``-W error`` where a warning would mean an overflow or underflow.
+Swapping y and z maps P1 onto P4, so their codes agree at every node, and
+``simulate`` from swapped starts swaps P1 and P4 in its summary and the y
+and z columns of every trajectory, bit for bit.  Scaling (v, c) by k > 0
+scales every eigenvalue by k, so tags and transition lines must not change
+with the box's scale, down to subnormal boxes and up to the top of the
+float range.  The bifurcation checks run ``python -m hawkdove.cli`` as a
+subprocess, as a user would, under ``-W error`` where a warning would mean
+an overflow or underflow; the ``simulate`` check runs ``main`` in process
+with warnings as errors.
+
+The other scaling checks sit beside the code they test: the catalog's
+tags in ``test_equilibrium_catalog.py``, the stepper's bits in
+``test_integrator.py``, nash's margins in ``test_nash.py``, the 1D tags in
+``test_two_strategy.py``, and each command's tags, flags and strict JSON
+from 1e-300 to 1e308 in ``test_cli.py``.  CI runs exactly this suite and
+the benchmark's correctness smoke, nothing else.
 """
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +31,9 @@ import pytest
 import hawkdove
 from hawkdove import scan
 from hawkdove.bifurcation import GridSpec
+from hawkdove.cli import main
 from hawkdove.equilibrium_catalog import EquilibriumId
+from hawkdove.integrator import random_interior_starts
 
 SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
 EQS = list(EquilibriumId)
@@ -102,3 +115,30 @@ def test_cli_transition_lines_on_a_subnormal_box(tmp_path):
     sub = transition_lines(tmp_path / "tl-sub", *box(5e-323, 21), warnings_as_errors=True)
     ten = transition_lines(tmp_path / "tl-10", *box(10, 21), warnings_as_errors=True)
     assert sub == ten
+
+
+def test_cli_simulate_swaps_p1_and_p4_when_y_and_z_swap(tmp_path):
+    # the same 20 seeded starts, and each with y and z swapped, in process
+    starts = random_interior_starts(20, seed=7)
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("x,y,z\n" + "".join(f"{x!r},{z!r},{y!r}\n" for x, y, z in starts))
+    runs = []
+    for name, argv in (("seeded", ["--random-starts", "20", "--seed", "7"]),
+                       ("swapped", ["--starts-file", str(swapped)])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--v", "0.1", "--c", "0.2", *argv,
+                         "--out-dir", str(tmp_path / name)]) == 0
+        runs.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    twin = {"P1": "P4", "P4": "P1"}
+    seeded, mirrored = runs
+    assert set(seeded["terminals"]) == {"P1", "P4"}
+    assert mirrored["terminals"] == {twin[k]: n for k, n in seeded["terminals"].items()}
+    assert [t["closest_point"] for t in mirrored["trajectories"]] == \
+        [twin.get(t["closest_point"], t["closest_point"]) for t in seeded["trajectories"]]
+    for i in range(20):
+        rows, mirror = ([line.split(",") for line in
+                         (tmp_path / name / f"trajectory_{i:03d}.csv").read_text().splitlines()[1:]]
+                        for name in ("seeded", "swapped"))
+        # t, x, y, z, w: the CSV's 17 digits give back the exact floats
+        assert mirror == [[t, x, z, y, w] for t, x, y, z, w in rows], i
