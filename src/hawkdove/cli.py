@@ -181,7 +181,7 @@ def _simulate_svg(p, trajectories, starts, path) -> None:
             cv.circle(sx, sy, 2.2, fill="seagreen")
         for rec in records:
             ex, ey = _project_xy(rec.coords[ia], rec.coords[ib], (ox, oy), panel)
-            cv.cross(ex, ey, 8, stroke="red")
+            cv.cross(ex, ey, 8)
             cv.text(ex + 5, ey - 5, rec.id.value, size=10, fill="red")
         cv.text(ox + panel / 2, oy + panel + 16, f"{na}-{nb}", anchor="middle")
     cv.text(margin, height - 6, f"v={p.v:g} c={p.c:g}", size=10)

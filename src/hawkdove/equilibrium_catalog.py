@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game_core import Params, TOL_SIMPLEX
+from .game_core import Params
 from .linear_analysis import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
@@ -50,7 +50,7 @@ from .linear_analysis import (
     stability_codes,
     zero_tol,
 )
-from .replicator_field import ReducedState, lift
+from .replicator_field import ReducedState, on_reduced_simplex
 
 __all__ = [
     "EquilibriumId",
@@ -273,11 +273,6 @@ class EquilibriumRecord:
         return self.classification == self.paper_region_class
 
 
-def _in_simplex(coords: ReducedState) -> bool:
-    s4 = lift(coords)
-    return min(s4) >= -TOL_SIMPLEX
-
-
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
@@ -305,7 +300,7 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
         ok = bool(defined[k])
         # an undefined point's code is UNDEFINED and its coincidence row empty
         records.append(EquilibriumRecord(
-            id=eq, coords=coords, defined=ok, in_simplex=ok and _in_simplex(coords),
+            id=eq, coords=coords, defined=ok, in_simplex=ok and on_reduced_simplex(coords),
             eigenvalues=tuple(eigs[k].tolist()) if ok else None,
             classification=CLASS_BY_CODE[codes[k]],
             paper_region_class=region_predicate(eq, p) if ok else None,

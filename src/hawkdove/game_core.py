@@ -138,11 +138,11 @@ def average_payoff(p: Params, s: StateLike) -> float:
 
 
 def on_simplex(s: StateLike) -> bool:
-    """True when all shares are >= -TOL_SIMPLEX and sum to 1 within it."""
-    vals = [float(t) for t in s]
+    """True when all shares are >= -TOL_SIMPLEX and x + (y + z) + w is 1 within it."""
+    x, y, z, w = vals = [float(t) for t in s]
     if not all(math.isfinite(t) for t in vals):
         return False
-    return min(vals) >= -TOL_SIMPLEX and abs(sum(vals) - 1.0) <= TOL_SIMPLEX
+    return min(vals) >= -TOL_SIMPLEX and abs(x + (y + z) + w - 1.0) <= TOL_SIMPLEX
 
 
 def require_simplex(s: StateLike) -> SimplexState:

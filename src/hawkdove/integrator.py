@@ -33,12 +33,13 @@ invariant to the last bit.
 Both steppers, ``_lockstep`` and the 1D kernel ``integrate_hawk_share``,
 keep one contract: project the start, take each step, project after each
 accepted step; the first sample is the projected start.  The projection
-clamps shares in [-TOL_SIMPLEX, 0) to zero, then rescales a share sum in
-(1, 1 + TOL_SIMPLEX] to 1; each fix after a step counts as a clamp.  For
-one share it clamps z to [0, 1], since z / z == 1.  The 1D kernel is the
-step written out as straight-line float code with the rate inlined: the
-two-strategy oracle runs one start per call, and a single lane pays NumPy's
-per-call overhead.  Both are tested bit for bit against the scalar
+clamps shares in [-TOL_SIMPLEX, 0) to zero, then rescales a share sum
+x + (y + z) in (1, 1 + TOL_SIMPLEX] to 1 (``on_reduced_simplex`` takes the
+same sum, and w is ``lift``'s); each fix after a step counts as a clamp.
+For one share it clamps z to [0, 1], since z / z == 1.  The 1D kernel is
+the step written out as straight-line float code with the rate inlined:
+the two-strategy oracle runs one start per call, and a single lane pays
+NumPy's per-call overhead.  Both are tested bit for bit against the scalar
 stepper over tuples in ``tests/util.py``, which keeps the same contract.
 """
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from .equilibrium_catalog import EQUILIBRIUM_IDS, EquilibriumId, equilibrium_coords
 from .game_core import Params, TOL_SIMPLEX, unit_scale
-from .replicator_field import Reduced, ReducedState, field_3d_rows, on_reduced_simplex
+from .replicator_field import Reduced, ReducedState, field_3d_rows, lift, on_reduced_simplex
 
 __all__ = [
     "IntegrationConfig",
@@ -333,7 +334,7 @@ def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
             data = np.frombuffer(bufs[i]).reshape(-1, 4)
             samples = np.empty((len(data), 5))
             samples[:, :4] = data
-            samples[:, 4] = 1.0 - data[:, 1] - (data[:, 2] + data[:, 3])
+            samples[:, 4] = lift(data[:, 1:].T)[3]
             out[lane[i]] = (samples, terminal, int(accepted[i]), int(rejected[i]),
                             int(clamps[i]))
 

@@ -8,8 +8,7 @@ Two equivalent forms are provided:
 * ``field_3d`` -- the unconstrained reduction obtained by substituting
   w = 1 - x - y - z, expanded to explicit polynomials.  This is the
   canonical field for all downstream analysis (Jacobian, integration);
-  the 4D form exists for the consistency oracle and for reporting w along
-  trajectories.
+  the 4D form exists for the consistency oracle.
 
 The fields are evaluated as expanded polynomials rather than by
 subtracting average-payoff terms at runtime (fewer cancellation paths);
@@ -21,6 +20,10 @@ that is exactly zero has an exactly zero rate: boundary faces of the
 simplex are invariant to the last bit.  The y and z components share
 their common subexpressions so that the y<->z relabeling symmetry also
 holds bitwise.
+
+One simplex rule: ``on_reduced_simplex`` tests x + (y + z) <= 1 +
+TOL_SIMPLEX, the projection's sum, and ``lift``'s w is 1 - x - (y + z),
+so a state and its y<->z mirror are accepted together, with equal w bits.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
 
 
 class ReducedState(NamedTuple):
-    """Shares (x, y, z) of (HH, HD, DH); w = 1 - x - y - z is implied."""
+    """Shares (x, y, z) of (HH, HD, DH); w = 1 - x - (y + z) is implied."""
 
     x: float
     y: float
@@ -54,17 +57,17 @@ class ReducedState(NamedTuple):
 Reduced = Union[ReducedState, Sequence[float], np.ndarray]
 
 
-def lift(s: Reduced) -> tuple[float, float, float, float]:
-    """Embed a reduced state into the full simplex, recomputing w."""
-    x, y, z = (float(t) for t in s)
-    return (x, y, z, 1.0 - x - y - z)
+def lift(s: Reduced) -> tuple:
+    """(x, y, z, 1 - x - (y + z)) from float or equal-shape array shares."""
+    x, y, z = s
+    return (x, y, z, 1.0 - x - (y + z))
 
 
 def on_reduced_simplex(s: Reduced) -> bool:
     x, y, z = (float(t) for t in s)
     if not all(math.isfinite(t) for t in (x, y, z)):
         return False
-    return min(x, y, z) >= -TOL_SIMPLEX and x + y + z <= 1.0 + TOL_SIMPLEX
+    return min(x, y, z) >= -TOL_SIMPLEX and x + (y + z) <= 1.0 + TOL_SIMPLEX
 
 
 def _field_3d_terms(v, c, x, y, z):

@@ -65,15 +65,14 @@ class Canvas:
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" stroke-opacity="{_fmt(opacity)}"/>')
 
-    def circle(self, x, y, r, fill="red", stroke="none"):
+    def circle(self, x, y, r, fill="red"):
         self._parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" '
-            f'fill="{fill}" stroke="{stroke}"/>')
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}" stroke="none"/>')
 
-    def cross(self, x, y, size, stroke="red", width=1.5):
+    def cross(self, x, y, size):
         s = size / 2.0
-        self.line(x - s, y - s, x + s, y + s, stroke=stroke, width=width)
-        self.line(x - s, y + s, x + s, y - s, stroke=stroke, width=width)
+        self.line(x - s, y - s, x + s, y + s, stroke="red", width=1.5)
+        self.line(x - s, y + s, x + s, y - s, stroke="red", width=1.5)
 
     def text(self, x, y, content, size=11, fill="black", anchor="start"):
         self._parts.append(

@@ -19,9 +19,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equilibrium_catalog import EquilibriumId
-from .game_core import Params, TOL_SIMPLEX, unit_scale
+from .game_core import Params, unit_scale
 from .integrator import IntegrationConfig, integrate_hawk_share, time_scale
 from .linear_analysis import zero_tol
+from .replicator_field import on_reduced_simplex
 
 __all__ = [
     "two_strategy_payoff_matrix",
@@ -118,7 +119,7 @@ def simulate_hawk_share(p: Params, z0: float, cfg=None) -> list[tuple[float, flo
     """
     p = Params(*p).validate()
     z0 = float(z0)
-    if not -TOL_SIMPLEX <= z0 <= 1.0 + TOL_SIMPLEX:
+    if not on_reduced_simplex((z0, 0.0, 0.0)):
         raise ValueError(f"z0 must lie in [0, 1], got {z0}")
     cfg = (cfg or IntegrationConfig()).validate()
     e, (v, c) = time_scale(p, cfg.t_end)

@@ -15,6 +15,7 @@ from hawkdove import (
     strategy_payoff,
 )
 from hawkdove.game_core import on_simplex, require_simplex, unit_scale
+from hawkdove.replicator_field import on_reduced_simplex
 
 from util import rand_params, rand_simplex4
 
@@ -135,6 +136,15 @@ def test_simplex_membership():
     assert not on_simplex((0.5, 0.5, 0.5, -0.5))
     assert not on_simplex((0.3, 0.3, 0.3, 0.3))
     assert not on_simplex((float("nan"), 0, 0, 1))
+    # a NaN or an infinite share, in any slot, and finite shares whose sum
+    # overflows are off both simplices
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            assert not on_simplex([bad if i == k else 0.25 for i in range(4)])
+        for k in range(3):
+            assert not on_reduced_simplex([bad if i == k else 0.25 for i in range(3)])
+    assert not on_simplex((1e308, 1e308, 0.0, 0.0))
+    assert not on_reduced_simplex((1e308, 1e308, 0.0))
     with pytest.raises(ValueError):
         require_simplex((0.5, 0.5, 0.5, 0.5))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hawkdove import Params, consistency_residual, field_3d, field_4d, lift
+from hawkdove import (Params, batch_integrate, consistency_residual, field_3d, field_4d, lift,
+                      random_interior_starts)
 
 from util import rand_params, rand_reduced, rand_simplex4
 
@@ -95,3 +96,12 @@ def test_scaling_covariance():
 
 def test_lift_recomputes_w():
     assert lift((0.2, 0.3, 0.4)) == (0.2, 0.3, 0.4, pytest.approx(0.1, abs=1e-15))
+    # one w, 1 - x - (y + z): the same bits with y and z swapped, and the
+    # same bits as the w column of every trajectory sample
+    rng = np.random.default_rng(23)
+    for _ in range(10_000):
+        x, y, z = rand_reduced(rng)
+        assert lift((x, y, z))[3].hex() == lift((x, z, y))[3].hex()
+    for traj in batch_integrate(Params(0.1, 0.2), random_interior_starts(100, seed=1)):
+        for _t, x, y, z, w in traj.samples.tolist():
+            assert lift((x, y, z))[3].hex() == w.hex()
