@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -650,3 +651,172 @@ def test_main_never_creates_the_directory_of_an_out_file(tmp_path, capsys):
     assert str(missing / "x.json") in capsys.readouterr().err
     assert not missing.exists()
     assert [f.name for f in (tmp_path / "two").iterdir()] == ["hawk_share_000.csv"]
+
+
+# ------------------------------------------------- golden bytes of point commands
+
+# Fixed points through the point commands: the five presets, the origin,
+# one point on each of c = 0, v = c and c = 2v, and three at the ends of
+# the float range.
+_GOLDEN_POINTS = {
+    "preset-0.1,0.2": ("0.1", "0.2"), "preset-0.2,0.3": ("0.2", "0.3"),
+    "preset-0.2,0.1": ("0.2", "0.1"), "preset--0.1,0.2": ("-0.1", "0.2"),
+    "preset--0.2,-0.1": ("-0.2", "-0.1"), "origin": ("0", "0"),
+    "c=0": ("0.3", "0"), "v=c": ("0.25", "0.25"), "c=2v": ("-0.15", "-0.3"),
+    "1e300,1e-300": ("1e300", "1e-300"), "1e308,-1e308": ("1e308", "-1e308"),
+    "5e-324,5e-324": ("5e-324", "5e-324"),
+}
+_GOLDEN_COMMANDS = {
+    "equilibria-json": ("equilibria", "--format", "json"),
+    "equilibria-csv": ("equilibria", "--format", "csv"),
+    "nash": ("nash",),
+    "two-strategy": ("two-strategy", "--z0=0.3", "--z0=0.9", "--out-dir", "out"),
+}
+# SHA-256 of stdout, then of out/hawk_share_000.csv and out/hawk_share_001.csv
+# where the command writes them; 2 where the command is a usage error (the
+# physical time of a step cannot be represented), which writes nothing.
+_GOLDEN = {
+    ("equilibria-json", "preset-0.1,0.2"):
+        "df835e5b055618999bb9fcb94ff538ab4f726c7c45f3d250d2dd2a76d5af6de5",
+    ("equilibria-json", "preset-0.2,0.3"):
+        "28422698cee6651eaf0808515e0165a2ddefbca4075754432c41d109b22ce594",
+    ("equilibria-json", "preset-0.2,0.1"):
+        "5d812afaf5d6a3bcf510208eb190a371b2262f9e9f176a15c7e3616adfe3e53e",
+    ("equilibria-json", "preset--0.1,0.2"):
+        "eeb90a8ee0b080d0da654064f1f0570cb84a5e22e9efcfae3a3451c06be49a02",
+    ("equilibria-json", "preset--0.2,-0.1"):
+        "32c89337ef31383b5c98cdafb38d90e6c64701091bbe213a14cfbfbbe18145ac",
+    ("equilibria-json", "origin"):
+        "fe1a69cef15cd6e0dcae9854a4eb248f676879e6dc635187faaa8e15e056f69c",
+    ("equilibria-json", "c=0"):
+        "ad6c4e03d05ba75e1c426969895e0443af0429a5152d57dcc03dd683c9077250",
+    ("equilibria-json", "v=c"):
+        "fd6f7f140a8a5643a7aaca37cdb0eb945d617fd8e82784dff53f98548113e677",
+    ("equilibria-json", "c=2v"):
+        "c4c94e17f0dbf4611cdbb79dc267ac9f1a804b601e7d0298f560d422cd5070b1",
+    ("equilibria-json", "1e300,1e-300"):
+        "13b8922473832df4109ad6009e6e903c90f551b8644d59f1fbcfbcdfa34f07de",
+    ("equilibria-json", "1e308,-1e308"):
+        "5ecceb6841bfa5acbccdea03c63d736180bc9565e80d7aa606afa0762c0d2337",
+    ("equilibria-json", "5e-324,5e-324"):
+        "9e07b6ed9397c4f59f89a421d23836203fcbaca9dbf90ecf26c80af043fdfc2b",
+    ("equilibria-csv", "preset-0.1,0.2"):
+        "ade3e5a6d7623a2c13e744a424478bb1b8862c80cf839e1a586185dc6dcd985f",
+    ("equilibria-csv", "preset-0.2,0.3"):
+        "a9a6517fac592f3a559dec4404c22ceed637c9282e54f1ef04c3f1cbab3ebd64",
+    ("equilibria-csv", "preset-0.2,0.1"):
+        "4c756644d4c795274abd7294854c6d642efe952cf01cc9bae78bcaf3138f7dcb",
+    ("equilibria-csv", "preset--0.1,0.2"):
+        "253473446b4a026357e3db189259cf91d1a5abd571fe7dc65a78e5babbe0f89a",
+    ("equilibria-csv", "preset--0.2,-0.1"):
+        "11d2bd3acba039c6f263685c0b55cffbe31f0b851c47814287125c6dc90420fe",
+    ("equilibria-csv", "origin"):
+        "c4199d4c98de17891deb2380d430cc6888cdac5ff6eeb45a39a3fc81832c38ab",
+    ("equilibria-csv", "c=0"):
+        "1609a835ebbe06a506b7b93377bfa3123ff5b45af897cb609df474f23cb87aa2",
+    ("equilibria-csv", "v=c"):
+        "555d281da9951cc897395ea1978587d40c2c4843c2625c2729a79cfa8cae71d1",
+    ("equilibria-csv", "c=2v"):
+        "9c6e657398a50abe80477a407999b4c8f9cf75ebae36fed33fba9e473472109e",
+    ("equilibria-csv", "1e300,1e-300"):
+        "029b0eccb7d42d136ac3b1b8981ee811ed127d4e81d69728e3569b0019d6abda",
+    ("equilibria-csv", "1e308,-1e308"):
+        "fd152f0b37e18d9e4b7bb8d892b698602530a99b4562bae0ba5e4b188d407df9",
+    ("equilibria-csv", "5e-324,5e-324"):
+        "c1d85878b069ec20fa80e87f6621abcd14cb48cbc6d34b28ecd2013bae64b430",
+    ("nash", "preset-0.1,0.2"):
+        "3ce7c6def9bb298093a2a9b0eed5b97848c01cbc307b828ad688c71cd586f99a",
+    ("nash", "preset-0.2,0.3"):
+        "5bd1670a5b31f4d3e8704095274392f76d2ac0d7d205fd300c69a3876d16e664",
+    ("nash", "preset-0.2,0.1"):
+        "12d910807d21394b5ed8d79932deeb9360162c76ed5269f63dd95a6ab9a961fa",
+    ("nash", "preset--0.1,0.2"):
+        "030c1c92b8570e381db81fd2204a2cf0afe9f5d0a3e9dc3084c33bb4802984e0",
+    ("nash", "preset--0.2,-0.1"):
+        "b0af9849e146caae255192daaaa8cddf90275ac904d3d69bb23d0e4452ff5c85",
+    ("nash", "origin"):
+        "1d1c7744368634f3eecd77f3253d915d78eb52a6b52ae189986f2170196131b9",
+    ("nash", "c=0"):
+        "c28b1b8bb24fc13d48f295807b1f5d440935f9644b0c18a90ed05134da95f94d",
+    ("nash", "v=c"):
+        "a6c6d68c588d95962a65e8e9437c786e7d751f69664a695c697527a7b76cf8ef",
+    ("nash", "c=2v"):
+        "636679558883534741865a8ae0d19e9bcfa730c85d03bb59011405100258dacb",
+    ("nash", "1e300,1e-300"):
+        "51c367cf6c4eebbba2ce19e93c884c7cd04968e0cbc84158f46f8eb91f9c4fef",
+    ("nash", "1e308,-1e308"):
+        "ea6aabe1c58a6c7b4ab3ce66f57a964a08a2eba1c6fa2adb0809306cadbddca8",
+    ("nash", "5e-324,5e-324"):
+        "4dec2876a669731b42325230f4c687b0948d0dea159c56edfdac70e3e2cc9ed0",
+    ("two-strategy", "preset-0.1,0.2"): (
+        "f7488800d05733f681d48cd2315efae668e935ef6505595fa6e86bda0c80dc1b",
+        "2b8001c2f7b3d428627c90a986f7dbdc4df9251386c0833fc7c75f7c443b4c1d",
+        "4dccfd0239dc9a6ac6ee7daf273f5a5df532b283f6cfab8bfdbc4fb2be712c03",
+    ),
+    ("two-strategy", "preset-0.2,0.3"): (
+        "7e6dc5b312ef26ee4d26c8e27bf6813321ff736a47dab0b4de9ea79591b03f8b",
+        "d3315788563db0a109a160b3e96fabb9e29f26ef0a3bb32ef348086e3b0bbc74",
+        "4d72b3d5217e9014f023a9546238fc4ff88c33c889d02b8d125e88ce4bf850ac",
+    ),
+    ("two-strategy", "preset-0.2,0.1"): (
+        "853843a1c7350cecb1f3a4d64f6c49c50c15ab3b38b17f4177bd4155ebccd38a",
+        "8ec5abf9e53921c6f7b6bce3afd8254157f22eef7cf51fe39b173de80ead82ef",
+        "9ec5fffb0be612b870fc9d3edc5b56da93ab0f170b9157542d2da84454175f96",
+    ),
+    ("two-strategy", "preset--0.1,0.2"): (
+        "d344f786a952cc9f944b1e6cc4ed7c15a9273938338f47814e0e48ee71fe8373",
+        "92f67cb37645982175f3024eafd67d152bb7b8bbb993efb0c27ea9da4d656f70",
+        "91e7906f7d0d60e3914e19c71befef061682705927dc5c02d8f670b3f0819060",
+    ),
+    ("two-strategy", "preset--0.2,-0.1"): (
+        "7feed61ef5620fbe33b11c79a03246edeee9e3ca4a7dd3bfb8191d1daf058bb4",
+        "bac0bd14025fdca4c159c3f297fcef4c173f5080deeb395be61680b2a1e36eda",
+        "b11c9b4aaaf36246246a7042e348f2535ed5e6aef95284fc43027d23aa8da1f3",
+    ),
+    ("two-strategy", "origin"): (
+        "3c29d0cd445a74b907d225456794d10c61e1bd21e07047fb55518f934c45e863",
+        "19c479025fe7b67c1bfa67fbec79ab00ed15a7a87e244730c7ff3718137f70e6",
+        "3fe5c7bf442159faf771e6f2a9e9fd4a1a750b1262fb93b170c797086d501253",
+    ),
+    ("two-strategy", "c=0"): (
+        "c163ad6f7eee2ed772324723f375b3331586d3bd43786f6e770fa80db9de604c",
+        "4d1356220cb225550fbd627f161e87252d8b558605da7bbd85bee73787a037da",
+        "2adaac0054ff71fef015d7b27477600be3fd0594647c518438c455987a60fc70",
+    ),
+    ("two-strategy", "v=c"): (
+        "3b581031974e8600607ef0ec12452ae697fe99adcaee2a21174570ea50fcc0a6",
+        "f2bef33884a6fbc90ee93c532f8a7d3952a589a7b8044773a1dde4c0365d4a3f",
+        "cd42988ffd06897698dbe363e32922d565559db1437ae7f05d891f345148816b",
+    ),
+    ("two-strategy", "c=2v"): (
+        "90cac44acb05912f0c0d89477f532d1d15788064e646268931d7dad99825f74c",
+        "98c3e31ca972a93664029f585a597861f8d78ee2cd07a901ef36e5768102af5e",
+        "b5b19f27853efdd413fa834266af997564360a5968e72c1489abe00952ae22f9",
+    ),
+    ("two-strategy", "1e300,1e-300"): 2,
+    ("two-strategy", "1e308,-1e308"): 2,
+    ("two-strategy", "5e-324,5e-324"): 2,
+}
+
+
+@pytest.mark.parametrize("command, point", list(_GOLDEN))
+def test_point_commands_write_their_golden_bytes(tmp_path, capsys, monkeypatch, command, point):
+    monkeypatch.chdir(tmp_path)
+    name, *options = _GOLDEN_COMMANDS[command]
+    v, c = _GOLDEN_POINTS[point]
+    try:
+        code = main([name, f"--v={v}", f"--c={c}", *options])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    written = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file())
+    golden = _GOLDEN[command, point]
+    if golden == 2:
+        assert (code, out, written) == (2, "", [])
+        return
+    golden = (golden,) if isinstance(golden, str) else golden
+    digests = [hashlib.sha256(out.encode()).hexdigest()]
+    digests += [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written]
+    assert code == 0
+    assert written == [f"out/hawk_share_{i:03d}.csv" for i in range(len(golden) - 1)]
+    assert tuple(digests) == golden
