@@ -95,6 +95,8 @@ EQUILIBRIUM_IDS = tuple(EquilibriumId)
 _STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS], dtype=np.int8)
 # Two defined points coincide when no coordinate differs by more than this.
 _COINCIDE_TOL = 1e-12
+# No point coincides with itself.
+_OFF_DIAGONAL = ~np.eye(len(EQUILIBRIUM_IDS), dtype=bool)
 
 
 # Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
@@ -205,9 +207,9 @@ def _eigenvalue_table(v, c, q):
     r = c - 2.0 * v
     zero = np.zeros_like(d)
     d4, c4, v4 = 0.25 * d, 0.25 * c, 0.25 * v
-    return (np.stack((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v)),
-            np.stack((-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4)),
-            np.stack((-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
+    return (np.array((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v)),
+            np.array((-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4)),
+            np.array((-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
 
 
 _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
@@ -282,27 +284,28 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     p = Params(*p).validate()
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     columns, codes = _classify(p.v, p.c)
-    eigs = np.stack(columns, axis=-1)
+    eigs = np.array(columns).T
     eigs[codes == _UNDEFINED] = np.nan      # an overflowed triple shows as NaN
     # descending; adding 0.0 turns a -0.0 into 0.0
     eigs = np.sort(eigs, axis=-1)[:, ::-1] + 0.0
-    points = np.stack((x, y, z), axis=-1)
+    points = np.array((x, y, z)).T
     # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
     # An infinite v/c minus itself is nan, which coincides with nothing.
     with np.errstate(invalid="ignore"):
         gaps = np.abs(points[:, None] - points[None]).max(axis=-1)
-    twins = ((gaps <= _COINCIDE_TOL)
-             & defined[:, None] & defined[None] & ~np.eye(len(points), dtype=bool))
+    twins = (gaps <= _COINCIDE_TOL) & defined[:, None] & defined[None] & _OFF_DIAGONAL
     records = []
-    for k, eq in enumerate(EQUILIBRIUM_IDS):
-        coords = ReducedState(*points[k].tolist())
-        ok = bool(defined[k])
+    # one tolist per array: the loop reads Python floats, bools and ints
+    for eq, point, ok, triple, code, twin in zip(
+            EQUILIBRIUM_IDS, points.tolist(), defined.tolist(), eigs.tolist(),
+            codes.tolist(), twins.tolist()):
+        coords = ReducedState(*point)
         # an undefined point's code is UNDEFINED and its coincidence row empty
         records.append(EquilibriumRecord(
             id=eq, coords=coords, defined=ok, in_simplex=ok and on_reduced_simplex(coords),
-            eigenvalues=tuple(eigs[k].tolist()) if ok else None,
-            classification=CLASS_BY_CODE[codes[k]],
+            eigenvalues=tuple(triple) if ok else None,
+            classification=CLASS_BY_CODE[code],
             paper_region_class=region_predicate(eq, p) if ok else None,
-            coincides_with=tuple(compress(EQUILIBRIUM_IDS, twins[k]))))
+            coincides_with=tuple(compress(EQUILIBRIUM_IDS, twin))))
     return records

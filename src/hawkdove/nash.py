@@ -31,7 +31,6 @@ from .game_core import (
     TOL_SIMPLEX,
     build_payoff_matrix,
     require_simplex,
-    strategy_payoff,
     unit_scale,
 )
 from .linear_analysis import Classification
@@ -86,8 +85,11 @@ def best_response_check(p: Params, sigma) -> NashReport:
     p = Params(*p).validate()
     s = require_simplex(sigma)
     e, unit = unit_scale(p)
-    m = build_payoff_matrix(unit)
-    u = [strategy_payoff(m, i, s) for i in range(4)]
+    # strategy_payoff's contraction on Python floats: the same operations
+    # in the same order, so the same bits
+    x, y, z, w = s
+    u = [r0 * x + r1 * y + r2 * z + r3 * w
+         for r0, r1, r2, r3 in build_payoff_matrix(unit).tolist()]
     u_bar = sum(si * ui for si, ui in zip(s, u))
     margin = math.ldexp(u_bar - max(u), e)
     support = tuple(name for name, si in zip(STRATEGIES, s) if si > TOL_SIMPLEX)
