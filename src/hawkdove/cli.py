@@ -351,7 +351,6 @@ def cmd_two_strategy(args) -> tuple:
         for i, z0 in enumerate(args.z0):
             samples = simulate_hawk_share(p, z0, cfg)
             path = out / f"hawk_share_{i:03d}.csv"
-            # one % over the whole file
             rows = "%.17g,%.17g\n" * len(samples)
             csv = "t,z\n" + rows % tuple(t for s in samples for t in s)
             files.append((path, functools.partial(_write_text, csv)))

@@ -27,8 +27,9 @@ component-major: three eigenvalue columns, each of shape (7,) + shape,
 which ``stability_codes``, still the one code rule, reads column by
 column; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
 place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
-same call on a 0-d grid, and only it stacks the columns into descending
-(7, 3) rows, for display.
+same call on a 0-d grid.  For display it transposes the columns into
+(7, 3) rows, sorted descending, and reads each array of the seven records
+once, with ``tolist``, so the record loop works on Python values.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
@@ -112,6 +113,8 @@ _COORD_IS_Q = np.array([
     [False, False, True, False, False, False, False],
     [False, False, True, False, False, False, False],
 ])
+# Points with no v/c slot are defined at every (v, c).
+_ALWAYS_DEFINED = ~_COORD_IS_Q.any(axis=0)
 
 
 def equilibrium_coords(v, c):
@@ -126,12 +129,14 @@ def equilibrium_coords(v, c):
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
     shape = np.broadcast(v, c).shape
-    nonzero = np.broadcast_to(c != 0.0, shape)
+    # c != 0 over the broadcast shape, written into its output; on one
+    # point np.broadcast_to costs more than the whole test
+    nonzero = np.not_equal(c, 0.0, out=np.empty(shape, dtype=bool))
     with np.errstate(over="ignore"):    # |v/c| past the float range is +-inf
         q = np.divide(v, c, out=np.zeros(shape), where=nonzero)
     expand = (slice(None), slice(None)) + (None,) * len(shape)
     x, y, z = np.where(_COORD_IS_Q[expand], q, _COORD_FIXED[expand])
-    defined = nonzero | ~_COORD_IS_Q.any(axis=0)[expand[1:]]
+    defined = nonzero | _ALWAYS_DEFINED[expand[1:]]
     return x, y, z, defined
 
 
@@ -293,8 +298,8 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
     # An infinite v/c minus itself is nan, which coincides with nothing.
     with np.errstate(invalid="ignore"):
-        gaps = np.abs(points[:, None] - points[None]).max(axis=-1)
-    twins = (gaps <= _COINCIDE_TOL) & defined[:, None] & defined[None] & _OFF_DIAGONAL
+        gaps = np.abs(points[:, None] - points).max(axis=-1)
+    twins = (gaps <= _COINCIDE_TOL) & defined[:, None] & defined & _OFF_DIAGONAL
     records = []
     # one tolist per array: the loop reads Python floats, bools and ints
     for eq, point, ok, triple, code, twin in zip(

@@ -9,8 +9,11 @@ equilibrium.
 ``best_response_check`` is the independent oracle: a state is a symmetric
 Nash equilibrium iff no pure strategy earns more against it than the
 population earns against itself.  The margin it reports is the worst-case
-payoff slack (>= 0 means Nash).  ``nash_report`` assembles both, with the
-check of each pure strategy, into the ``nash`` command's JSON payload.
+payoff slack (>= 0 means Nash).  It contracts the rows of the payoff
+table with the state on Python floats, the same operations in the same
+order as ``game_core.strategy_payoff``, so the margins have its bits.
+``nash_report`` assembles both, with the check of each pure strategy,
+into the ``nash`` command's JSON payload.
 
 The pure HD/DH pairs are sometimes quoted as Nash for all v > 0, c > 0,
 but the best-response margin shows c >= v is required; report exports

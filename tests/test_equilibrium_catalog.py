@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hawkdove import Params, catalog, field_3d, jacobian
+from hawkdove.bifurcation import GridSpec, scan
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
@@ -179,6 +180,29 @@ def test_catalog_tags_are_scale_invariant_and_match_the_scan():
             # one classification path: the scan's codes at the same point
             codes = classification_codes(q.v, q.c)
             assert [CODE_BY_CLASS[t] for t in scaled] == [int(c) for c in codes]
+
+
+@pytest.mark.parametrize("box", [(-0.3, 0.3), (-1e308, 1e308), (-5e-323, 5e-323)],
+                         ids=["0.3", "1e308", "5e-323"])
+def test_catalog_eigenvalues_are_the_scan_columns_at_every_node(box):
+    # one classification path: at each node of a scanned box, catalog's
+    # descending triples are the grid's _classify columns at that node, with
+    # an UNDEFINED triple as NaN, sorted and -0.0 turned to 0.0 the same way
+    lo, hi = box
+    m = scan(GridSpec(lo, hi, lo, hi, 21, 21))
+    vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
+    columns, codes = _classify(vv, cc)
+    assert np.array_equal(codes, m.codes)
+    triples = np.stack(columns, axis=-1)
+    triples[codes == CODE_BY_CLASS[C.UNDEFINED]] = np.nan
+    triples = np.sort(triples, axis=-1)[..., ::-1] + 0.0
+    for i, v in enumerate(m.v_values.tolist()):
+        for j, c in enumerate(m.c_values.tolist()):
+            for k, rec in enumerate(catalog(Params(v, c))):
+                assert CODE_BY_CLASS[rec.classification] == codes[k, i, j], (v, c, rec.id)
+                if rec.defined:
+                    got = np.array(rec.eigenvalues).tobytes()
+                    assert got == triples[k, i, j].tobytes(), (v, c, rec.id)
 
 
 def test_small_scale_catalog_matches_closed_form():

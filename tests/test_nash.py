@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hawkdove import Params, best_response_check, build_payoff_matrix, nash_via_stability
-from hawkdove.game_core import on_simplex, strategy_payoff
+from hawkdove.game_core import STRATEGIES, TOL_SIMPLEX, on_simplex, strategy_payoff, unit_scale
 from hawkdove.nash import discrepancy_notes, nash_report, nash_tol
 
 from util import rand_params
@@ -177,6 +177,35 @@ def test_margins_scale_exactly_with_powers_of_two():
         # compared above that
         if m >= -20:
             assert [r["via_best_response"] for r in rows] == flags, m
+
+
+def _reference_check(p, s):
+    """best_response_check's margin, flag and support through strategy_payoff
+    over the unit-scale payoff matrix."""
+    e, unit = unit_scale(p)
+    m = build_payoff_matrix(unit)
+    u = [strategy_payoff(m, i, s) for i in range(4)]
+    u_bar = sum(si * ui for si, ui in zip(s, u))
+    margin = math.ldexp(u_bar - max(u), e)
+    support = tuple(name for name, si in zip(STRATEGIES, s) if si > TOL_SIMPLEX)
+    return _bits(margin), margin >= -nash_tol(p), support
+
+
+def test_best_response_check_is_bit_identical_to_strategy_payoff():
+    rng = np.random.default_rng(307)
+    states = [tuple(float(i == k) for i in range(4)) for k in range(4)]
+    states += [tuple(s.tolist()) for s in rng.dirichlet(np.ones(4), 20)]
+    states += [tuple(s.tolist()) for s in rng.dirichlet(np.full(4, 0.2), 20)]
+    directions = [(0.1, 0.2), (0.2, 0.3), (0.2, 0.1), (-0.1, 0.2), (-0.2, -0.1),
+                  (0.3, 0.0), (0.0, -0.3), (0.25, 0.25)]
+    points = [Params(math.ldexp(v, k), math.ldexp(c, k))
+              for k in range(-1000, 1001, 50) for v, c in directions]
+    points += [Params(1e308, 1e308), Params(5e-324, 0.0)]
+    for p in points:
+        for s in states:
+            rep = best_response_check(p, s)
+            got = (_bits(rep.margin), rep.via_best_response, rep.support)
+            assert got == _reference_check(p, s), (p, s)
 
 
 def test_tolerance_rounds_as_the_direct_formula_wherever_that_is_finite():
