@@ -23,13 +23,14 @@ structural zero an exact zero; the Jacobian with a LAPACK solve is the
 reference the tests hold the table to.  (v, c) is first divided by a
 power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
 unless an eigenvalue overflows (then UNDEFINED).  The table is
-component-major: three eigenvalue columns, each of shape (7,) + shape,
-which ``stability_codes``, still the one code rule, reads column by
-column; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
-place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
-same call on a 0-d grid.  For display it transposes the columns into
-(7, 3) rows, sorted descending, and reads each array of the seven records
-once, with ``tolist``, so the record loop works on Python values.
+component-major: one (3, 7) + shape array of three eigenvalue columns,
+built and scaled back in one call each, which ``stability_codes``, still
+the one code rule, reads column by column; the DEGENERATE and UNDEFINED
+upgrades then overwrite codes in place.  The grid scan calls it on chunks
+of the grid; ``catalog`` is the same call on a 0-d grid.  For display it
+transposes the table into (7, 3) rows, sorted descending, and reads each
+array of the seven records once, with ``tolist``, so the record loop
+works on Python values.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
@@ -202,19 +203,19 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
 
 
 def _eigenvalue_table(v, c, q):
-    """The paper's closed-form eigenvalues of P1..P7 as three columns.
+    """The paper's closed-form eigenvalues of P1..P7, shape (3, 7) + shape.
 
-    Each column has shape (7,) + shape, point axis first, and holds one
-    eigenvalue of every point; a point's three are unordered.  q = v / c;
-    every eigenvalue is real.  P1 and P4 share their values.
+    Three columns, each of shape (7,) + shape, point axis first, and each
+    holding one eigenvalue of every point; a point's three are unordered.
+    q = v / c; every eigenvalue is real.  P1 and P4 share their values.
     """
     d = v - c
     r = c - 2.0 * v
-    zero = np.zeros_like(d)
+    zero = np.zeros(d.shape)
     d4, c4, v4 = 0.25 * d, 0.25 * c, 0.25 * v
-    return (np.array((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v)),
-            np.array((-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4)),
-            np.array((-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
+    return np.array(((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v),
+                     (-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4),
+                     (-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
 
 
 _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
@@ -224,8 +225,8 @@ _UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 def _classify(v, c):
     """(eigenvalue columns, codes) of P1..P7 at (v, c).
 
-    Point axis first.  The three eigenvalue columns, each of shape (7,) +
-    shape, come from ``_eigenvalue_table`` scaled back to (v, c);
+    Point axis first.  The three eigenvalue columns, one (3, 7) + shape
+    array, are ``_eigenvalue_table`` scaled back to (v, c);
     structural zeros are exact zeros.  A code is the stability code,
     raised to DEGENERATE where more real parts are zero than the point's
     structural count, and UNDEFINED where an eigenvalue is not finite:
@@ -243,11 +244,10 @@ def _classify(v, c):
         e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
         v, c = np.ldexp(v, -e), np.ldexp(c, -e)
         re = _eigenvalue_table(v, c, q)
-        eigs = tuple(np.ldexp(col, e) for col in re)
+        eigs = np.ldexp(re, e)
     codes, zeros = stability_codes(re, zero_tol(v, c))
     np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
-    finite = np.isfinite(eigs[0]) & np.isfinite(eigs[1]) & np.isfinite(eigs[2])
-    np.copyto(codes, _UNDEFINED, where=~finite)
+    np.copyto(codes, _UNDEFINED, where=~np.isfinite(eigs).all(axis=0))
     return eigs, codes
 
 
@@ -289,7 +289,7 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     p = Params(*p).validate()
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     columns, codes = _classify(p.v, p.c)
-    eigs = np.array(columns).T
+    eigs = columns.T
     eigs[codes == _UNDEFINED] = np.nan      # an overflowed triple shows as NaN
     # descending; adding 0.0 turns a -0.0 into 0.0
     eigs = np.sort(eigs, axis=-1)[:, ::-1] + 0.0
