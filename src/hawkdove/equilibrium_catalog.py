@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -97,8 +97,6 @@ EQUILIBRIUM_IDS = tuple(EquilibriumId)
 _STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS], dtype=np.int8)
 # Two defined points coincide when no coordinate differs by more than this.
 _COINCIDE_TOL = 1e-12
-# No point coincides with itself.
-_OFF_DIAGONAL = ~np.eye(len(EQUILIBRIUM_IDS), dtype=bool)
 
 
 # Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
@@ -283,34 +281,39 @@ class EquilibriumRecord:
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
-    ``classification_codes`` on a 0-d grid, with the eigenvalues sorted
-    in descending order for display.
+    ``classification_codes`` on a 0-d grid.  Each array is read once, with
+    ``tolist``, and the display work, the descending eigenvalue triples and
+    the coincidences, runs on the Python floats.
     """
     p = Params(*p).validate()
     x, y, z, defined = equilibrium_coords(p.v, p.c)
     columns, codes = _classify(p.v, p.c)
-    eigs = columns.T
-    eigs[codes == _UNDEFINED] = np.nan      # an overflowed triple shows as NaN
-    # descending; adding 0.0 turns a -0.0 into 0.0
-    eigs = np.sort(eigs, axis=-1)[:, ::-1] + 0.0
-    points = np.array((x, y, z)).T
+    points = [ReducedState(*xyz) for xyz in zip(x.tolist(), y.tolist(), z.tolist())]
+    oks = defined.tolist()
     # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
     # An infinite v/c minus itself is nan, which coincides with nothing.
-    with np.errstate(invalid="ignore"):
-        gaps = np.abs(points[:, None] - points).max(axis=-1)
-    twins = (gaps <= _COINCIDE_TOL) & defined[:, None] & defined & _OFF_DIAGONAL
+    twins = [[] for _ in points]
+    for (i, a), (j, b) in combinations(enumerate(points), 2):
+        if (oks[i] and oks[j] and abs(a.x - b.x) <= _COINCIDE_TOL
+                and abs(a.y - b.y) <= _COINCIDE_TOL and abs(a.z - b.z) <= _COINCIDE_TOL):
+            twins[i].append(EQUILIBRIUM_IDS[j])
+            twins[j].append(EQUILIBRIUM_IDS[i])
     records = []
-    # one tolist per array: the loop reads Python floats, bools and ints
-    for eq, point, ok, triple, code, twin in zip(
-            EQUILIBRIUM_IDS, points.tolist(), defined.tolist(), eigs.tolist(),
-            codes.tolist(), twins.tolist()):
-        coords = ReducedState(*point)
+    for eq, coords, ok, triple, code, twin in zip(
+            EQUILIBRIUM_IDS, points, oks, columns.T.tolist(), codes.tolist(), twins):
+        if not ok:
+            eigenvalues = None
+        elif code == _UNDEFINED:
+            eigenvalues = (np.nan,) * 3    # an overflowed triple shows as NaN
+        else:
+            # descending; adding 0.0 turns a -0.0 into 0.0
+            eigenvalues = tuple(sorted([l + 0.0 for l in triple], reverse=True))
         # an undefined point's code is UNDEFINED and its coincidence row empty
         records.append(EquilibriumRecord(
             id=eq, coords=coords, defined=ok, in_simplex=ok and on_reduced_simplex(coords),
-            eigenvalues=tuple(triple) if ok else None,
+            eigenvalues=eigenvalues,
             classification=CLASS_BY_CODE[code],
             paper_region_class=region_predicate(eq, p) if ok else None,
-            coincides_with=tuple(compress(EQUILIBRIUM_IDS, twin))))
+            coincides_with=tuple(twin)))
     return records

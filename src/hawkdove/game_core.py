@@ -139,13 +139,14 @@ def average_payoff(p: Params, s: StateLike) -> float:
 
 def on_simplex(s: StateLike) -> bool:
     """True when all shares are >= -TOL_SIMPLEX and x + (y + z) + w is 1 within it."""
-    x, y, z, w = vals = [float(t) for t in s]
-    if not all(math.isfinite(t) for t in vals):
+    x, y, z, w = s
+    x, y, z, w = float(x), float(y), float(z), float(w)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z) and math.isfinite(w)):
         return False
-    return min(vals) >= -TOL_SIMPLEX and abs(x + (y + z) + w - 1.0) <= TOL_SIMPLEX
+    return min(x, y, z, w) >= -TOL_SIMPLEX and abs(x + (y + z) + w - 1.0) <= TOL_SIMPLEX
 
 
 def require_simplex(s: StateLike) -> SimplexState:
     if not on_simplex(s):
         raise ValueError(f"state {tuple(s)!r} is not on the simplex (tol={TOL_SIMPLEX})")
-    return SimplexState(*(float(t) for t in s))
+    return SimplexState(*map(float, s))

@@ -15,8 +15,8 @@ eigenvalue by k.  Counts of zero, negative and positive real parts map
 to a class through one code table, ``stability_codes``, the only
 classification rule; the catalog and the grid scan share it.  It takes
 the real parts as three columns, one eigenvalue of every triple each,
-so each count is a sum of three int8 comparisons and the table is read
-with one flat index.
+so each count is one comparison summed over the three columns and the
+table is read with one flat index.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def zero_tol(v, c):
 def stability_codes(re, tol):
     """Class codes and zero counts from three real-part columns, through one code table.
 
-    ``re`` is three arrays of one shape, each holding one real part of
-    every triple (a (3,) + shape array unpacks the same way), and ``tol``
-    broadcasts over that shape.  A real part counts as zero when
+    ``re`` is a (3,) + shape array whose rows each hold one real part of
+    every triple (three arrays of one shape are stacked into one), and
+    ``tol`` broadcasts over that shape.  A real part counts as zero when
     |re| <= tol (so a zero threshold still counts exact zeros).  Returns
     int8 codes indexing CLASS_BY_CODE and the int8 zero count per triple:
     no zero real part gives a node or saddle, exactly one the normally
@@ -159,14 +159,14 @@ def stability_codes(re, tol):
     NonHyperbolic.  DEGENERATE and UNDEFINED are never produced here; the
     equilibrium catalog adds them.
     """
-    r0, r1, r2 = (np.asarray(r, dtype=float) for r in re)
+    re = np.asarray(re, dtype=float)
     tol = np.asarray(tol, dtype=float)
-    lo = -tol
     # |re| <= tol is re <= tol and not re < -tol, so zeros are the real
-    # parts at most tol less the negative ones.  Int8 views of the
-    # comparisons add up without a cast, and one flat index,
-    # 4 * zeros + negatives, reads the table in a single take.
-    at_most = (r0 <= tol).view(np.int8) + (r1 <= tol).view(np.int8) + (r2 <= tol).view(np.int8)
-    negs = (r0 < lo).view(np.int8) + (r1 < lo).view(np.int8) + (r2 < lo).view(np.int8)
+    # parts at most tol less the negative ones.  Each count is one
+    # comparison over all three columns, its int8 view summed over the
+    # column axis, and one flat index, 4 * zeros + negatives, reads the
+    # table in a single take.
+    at_most = (re <= tol).view(np.int8).sum(axis=0, dtype=np.int8)
+    negs = (re < -tol).view(np.int8).sum(axis=0, dtype=np.int8)
     zeros = at_most - negs
     return _CODE_TABLE.ravel().take(4 * zeros + negs), zeros

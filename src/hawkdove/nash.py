@@ -135,6 +135,10 @@ def discrepancy_notes(p: Params) -> list[str]:
     return notes
 
 
+# HH, HD, DH and DD as population states
+_PURE_STATES = tuple(tuple(float(i == k) for i in range(4)) for k in range(4))
+
+
 def nash_report(p: Params) -> dict:
     """The ``nash`` command's JSON payload at ``p``.
 
@@ -147,8 +151,7 @@ def nash_report(p: Params) -> dict:
     """
     p = Params(*p).validate()
     v, c = p
-    pure = [best_response_check(p, tuple(float(i == k) for i in range(4)))
-            for k in range(4)]
+    pure = [best_response_check(p, s) for s in _PURE_STATES]
     return {
         "v": v,
         "c": c,

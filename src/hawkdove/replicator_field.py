@@ -64,8 +64,9 @@ def lift(s: Reduced) -> tuple:
 
 
 def on_reduced_simplex(s: Reduced) -> bool:
-    x, y, z = (float(t) for t in s)
-    if not all(math.isfinite(t) for t in (x, y, z)):
+    x, y, z = s
+    x, y, z = float(x), float(y), float(z)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         return False
     return min(x, y, z) >= -TOL_SIMPLEX and x + (y + z) <= 1.0 + TOL_SIMPLEX
 
