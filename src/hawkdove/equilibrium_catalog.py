@@ -24,13 +24,13 @@ reference the tests hold the table to.  (v, c) is first divided by a
 power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
 unless an eigenvalue overflows (then UNDEFINED).  The table is
 component-major: one (3, 7) + shape array of three eigenvalue columns,
-built and scaled back in one call each, which ``stability_codes``, still
-the one code rule, reads column by column; the DEGENERATE and UNDEFINED
-upgrades then overwrite codes in place.  The grid scan calls it on chunks
-of the grid; ``catalog`` is the same call on a 0-d grid.  For display it
-transposes the table into (7, 3) rows, sorted descending, and reads each
-array of the seven records once, with ``tolist``, so the record loop
-works on Python values.
+built and scaled back in one call each, whose real parts
+``stability_codes``, still the one code rule, compares in one call per
+count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
+place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
+same call on a 0-d grid.  It reads each array once, with ``tolist``, and
+does its display work, the descending eigenvalue triples and the
+coincidences, on the Python floats.
 Coordinates come from two constant tables, one of fixed values and one
 marking the slots that hold v/c.
 """
