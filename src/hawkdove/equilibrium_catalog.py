@@ -30,9 +30,9 @@ count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
 place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
 same call on a 0-d grid.  It reads each array once, with ``tolist``, and
 does its display work, the descending eigenvalue triples and the
-coincidences, on the Python floats.
-Coordinates come from two constant tables, one of fixed values and one
-marking the slots that hold v/c.
+coincidences, on the Python floats.  The coordinates are written there
+too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
+its sign at a zero v and is +-inf where it overflows.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "EquilibriumRecord",
     "EQUILIBRIUM_IDS",
     "STRUCTURAL_ZERO_EIGS",
-    "equilibrium_coords",
     "region_predicate",
     "catalog",
     "classification_codes",
@@ -97,46 +96,6 @@ EQUILIBRIUM_IDS = tuple(EquilibriumId)
 _STRUCTURAL = np.array([STRUCTURAL_ZERO_EIGS[eq] for eq in EQUILIBRIUM_IDS], dtype=np.int8)
 # Two defined points coincide when no coordinate differs by more than this.
 _COINCIDE_TOL = 1e-12
-
-
-# Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
-# where _COORD_IS_Q is set (y and z of P3, x of P6).
-_COORD_FIXED = np.array([
-    # P1   P2   P3   P4   P5   P6   P7
-    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0],
-    [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
-])
-_COORD_IS_Q = np.array([
-    [False, False, False, False, False, True, False],
-    [False, False, True, False, False, False, False],
-    [False, False, True, False, False, False, False],
-])
-# Points with no v/c slot are defined at every (v, c).
-_ALWAYS_DEFINED = ~_COORD_IS_Q.any(axis=0)
-
-
-def equilibrium_coords(v, c):
-    """Coordinates of P1..P7 as arrays broadcast over (v, c).
-
-    Returns (x, y, z, defined), each of shape (7,) + the broadcast shape
-    of (v, c), the leading axis in catalog order.  ``defined`` is False
-    where the closed form divides by zero (P3/P6 at c = 0).  The v/c
-    slots are selected, not added, so a -0.0 or infinite v/c keeps its
-    value and the other points stay exact.
-    """
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    shape = np.broadcast(v, c).shape
-    # c != 0 over the broadcast shape, written into its output; on one
-    # point np.broadcast_to costs more than the whole test
-    nonzero = np.not_equal(c, 0.0, out=np.empty(shape, dtype=bool))
-    with np.errstate(over="ignore"):    # |v/c| past the float range is +-inf
-        q = np.divide(v, c, out=np.zeros(shape), where=nonzero)
-    expand = (slice(None), slice(None)) + (None,) * len(shape)
-    x, y, z = np.where(_COORD_IS_Q[expand], q, _COORD_FIXED[expand])
-    defined = nonzero | _ALWAYS_DEFINED[expand[1:]]
-    return x, y, z, defined
 
 
 def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
@@ -283,13 +242,17 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
 
     ``classification_codes`` on a 0-d grid.  Each array is read once, with
     ``tolist``, and the display work, the descending eigenvalue triples and
-    the coincidences, runs on the Python floats.
+    the coincidences, runs on the Python floats, beside the coordinates.
     """
     p = Params(*p).validate()
-    x, y, z, defined = equilibrium_coords(p.v, p.c)
     columns, codes = _classify(p.v, p.c)
-    points = [ReducedState(*xyz) for xyz in zip(x.tolist(), y.tolist(), z.tolist())]
-    oks = defined.tolist()
+    v, c = float(p.v), float(p.c)
+    q = v / c if c else 0.0     # on Python floats an overflow is +-inf, with no warning
+    # P1..P7; P3 and P6 divide by c
+    points = (ReducedState(0.0, 0.0, 1.0), ReducedState(0.0, 0.5, 0.5), ReducedState(0.0, q, q),
+              ReducedState(0.0, 1.0, 0.0), ReducedState(1.0, 0.0, 0.0), ReducedState(q, 0.0, 0.0),
+              ReducedState(0.0, 0.0, 0.0))
+    oks = (True, True, c != 0, True, True, c != 0, True)
     # Coincidences, e.g. P3=P6=P7 at v=0, P6=P5 at v=c, P3=P2 at c=2v.
     # Coordinates are 0, 1/2, 1 or v/c, so the tolerance is in share units.
     # An infinite v/c minus itself is nan, which coincides with nothing.

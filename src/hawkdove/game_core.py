@@ -100,16 +100,20 @@ def unit_scale(p: Params) -> tuple[int, Params]:
     return e, Params(math.ldexp(v, -e), math.ldexp(c, -e))
 
 
+def _payoff_rows(p: Params) -> tuple:
+    """The four rows of the payoff table at (v, c), as tuples: Python floats
+    for float (v, c)."""
+    v, c = p
+    return (((v - c) / 2, (3 * v - c) / 4, (3 * v - c) / 4, v),
+            ((v - c) / 4, v / 2, (2 * v - c) / 4, 3 * v / 4),
+            ((v - c) / 4, (2 * v - c) / 4, v / 2, 3 * v / 4),
+            (0.0, v / 4, v / 4, v / 2))
+
+
 def build_payoff_matrix(p: Params) -> np.ndarray:
     """Row-player payoffs of the asymmetric game, a read-only (4, 4) array
     generated from (v, c) in the fixed strategy order."""
-    v, c = Params(*p).validate()
-    m = np.array([
-        [(v - c) / 2, (3 * v - c) / 4, (3 * v - c) / 4, v],
-        [(v - c) / 4, v / 2, (2 * v - c) / 4, 3 * v / 4],
-        [(v - c) / 4, (2 * v - c) / 4, v / 2, 3 * v / 4],
-        [0.0, v / 4, v / 4, v / 2],
-    ])
+    m = np.array(_payoff_rows(Params(*p).validate()))
     m.flags.writeable = False
     return m
 

@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .equilibrium_catalog import EQUILIBRIUM_IDS, EquilibriumId, equilibrium_coords
+from .equilibrium_catalog import EquilibriumId, catalog
 from .game_core import Params, TOL_SIMPLEX, unit_scale
 from .replicator_field import Reduced, ReducedState, field_3d_rows, lift, on_reduced_simplex
 
@@ -420,13 +420,13 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     convergence (the scaled field's sup norm below CONVERGENCE_EPS), the
     time limit, or step failure; its samples carry physical time.  Raises
     ValueError where physical time cannot be represented (``time_scale``).
-    Every trajectory records the nearest defined catalog point (Euclidean,
-    reduced coordinates), the distance to it and the final scaled field
-    norm; on convergence that point is also attached as ``nearest`` if it
-    lies within 1e-3.  A trajectory does not depend on which other starts
-    share the batch.  The stepper projects each start as it projects every
-    step, so a start within TOL_SIMPLEX of the simplex begins, and is
-    recorded, on it.
+    Every trajectory records the nearest defined point of ``catalog(p)``
+    (Euclidean, reduced coordinates), the distance to it and the final
+    scaled field norm; on convergence that point is also attached as
+    ``nearest`` if it lies within 1e-3.  A trajectory does not depend on
+    which other starts share the batch.  The stepper projects each start as
+    it projects every step, so a start within TOL_SIMPLEX of the simplex
+    begins, and is recorded, on it.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -439,9 +439,9 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     e, scaled = time_scale(p, cfg.t_end)
     lanes = _lockstep(scaled, starts, cfg)
 
-    x, y, z, defined = equilibrium_coords(p.v, p.c)
-    ids = list(compress(EQUILIBRIUM_IDS, defined))
-    coords = np.stack((x, y, z), axis=-1)[defined]
+    points = [rec for rec in catalog(p) if rec.defined]
+    ids = [rec.id for rec in points]
+    coords = np.array([rec.coords for rec in points])
     finals = np.array([samples[-1, 1:4] for samples, *_ in lanes])
     diff = finals[:, None, :] - coords[None, :, :]
     dist = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]

@@ -10,8 +10,9 @@ equilibrium.
 Nash equilibrium iff no pure strategy earns more against it than the
 population earns against itself.  The margin it reports is the worst-case
 payoff slack (>= 0 means Nash).  It contracts the rows of the payoff
-table with the state on Python floats, the same operations in the same
-order as ``game_core.strategy_payoff``, so the margins have its bits.
+table, the float tuples that ``build_payoff_matrix`` wraps in its array,
+with the state on Python floats, the same operations in the same order
+as ``game_core.strategy_payoff``, so the margins have its bits.
 ``nash_report`` assembles both, with the check of each pure strategy,
 into the ``nash`` command's JSON payload.
 
@@ -32,7 +33,7 @@ from .game_core import (
     STRATEGIES,
     SimplexState,
     TOL_SIMPLEX,
-    build_payoff_matrix,
+    _payoff_rows,
     require_simplex,
     unit_scale,
 )
@@ -91,8 +92,7 @@ def best_response_check(p: Params, sigma) -> NashReport:
     # strategy_payoff's contraction on Python floats: the same operations
     # in the same order, so the same bits
     x, y, z, w = s
-    u = [r0 * x + r1 * y + r2 * z + r3 * w
-         for r0, r1, r2, r3 in build_payoff_matrix(unit).tolist()]
+    u = [r0 * x + r1 * y + r2 * z + r3 * w for r0, r1, r2, r3 in _payoff_rows(unit)]
     u_bar = sum(si * ui for si, ui in zip(s, u))
     margin = math.ldexp(u_bar - max(u), e)
     support = tuple(name for name, si in zip(STRATEGIES, s) if si > TOL_SIMPLEX)

@@ -35,7 +35,6 @@ from hawkdove.bifurcation import DEFAULT_GRID, LineId
 from hawkdove.equilibrium_catalog import (
     CODE_BY_CLASS,
     EquilibriumId,
-    equilibrium_coords,
     region_predicate,
 )
 from hawkdove.game_core import build_payoff_matrix, strategy_payoff
@@ -72,13 +71,11 @@ def test_criterion_1_eigenvalue_reproduction():
     with criterion(1, "eigenvalue closed-form reproduction at P1..P7", budget_s=1.0):
         for _ in range(50):
             p = rand_params(rng, c_min=1e-3)
-            coords = equilibrium_coords(p.v, p.c)
-            for k, eq in enumerate(EquilibriumId):
-                x, y, z, defined = (a[k] for a in coords)
-                assert bool(defined)
-                eigs = eigenvalues(jacobian(p, (float(x), float(y), float(z))))
-                expected = closed_form_eigs(eq.value, p.v, p.c)
-                assert multiset_close(eigs, expected, 1e-9), (eq, p, tuple(eigs))
+            for rec in catalog(p):
+                assert rec.defined
+                eigs = eigenvalues(jacobian(p, rec.coords))
+                expected = closed_form_eigs(rec.id.value, p.v, p.c)
+                assert multiset_close(eigs, expected, 1e-9), (rec.id, p, tuple(eigs))
 
 
 def test_criterion_2_region_predicate_reproduction():

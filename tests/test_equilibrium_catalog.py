@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from hawkdove.equilibrium_catalog import (
     EquilibriumId,
     _classify,
     classification_codes,
-    equilibrium_coords,
     region_predicate,
 )
 from hawkdove.linear_analysis import Classification
@@ -128,20 +130,69 @@ def test_coincidence_tolerance_is_scale_free():
         assert [rec.coincides_with for rec in recs] == base, k
 
 
-def test_equilibrium_coords_keep_signed_zero_and_overflow():
-    v = np.array([[-0.0], [0.3], [1e300]])
-    c = np.array([0.2, 0.0, 1e-300])
+def test_catalog_coords_keep_signed_zero_and_overflow():
+    P2, P3, P5, P6 = (EquilibriumId.P2, EquilibriumId.P3, EquilibriumId.P5, EquilibriumId.P6)
+    for v in (-0.0, 0.3, 1e300):
+        for c in (0.2, 0.0, 1e-300):
+            recs = by_id(catalog(Params(v, c)))
+            if (v, c) == (-0.0, 0.2):    # v/c = -0.0
+                assert math.copysign(1.0, recs[P3].coords.y) == -1.0
+                assert math.copysign(1.0, recs[P6].coords.x) == -1.0
+            if (v, c) == (1e300, 1e-300):    # v/c overflows
+                assert recs[P6].coords.x == math.inf and recs[P3].coords.y == math.inf
+                # the other points keep their exact coordinates beside it
+                assert recs[P5].coords.x == 1.0 and recs[P2].coords.y == 0.5
+            for eq, rec in recs.items():
+                if eq in (P3, P6):
+                    assert rec.defined == (c != 0), (eq, v, c)
+                else:
+                    assert rec.defined and all(map(math.isfinite, rec.coords)), (eq, v, c)
+
+
+# Coordinates of P1..P7 (columns) as rows x, y, z: a fixed value, or v/c
+# where the second table is set.
+_FIXED = np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0],
+                   [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]])
+_IS_Q = np.array([[False, False, False, False, False, True, False],
+                  [False, False, True, False, False, False, False],
+                  [False, False, True, False, False, False, False]])
+
+
+def _broadcast_coords(v, c):
+    """(x, y, z, defined) of P1..P7 over 1-D (v, c), shape (7, n): the
+    vectorised closed form, v/c divided where c != 0 into zeros."""
+    v = np.asarray(v, dtype=float)
+    c = np.asarray(c, dtype=float)
+    nonzero = c != 0
     with np.errstate(over="ignore"):
-        x, y, z, defined = equilibrium_coords(v, c)
-    assert x.shape == y.shape == z.shape == defined.shape == (7, 3, 3)
-    p3, p5, p6 = EQS.index(EquilibriumId.P3), EQS.index(EquilibriumId.P5), EQS.index(EquilibriumId.P6)
-    assert np.signbit(y[p3, 0, 0]) and np.signbit(x[p6, 0, 0])        # v/c = -0.0
-    assert x[p6, 2, 2] == np.inf and y[p3, 2, 2] == np.inf             # v/c overflows
-    # the other points keep their exact coordinates beside an infinite v/c
-    assert x[p5, 2, 2] == 1.0 and y[EQS.index(EquilibriumId.P2), 2, 2] == 0.5
-    assert np.isfinite(np.delete(np.stack((x, y, z)), [p3, p6], axis=1)).all()
-    assert not defined[[p3, p6], :, 1].any() and defined[:, :, [0, 2]].all()
-    assert defined[[0, 1, 3, 4, 6], :, 1].all()
+        q = np.divide(v, c, out=np.zeros(c.shape), where=nonzero)
+    x, y, z = np.where(_IS_Q[:, :, None], q, _FIXED[:, :, None])
+    return x, y, z, nonzero | ~_IS_Q.any(axis=0)[:, None]
+
+
+def _coord_bit_cases():
+    edges = [s * m for s in (1.0, -1.0) for m in
+             (0.0, 5e-324, 1e-308, 1e-300, 0.1, 1.0, 1e300, 1.7976931348623157e308)]
+    yield from ((v, c) for v in edges for c in edges)
+    yield from ((math.ldexp(0.1, k), math.ldexp(0.2, k)) for k in range(-1074, 1024))
+    rng = np.random.default_rng(89)
+    mags = 10.0 ** rng.uniform(-300, 300, (400, 2))
+    signs = rng.choice((-1.0, 1.0), (400, 2))
+    yield from map(tuple, (mags * signs).tolist())
+    yield 1, 2
+    yield 3, 0
+
+
+def test_catalog_coords_are_bit_identical_to_the_broadcast_closed_form():
+    cases = list(_coord_bit_cases())
+    x, y, z, defined = _broadcast_coords(*zip(*cases))
+    for k, (v, c) in enumerate(cases):
+        recs = catalog(Params(v, c))
+        got = struct.pack("21d", *(t for rec in recs for t in rec.coords))
+        want = struct.pack("21d", *(t for xyz in zip(x[:, k], y[:, k], z[:, k]) for t in xyz))
+        assert got == want, (v, c)
+        assert [rec.defined for rec in recs] == defined[:, k].tolist(), (v, c)
 
 
 def test_degenerate_tags_on_bifurcation_lines():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,27 +185,33 @@ def test_scaled_preset_converges():
 
 
 def test_every_terminal_records_its_closest_point():
-    p = Params(0.1, 0.2)
     starts = random_interior_starts(6, seed=5)
-    _, scaled = time_scale(p, IntegrationConfig().t_end)
-    for cfg in (IntegrationConfig(), IntegrationConfig(t_end=3.0)):
-        for traj in batch_integrate(p, starts, cfg):
-            final = traj.samples[-1, 1:4]
-            dists = {rec.id: float(np.linalg.norm(final - np.array(tuple(rec.coords))))
-                     for rec in catalog(p) if rec.defined}
-            assert traj.closest is min(dists, key=dists.get)
-            assert traj.closest_distance == pytest.approx(dists[traj.closest], abs=1e-15)
-            assert traj.final_field_norm == max(abs(g) for g in field_3d(scaled, final))
-            if traj.terminal is Terminal.CONVERGED:
-                assert traj.final_field_norm < CONVERGENCE_EPS
-                assert traj.nearest is traj.closest
-            else:
-                assert traj.terminal is Terminal.TIME_LIMIT and traj.nearest is None
-                assert traj.final_field_norm >= CONVERGENCE_EPS
-            side = trajectory_sidecar(traj)
-            assert (side["closest_point"], side["closest_distance"],
-                    side["final_field_norm"]) == \
-                (traj.closest.value, traj.closest_distance, traj.final_field_norm)
+    # at c = 0 P3 and P6 are undefined; at (2, 1e-308) v/c overflows to inf
+    for p in (Params(0.1, 0.2), Params(0.2, 0.0), Params(-0.2, 0.0), Params(2.0, 1e-308)):
+        _, scaled = time_scale(p, IntegrationConfig().t_end)
+        for cfg in (IntegrationConfig(), IntegrationConfig(t_end=3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trajs = batch_integrate(p, starts, cfg)
+            for traj in trajs:
+                final = traj.samples[-1, 1:4]
+                dists = {rec.id: float(np.linalg.norm(final - np.array(tuple(rec.coords))))
+                         for rec in catalog(p) if rec.defined}
+                assert traj.closest is min(dists, key=dists.get)
+                if p != (0.1, 0.2):
+                    assert traj.closest not in (EquilibriumId.P3, EquilibriumId.P6), p
+                assert traj.closest_distance == pytest.approx(dists[traj.closest], abs=1e-15)
+                assert traj.final_field_norm == max(abs(g) for g in field_3d(scaled, final))
+                if traj.terminal is Terminal.CONVERGED:
+                    assert traj.final_field_norm < CONVERGENCE_EPS
+                    assert traj.nearest is traj.closest
+                else:
+                    assert traj.terminal is Terminal.TIME_LIMIT and traj.nearest is None
+                    assert traj.final_field_norm >= CONVERGENCE_EPS
+                side = trajectory_sidecar(traj)
+                assert (side["closest_point"], side["closest_distance"],
+                        side["final_field_norm"]) == \
+                    (traj.closest.value, traj.closest_distance, traj.final_field_norm)
 
 
 def _projection_cases():
