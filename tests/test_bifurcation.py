@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -546,3 +547,36 @@ def test_region_svg_matches_reference_writer(writer_case, tmp_path):
         rects = [line for line in new.splitlines() if line.startswith(b"<rect ")]
         assert rects == [line for line in ref.splitlines() if line.startswith(b"<rect ")]
         assert len(rects) == m.spec.n_v * m.spec.n_c
+
+
+def _traced_peak(write, m, path):
+    """Peak bytes that tracemalloc sees allocated while ``write(m, path)`` runs."""
+    tracemalloc.start()
+    try:
+        write(m, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _region_svg_p1(m, path):
+    _region_svg(m, EquilibriumId.P1, path)
+
+
+@pytest.fixture(scope="module")
+def rows_50_and_400():
+    """The default box at 201 c columns with 50 and with 400 v rows."""
+    return [scan(GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, 201)) for n_v in (50, 400)]
+
+
+@pytest.mark.parametrize("write, growth", [(_region_svg_p1, 1.5), (write_region_csv, 1.25)],
+                         ids=["svg", "csv"])
+def test_region_writer_peak_memory_does_not_grow_with_the_v_rows(
+        rows_50_and_400, tmp_path, write, growth):
+    # one warm-up call, so one-time allocations (lazy imports, caches) fall
+    # in neither measured peak
+    write(scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 3)), tmp_path / "warm-up")
+    peaks = [_traced_peak(write, m, tmp_path / "out") for m in rows_50_and_400]
+    assert peaks[1] <= growth * peaks[0], peaks
+    # far below the file written: no whole document is held in memory
+    assert peaks[1] < (tmp_path / "out").stat().st_size / 8, peaks

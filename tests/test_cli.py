@@ -115,6 +115,23 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
     assert (out1 / "portrait.svg").read_bytes() == (out2 / "portrait.svg").read_bytes()
 
 
+# SHA-256 of portrait.svg from five seeded starts at three README presets
+_GOLDEN_PORTRAITS = {
+    ("0.1", "0.2"): "2bdd66e247a438b60e2e2205064cf3c9b41dff44d9d11ec9d4b6acb3ecaab5e3",
+    ("0.2", "0.1"): "279db6b044ecc7362c8350854f677312999ffb80cd45c98377ec755a8898776e",
+    ("-0.2", "-0.1"): "6c2d088b49010a3ac818f4fa2cfe47fdcf7e761bfd9b8fe5f1433f984fd4b0aa",
+}
+
+
+@pytest.mark.parametrize("v, c", list(_GOLDEN_PORTRAITS))
+def test_simulate_portrait_svg_golden_bytes(tmp_path, capsys, v, c):
+    code, _ = run(capsys, "simulate", f"--v={v}", f"--c={c}", "--random-starts", "5",
+                  "--seed", "7", "--out-dir", str(tmp_path), "--svg")
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "portrait.svg").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_PORTRAITS[v, c]
+
+
 def test_simulate_is_scale_invariant_under_powers_of_two(tmp_path, capsys):
     # 102.4 and 204.8 are exactly 2^10 times the floats 0.1 and 0.2, on
     # c = 2v; 307.2 and 716.8 are 2^10 times 0.3 and 0.7, off every line:
