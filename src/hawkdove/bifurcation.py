@@ -23,15 +23,17 @@ on a subnormal box each node rounds once.  An axis node within rounding
 of zero is put exactly on zero, so the lines c = 0 and v = 0 pass
 through nodes on every box that straddles them.
 ``detect_transitions`` finds changed edges by comparing each plane with
-itself shifted along v and along c, OR-ed over the seven planes, and
-attributes lines only on those, in one array pass over all of
-them, each edge at its nodes divided by a power of two, so its on-line
-tolerance and midpoint neither underflow, round nor overflow at either
-end of the float range.  It aggregates with one integer key per changed
+itself shifted along v and along c, OR-ed into one (2, n_v, n_c) bool
+array one plane at a time, and attributes lines only on those, in one
+array pass over all of them, each edge at its nodes divided by a power of
+two, so its on-line tolerance and midpoint neither underflow, round nor
+overflow at either end of the float range.  It aggregates with one integer key per changed
 (edge, equilibrium) and ``np.unique`` per line.
 ``write_region_csv`` builds one text piece per (distinct row of seven
 tags, c column) and writes each v row as one gather from that table and
-one ``str.join``; its bytes match a cell-by-cell writer's.  Every
+one ``str.join``; its bytes match a cell-by-cell writer's.  Its per-node
+keys and table indices exist one chunk of rows at a time, so what it
+holds beyond ``codes`` does not grow with n_v.  Every
 eigenvalue and the zero threshold are homogeneous of degree 1 in (v, c),
 so the tags depend on the direction of (v, c) only, and a grid has few
 distinct tag rows (at most 23 on every box probed, from subnormal to
@@ -49,6 +51,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +137,12 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.ldexp(values, e)
 
 
+def _row_chunks(spec: GridSpec) -> list[slice]:
+    """Slices of whole v rows, about _CHUNK_NODES nodes each, at least one row."""
+    rows = max(1, _CHUNK_NODES // spec.n_c)
+    return [slice(start, start + rows) for start in range(0, spec.n_v, rows)]
+
+
 def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     """Classify all seven equilibria at every grid node.
 
@@ -147,10 +156,9 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
     codes = np.empty((7, spec.n_v, spec.n_c), dtype=np.int8)
-    rows = max(1, _CHUNK_NODES // spec.n_c)
-    for start in range(0, spec.n_v, rows):
-        vv, cc = np.meshgrid(v_values[start:start + rows], c_values, indexing="ij")
-        codes[:, start:start + rows] = classification_codes(vv, cc)
+    for rows in _row_chunks(spec):
+        vv, cc = np.meshgrid(v_values[rows], c_values, indexing="ij")
+        codes[:, rows] = classification_codes(vv, cc)
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
@@ -190,13 +198,19 @@ def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     collected under UNEXPLAINED for manual review.  Every changed (edge,
     equilibrium) gets one integer key, from the equilibrium and the tag
     pair, and each line takes the distinct keys of its edges.
+
+    Changed edges are marked in one (2, n_v, n_c) bool array, along v then
+    along c, OR-ing in one plane at a time: the temporaries there are one
+    plane's two shifted comparisons, (n_v - 1, n_c) and (n_v, n_c - 1)
+    bools.  Past that, arrays are per changed edge.
     """
     codes = m.codes
     # an edge changed where any of the seven contiguous planes changed
-    step = np.zeros((m.spec.n_v, m.spec.n_c, 2), dtype=bool)
-    step[:-1, :, 0] = (codes[:, 1:] != codes[:, :-1]).any(axis=0)
-    step[:, :-1, 1] = (codes[:, :, 1:] != codes[:, :, :-1]).any(axis=0)
-    i, j, along_c = np.nonzero(step)
+    step = np.zeros((2, m.spec.n_v, m.spec.n_c), dtype=bool)
+    for plane in codes:
+        step[0, :-1] |= plane[1:] != plane[:-1]
+        step[1, :, :-1] |= plane[:, 1:] != plane[:, :-1]
+    along_c, i, j = np.nonzero(step)
     i2, j2 = i + (1 - along_c), j + along_c
     va, ca = m.v_values[i], m.c_values[j]
     vb, cb = m.v_values[i2], m.c_values[j2]
@@ -291,15 +305,26 @@ def write_region_csv(m: RegionMap, path) -> None:
     the row's v text.  Tags depend on the direction of (v, c) only, so
     there are few distinct tag rows (see the module docstring) and the
     table grows with n_c, not with n_v * n_c.
+
+    Each node's key, an int32 encoding its seven tags, and its int64 index
+    into the table exist for one chunk of whole rows (about _CHUNK_NODES
+    nodes) at a time: the keys are computed once to find the distinct tag
+    rows and again, chunk by chunk, as the rows are written.
     """
     base = len(CLASS_BY_CODE)
-    # one key per node, the sum of code_k * base^k by Horner's rule over the
-    # planes (below 9^7, so int32 holds it); a key decodes to its tag row
-    key = m.codes[6].astype(np.int32)
-    for plane in m.codes[5::-1]:
-        key *= base
-        key += plane
-    distinct = np.unique(key)
+
+    def keys():
+        # one key per node, the sum of code_k * base^k by Horner's rule over
+        # the planes (below 9^7, so int32 holds it), a chunk of rows at a
+        # time; a key decodes to its tag row
+        for chunk in _row_chunks(m.spec):
+            key = m.codes[6, chunk].astype(np.int32)
+            for plane in m.codes[5::-1, chunk]:
+                key *= base
+                key += plane
+            yield key
+
+    distinct = np.unique(np.concatenate([np.unique(key) for key in keys()]))
     rows = distinct[:, None] // base ** np.arange(7) % base
     tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n" for row in rows.tolist()]
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
@@ -307,6 +332,7 @@ def write_region_csv(m: RegionMap, path) -> None:
     columns = np.arange(m.spec.n_c)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
-        for v, row in zip(m.v_values.tolist(), np.searchsorted(distinct, key)):
+        indices = chain.from_iterable(np.searchsorted(distinct, key) for key in keys())
+        for v, row in zip(m.v_values.tolist(), indices):
             v_text = f"{v:.17g}"
             fh.write(v_text + v_text.join(pieces[row, columns].tolist()))

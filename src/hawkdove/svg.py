@@ -7,6 +7,9 @@ number formatting.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from itertools import chain
+
 import numpy as np
 
 __all__ = ["Canvas"]
@@ -25,7 +28,7 @@ class Canvas:
     def __init__(self, width: float, height: float):
         self.width = width
         self.height = height
-        self._parts: list[str] = [
+        self._parts: list[str | Callable[[], Iterator[str]]] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
             f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
         ]
@@ -41,16 +44,22 @@ class Canvas:
         Cells come row-major in i then j, each as ``rect`` writes it with
         the default stroke.  One text piece, from y to the end of the
         element, is built per (fill, y), so the table grows with len(ys),
-        not with the cell count; a row is one gather from it joined with
-        the row's ``<rect x=...`` head, its cells separated by newlines.
+        not with the cell count.  A row is one gather from it joined with
+        the row's ``<rect x=...`` head, its cells separated by newlines,
+        and is built only when ``write`` reaches it: ``fill_index`` is read
+        then, and the grid holds one row's text at a time.
         """
         tails = [_rect_tail(width, height, fill, "none", 0.0) for fill in fills]
         y_text = [_fmt(y) for y in ys]
         pieces = np.array([[yt + tail for yt in y_text] for tail in tails], dtype=object)
         columns = np.arange(len(ys))
-        for x, row in zip(xs, fill_index):
-            head = f'<rect x="{_fmt(x)}" y="'
-            self._parts.append(head + ("\n" + head).join(pieces[row, columns].tolist()))
+
+        def rows():
+            for x, row in zip(xs, fill_index):
+                head = f'<rect x="{_fmt(x)}" y="'
+                yield head + ("\n" + head).join(pieces[row, columns].tolist())
+
+        self._parts.append(rows)
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -59,8 +68,9 @@ class Canvas:
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"{d}/>')
 
     def polyline(self, points, stroke="steelblue", width=1.0, opacity=1.0):
-        # the same text as _fmt on each coordinate, in one format call per point
-        pts = " ".join("%.6g,%.6g" % pair for pair in points)
+        # the same text as _fmt on each coordinate, in one format call
+        flat = tuple(chain.from_iterable(points))
+        pts = " ".join(["%.6g,%.6g"] * (len(flat) // 2)) % flat
         self._parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" stroke-opacity="{_fmt(opacity)}"/>')
@@ -83,11 +93,12 @@ class Canvas:
     def write(self, path) -> None:
         """One element per line, written part by part.
 
-        Joining every part into one string would hold the whole document in
-        memory a second time.
+        A part is an element's text, or a function returning the lines of a
+        ``rect_grid`` one at a time, so no part holds the whole grid.
         """
         with open(path, "w", encoding="utf-8") as fh:
             for part in self._parts:
-                fh.write(part)
-                fh.write("\n")
+                for text in (part,) if isinstance(part, str) else part():
+                    fh.write(text)
+                    fh.write("\n")
             fh.write("</svg>\n")
