@@ -27,8 +27,8 @@ itself shifted along v and along c, OR-ed into one (2, n_v, n_c) bool
 array one plane at a time, and attributes lines only on those, in one
 array pass over all of them, each edge at its nodes divided by a power of
 two, so its on-line tolerance and midpoint neither underflow, round nor
-overflow at either end of the float range.  It aggregates with one integer key per changed
-(edge, equilibrium) and ``np.unique`` per line.
+overflow at either end of the float range.  It aggregates with one
+integer key per changed (edge, equilibrium) and ``np.unique`` per line.
 ``write_region_csv`` builds one text piece per (distinct row of seven
 tags, c column) and writes each v row as one gather from that table and
 one ``str.join``; its bytes match a cell-by-cell writer's.  Its per-node
