@@ -309,7 +309,8 @@ def write_region_csv(m: RegionMap, path) -> None:
     Each node's key, an int32 encoding its seven tags, and its int64 index
     into the table exist for one chunk of whole rows (about _CHUNK_NODES
     nodes) at a time: the keys are computed once to find the distinct tag
-    rows and again, chunk by chunk, as the rows are written.
+    rows, of which only those that differ from their predecessor are
+    sorted, and again, chunk by chunk, as the rows are written.
     """
     base = len(CLASS_BY_CODE)
 
@@ -324,7 +325,13 @@ def write_region_csv(m: RegionMap, path) -> None:
                 key += plane
             yield key
 
-    distinct = np.unique(np.concatenate([np.unique(key) for key in keys()]))
+    def changes(key):
+        # the keys that differ from their predecessor in row-major order: tag
+        # rows change only at region borders, so few are left to sort
+        flat = key.ravel()
+        return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+    distinct = np.unique(np.concatenate([changes(key) for key in keys()]))
     rows = distinct[:, None] // base ** np.arange(7) % base
     tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n" for row in rows.tolist()]
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]

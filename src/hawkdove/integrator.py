@@ -14,33 +14,42 @@ of two is exact, so at 2^m (v, c) a trajectory's shares come out bit for
 bit the same and its physical time t = tau / s, the time that is
 recorded, scales by exactly 2^-m.
 
-``batch_integrate`` advances every start at once, one lane per row of
-(N, 3) NumPy arrays.  Each lane keeps its own time and step size and is
-accepted or rejected on its own; the stage-7 derivative becomes the next
-first stage (FSAL) except on a lane that was just projected.  A lane
-leaves the batch when it converges, reaches the time limit or its step
-size underflows.  ``integrate`` is a batch of one.
+``batch_integrate`` advances every start at once in ``_lockstep``, one
+lane per row of (N, 3) NumPy arrays.  Each lane keeps its own time and
+step size and is accepted or rejected on its own; the stage-7 derivative
+becomes the next first stage (FSAL) except on a lane that was just
+projected.  A lane leaves the batch when it converges, reaches the time
+limit or its step size underflows.  Once no more than ``_TAIL_LANES``
+lanes are left, the lockstep hands each one to ``_finish_lane``, the same
+step written out as straight-line float code, which runs it to its end.
+A batch of that many starts or fewer goes to the tail right after its
+first field evaluation; ``integrate`` is a batch of one.  Both paths exist
+because a lockstep iteration pays NumPy's per-call overhead, about 200 us,
+however few lanes it carries, while the tail pays Python's arithmetic,
+about 10 us per step of each lane: on a 2-core Xeon, three 500-start
+batches take 0.15 s in lockstep and 0.57 s in the tail alone, and one lane
+0.34 ms in the tail against 7.9 ms in lockstep.
 
 Every operation on a lane is elementwise and in the order of the scalar
 reference stepper, and the step-size factor uses the scalar libm ``pow``.
-So a lane's bits do not depend on which other starts share its batch,
-fixed inputs give bitwise-identical trajectories on a fixed platform, and
-swapping y and z in a start swaps those sample columns bit for bit.
-Because each field component carries its own share as an exact factor, a
-share that starts at exactly zero stays exactly zero: boundary faces are
-invariant to the last bit.
+So a lane's bits depend neither on which other starts share its batch nor
+on where it leaves the lockstep, fixed inputs give bitwise-identical
+trajectories on a fixed platform, and swapping y and z in a start swaps
+those sample columns bit for bit.  Because each field component carries
+its own share as an exact factor, a share that starts at exactly zero
+stays exactly zero: boundary faces are invariant to the last bit.
 
-Both steppers, ``_lockstep`` and the 1D kernel ``integrate_hawk_share``,
-keep one contract: project the start, take each step, project after each
-accepted step; the first sample is the projected start.  The projection
-clamps shares in [-TOL_SIMPLEX, 0) to zero, then rescales a share sum
-x + (y + z) in (1, 1 + TOL_SIMPLEX] to 1 (``on_reduced_simplex`` takes the
-same sum, and w is ``lift``'s); each fix after a step counts as a clamp.
-For one share it clamps z to [0, 1], since z / z == 1.  The 1D kernel is
-the step written out as straight-line float code with the rate inlined:
-the two-strategy oracle runs one start per call, and a single lane pays
-NumPy's per-call overhead.  Both are tested bit for bit against the scalar
-stepper over tuples in ``tests/util.py``, which keeps the same contract.
+The steppers, ``_lockstep`` with its tail and the 1D kernel
+``integrate_hawk_share``, keep one contract: project the start, take each
+step, project after each accepted step; the first sample is the projected
+start.  The projection clamps shares in [-TOL_SIMPLEX, 0) to zero, then
+rescales a share sum x + (y + z) in (1, 1 + TOL_SIMPLEX] to 1
+(``on_reduced_simplex`` takes the same sum, and w is ``lift``'s); each fix
+after a step counts as a clamp.  For one share it clamps z to [0, 1],
+since z / z == 1.  The 1D kernel is the 1D step as straight-line float
+code with the rate inlined: the two-strategy oracle runs one start per
+call.  All are tested bit for bit against the scalar stepper over tuples
+in ``tests/util.py``, which keeps the same contract.
 """
 
 from __future__ import annotations
@@ -57,7 +66,8 @@ import numpy as np
 
 from .equilibrium_catalog import EquilibriumId, catalog
 from .game_core import Params, TOL_SIMPLEX, unit_scale
-from .replicator_field import Reduced, ReducedState, field_3d_rows, lift, on_reduced_simplex
+from .replicator_field import (Reduced, ReducedState, _field_3d_terms, field_3d_rows, lift,
+                               on_reduced_simplex)
 
 __all__ = [
     "IntegrationConfig",
@@ -309,6 +319,107 @@ def _project_rows(y: np.ndarray) -> np.ndarray:
     return clip.sum(axis=1) + over
 
 
+#: ``_lockstep`` finishes its lanes one by one on ``_finish_lane`` once no
+#: more than this many are active: below it NumPy's per-call overhead costs
+#: more than the lanes' arithmetic.  On the benchmark's trajectory batches
+#: (20 and 100 starts) 20 to 60 all did well and 40 best; at 100 or more the
+#: 100-start batches run wholly in the tail and gain nothing.
+_TAIL_LANES = 40
+
+
+def _np_max(*vals):
+    """The largest of non-negative floats, or NaN if one is NaN, as ``np.max``
+    gives; the builtin ``max`` keeps a NaN only where it comes first."""
+    total = sum(vals)
+    return max(vals) if total == total else total
+
+
+def _finish_lane(v, c, cfg, t, last, h, state, k1, counts, buf):
+    """Run one ``_lockstep`` lane to its end as straight-line float code.
+
+    Takes the lane at the top of a lockstep iteration: its time t, the time
+    of its latest sample, step size h, shares, first stage k1, counts
+    (accepted, rejected, clamps) and flat sample buffer, which it extends.
+    Every operation is the lockstep's, in its order: the field through
+    ``_field_3d_terms``, the stage and error sums over the nonzero terms
+    left to right as in ``_combine``, the projection of ``_project_rows``,
+    the step factor of ``_step_factors`` and maxima that keep a NaN, as
+    NumPy's do.  So a lane's bits do not depend on where it left the batch.
+    Returns (terminal, accepted, rejected, clamps).
+    """
+    rtol, atol, t_end, max_step, stride = (cfg.rtol, cfg.atol, cfg.t_end, cfg.max_step,
+                                           cfg.record_stride)
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _STAGE_A
+    e1, _, e3, e4, e5, e6, e7 = _ERR
+    f, eps, tol, top = _field_3d_terms, CONVERGENCE_EPS, TOL_SIMPLEX, 1.0 + TOL_SIMPLEX
+    time_eps = 1e-13 * max(1.0, t_end)
+    x, y, z = state
+    k1x, k1y, k1z = k1
+    accepted, rejected, clamps = counts
+    while True:
+        remaining = t_end - t
+        h = min(h, max_step, remaining)
+        if remaining <= time_eps:
+            return Terminal.TIME_LIMIT, accepted, rejected, clamps
+        if h < _H_UNDERFLOW:
+            return Terminal.STEP_FAILURE, accepted, rejected, clamps
+
+        k2x, k2y, k2z = f(v, c, x + h * (a21 * k1x), y + h * (a21 * k1y), z + h * (a21 * k1z))
+        k3x, k3y, k3z = f(v, c, x + h * (a31 * k1x + a32 * k2x), y + h * (a31 * k1y + a32 * k2y),
+                          z + h * (a31 * k1z + a32 * k2z))
+        k4x, k4y, k4z = f(v, c, x + h * (a41 * k1x + a42 * k2x + a43 * k3x),
+                          y + h * (a41 * k1y + a42 * k2y + a43 * k3y),
+                          z + h * (a41 * k1z + a42 * k2z + a43 * k3z))
+        k5x, k5y, k5z = f(v, c, x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x),
+                          y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y),
+                          z + h * (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z))
+        k6x, k6y, k6z = f(v, c, x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x),
+                          y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y),
+                          z + h * (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z))
+        xn = x + h * (a71 * k1x + a73 * k3x + a74 * k4x + a75 * k5x + a76 * k6x)
+        yn = y + h * (a71 * k1y + a73 * k3y + a74 * k4y + a75 * k5y + a76 * k6y)
+        zn = z + h * (a71 * k1z + a73 * k3z + a74 * k4z + a75 * k5z + a76 * k6z)
+        k7x, k7y, k7z = f(v, c, xn, yn, zn)
+        err = _np_max(
+            abs(h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)),
+            abs(h * (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)),
+            abs(h * (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z + e7 * k7z)))
+        ratio = err / (atol + rtol * _np_max(abs(x), abs(y), abs(z), abs(xn), abs(yn), abs(zn)))
+        factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * pow(ratio, -0.2)))
+        if ratio > 1.0:
+            rejected += 1
+            h = h * factor
+            continue
+
+        accepted += 1
+        t = t + h
+        fixed = 0
+        if -tol <= xn < 0.0:
+            xn, fixed = 0.0, fixed + 1
+        if -tol <= yn < 0.0:
+            yn, fixed = 0.0, fixed + 1
+        if -tol <= zn < 0.0:
+            zn, fixed = 0.0, fixed + 1
+        total = xn + (yn + zn)
+        if 1.0 < total <= top:
+            xn, yn, zn, fixed = xn / total, yn / total, zn / total, fixed + 1
+        if fixed:
+            clamps += fixed
+            k7x, k7y, k7z = f(v, c, xn, yn, zn)
+        x, y, z, k1x, k1y, k1z = xn, yn, zn, k7x, k7y, k7z
+
+        converged = abs(k1x) < eps and abs(k1y) < eps and abs(k1z) < eps
+        finished = converged or t >= t_end
+        if stride is None or t - last >= stride - 1e-12 or (finished and last != t):
+            buf.extend((t, x, y, z))
+            last = t
+        h = h * factor
+        if finished:
+            terminal = Terminal.CONVERGED if converged else Terminal.TIME_LIMIT
+            return terminal, accepted, rejected, clamps
+
+
 def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
     """Dormand-Prince 5(4) on every start at once, one lane per row.
 
@@ -316,40 +427,53 @@ def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
     reference stepper takes from that start: every operation is
     elementwise, in the scalar order, so a lane's bits do not depend on
     which other starts share the batch.  The starts are projected first
-    (not counted as a clamp).  A lane retires on convergence, at the time
-    limit or on step underflow.
+    (not counted as a clamp), then ``_advance`` steps them.
 
     Returns per start (samples (n, 5), terminal, accepted, rejected, clamps),
     with t in the time of the field of ``p``.
     """
-    n = len(starts)
-    out: list = [None] * n
     y = np.array(starts, dtype=float)
     _project_rows(y)
     # Samples as flat (t, x, y, z) runs; the first is the projected start.
     bufs = [array("d", (0.0, *row)) for row in y.tolist()]
-
-    def retire(idx, terminal):
-        for i in idx.tolist():
-            data = np.frombuffer(bufs[i]).reshape(-1, 4)
-            samples = np.empty((len(data), 5))
-            samples[:, :4] = data
-            samples[:, 4] = lift(data[:, 1:].T)[3]
-            out[lane[i]] = (samples, terminal, int(accepted[i]), int(rejected[i]),
-                            int(clamps[i]))
-
     # +0.0 turns -0.0 into 0.0; the scalar path does that in its first step.
     y += 0.0
     k1 = field_3d_rows(p, y)
+    h = np.minimum(min(cfg.max_step, cfg.t_end), 0.01 / (1.0 + np.abs(k1).max(axis=1)))
+    return _advance(p, cfg, y, k1, h, bufs)
+
+
+def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
+             h: np.ndarray, bufs: list):
+    """Step the lanes (state rows y, first stages k1, step sizes h, sample
+    buffers bufs) from t = 0 to their ends; returns as ``_lockstep``.
+
+    A lane retires on convergence, at the time limit or on step underflow.
+    Once no more than _TAIL_LANES are active, each is finished on
+    ``_finish_lane``.
+    """
+    n = len(bufs)
+    out: list = [None] * n
+
+    def settle(j, buf, terminal, counts):
+        data = np.frombuffer(buf).reshape(-1, 4)
+        samples = np.empty((len(data), 5))
+        samples[:, :4] = data
+        samples[:, 4] = lift(data[:, 1:].T)[3]
+        out[j] = (samples, terminal, *counts)
+
+    def retire(idx, terminal):
+        for i in idx.tolist():
+            settle(lane[i], bufs[i], terminal,
+                   (int(accepted[i]), int(rejected[i]), int(clamps[i])))
+
     lane = np.arange(n)
     t = np.zeros(n)
     last = np.zeros(n)        # time of each lane's latest sample
     accepted = np.zeros(n, dtype=np.int64)
     rejected = np.zeros(n, dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    norm_k1 = np.abs(k1).max(axis=1)
-    h = np.minimum(min(cfg.max_step, cfg.t_end), 0.01 / (1.0 + norm_k1))
-    keep = ~(norm_k1 < CONVERGENCE_EPS)
+    keep = ~(np.abs(k1).max(axis=1) < CONVERGENCE_EPS)
     retire(np.flatnonzero(~keep), Terminal.CONVERGED)
     time_eps = 1e-13 * max(1.0, cfg.t_end)
 
@@ -358,7 +482,12 @@ def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
             lane, t, last, h, y, k1 = lane[keep], t[keep], last[keep], h[keep], y[keep], k1[keep]
             accepted, rejected, clamps = accepted[keep], rejected[keep], clamps[keep]
             bufs = list(compress(bufs, keep.tolist()))
-        if not len(lane):
+        if len(lane) <= _TAIL_LANES:
+            counts = zip(accepted.tolist(), rejected.tolist(), clamps.tolist())
+            for j, *lane_state, buf in zip(lane.tolist(), t.tolist(), last.tolist(), h.tolist(),
+                                           y.tolist(), k1.tolist(), counts, bufs):
+                terminal, *lane_counts = _finish_lane(*p, cfg, *lane_state, buf)
+                settle(j, buf, terminal, lane_counts)
             return out
         remaining = cfg.t_end - t
         h = np.minimum(np.minimum(h, cfg.max_step), remaining)
@@ -413,8 +542,9 @@ def _lockstep(p: Params, starts: Sequence[Reduced], cfg: IntegrationConfig):
 
 
 def batch_integrate(p: Params, starts: Sequence[Reduced],
-                    cfg: Optional[IntegrationConfig] = None) -> list[Trajectory]:
-    """Integrate every start in one lockstep batch, in input order.
+                    cfg: Optional[IntegrationConfig] = None, *,
+                    _records=None) -> list[Trajectory]:
+    """Integrate every start in one batch, in input order.
 
     Each trajectory runs in dimensionless time (see ``time_scale``) until
     convergence (the scaled field's sup norm below CONVERGENCE_EPS), the
@@ -424,9 +554,12 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     (Euclidean, reduced coordinates), the distance to it and the final
     scaled field norm; on convergence that point is also attached as
     ``nearest`` if it lies within 1e-3.  A trajectory does not depend on
-    which other starts share the batch.  The stepper projects each start as
-    it projects every step, so a start within TOL_SIMPLEX of the simplex
-    begins, and is recorded, on it.
+    which other starts share the batch: the lanes step in lockstep and the
+    last _TAIL_LANES finish on the scalar tail (see the module docstring),
+    bit for bit alike.  The stepper projects each start as it projects
+    every step, so a start within TOL_SIMPLEX of the simplex begins, and is
+    recorded, on it.  ``_records``, if given, is ``catalog(p)``, computed by
+    a caller that needs the records too.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -439,7 +572,7 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     e, scaled = time_scale(p, cfg.t_end)
     lanes = _lockstep(scaled, starts, cfg)
 
-    points = [rec for rec in catalog(p) if rec.defined]
+    points = [rec for rec in (catalog(p) if _records is None else _records) if rec.defined]
     ids = [rec.id for rec in points]
     coords = np.array([rec.coords for rec in points])
     finals = np.array([samples[-1, 1:4] for samples, *_ in lanes])
@@ -464,7 +597,8 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
 
 
 def integrate(p: Params, s0: Reduced, cfg: Optional[IntegrationConfig] = None) -> Trajectory:
-    """Integrate one start: ``batch_integrate`` on a batch of one."""
+    """Integrate one start: ``batch_integrate`` on a batch of one, which runs
+    on the scalar tail from its first step."""
     return batch_integrate(p, [s0], cfg)[0]
 
 

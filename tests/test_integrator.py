@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from hawkdove import (
     simulate_hawk_share,
 )
 from hawkdove.equilibrium_catalog import EquilibriumId
+from hawkdove.replicator_field import field_3d_rows
+from hawkdove import integrator
 from hawkdove.integrator import (
     CONVERGENCE_EPS,
+    _advance,
     _project_rows,
     time_scale,
     trajectory_sidecar,
@@ -146,6 +150,77 @@ def test_batch_matches_individual_calls_and_preserves_order():
             assert _same_bits(got.samples[:, :4], [(math.ldexp(t, -e), *y) for t, y in ref])
             seen.add(got.terminal)
     assert seen == set(Terminal)
+
+
+def test_lockstep_and_tail_lanes_are_bit_identical_to_the_reference(monkeypatch):
+    # A batch wider than _TAIL_LANES runs in lockstep until few lanes are
+    # left and finishes them on the scalar tail stepper; with _TAIL_LANES = 0
+    # every lane stays in lockstep, and above the batch size every lane runs
+    # in the tail.  Where the handoff falls depends on the rest of the batch,
+    # so each lane must match the same start alone and the scalar reference
+    # on the scaled field, bit for bit, under every setting.  The mixed lanes
+    # of the test above come first: P2 (converged at step 0), a -0.0 face
+    # start, and three starts that need projecting.
+    starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11),
+              (-1e-10, 0.5, 0.5), (-0.0, 0.3, 0.3), (1.000000001, 0.0, 0.0),
+              *random_interior_starts(52, seed=12)]
+    assert len(starts) > integrator._TAIL_LANES
+    settings = (0, 20, integrator._TAIL_LANES, 10 * len(starts))
+    seen = set()
+    for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
+                   (Params(2.0, 3.0), IntegrationConfig()),
+                   (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
+                   (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15)),
+                   (Params(2.0, 3.0), IntegrationConfig(t_end=5.0, record_stride=0.5)),
+                   (Params(0.1, 0.2), IntegrationConfig(record_stride=25.0))):
+        e, scaled = time_scale(p, cfg.t_end)
+        alone = [integrate(p, s0, cfg) for s0 in starts]
+        for s0, one in zip(starts, alone):
+            ref, terminal, (accepted, rejected), clamps = adaptive_integrate(
+                lambda y: field_3d(scaled, y), s0, cfg)
+            assert (one.terminal, one.steps, one.rejected, one.clamp_count) == \
+                (terminal, accepted, rejected, clamps)
+            assert _same_bits(one.samples[:, :4], [(math.ldexp(t, -e), *y) for t, y in ref])
+            seen.add(terminal)
+        for tail_lanes in settings:
+            monkeypatch.setattr(integrator, "_TAIL_LANES", tail_lanes)
+            for s0, got, one in zip(starts, batch_integrate(p, starts, cfg), alone):
+                assert _same_bits(got.samples, one.samples), (p, cfg, tail_lanes, s0)
+                assert (got.terminal, got.nearest, got.closest, got.steps, got.rejected,
+                        got.clamp_count, got.final_field_norm) == \
+                    (one.terminal, one.nearest, one.closest, one.steps, one.rejected,
+                     one.clamp_count, one.final_field_norm), (p, cfg, tail_lanes, s0)
+    assert seen == set(Terminal)
+
+
+def test_tail_and_lockstep_agree_where_the_error_terms_are_not_finite(monkeypatch):
+    # Steps far too long for the field: at these crafted face states and
+    # h = 10^2.5 the first error term is inf and a later one NaN; at the
+    # interior state and h = 1e300 all three are NaN.  np.max gives NaN, so
+    # the lockstep accepts (NaN > 1 is false) with factor 0.2, while a
+    # builtin max would keep the inf and reject.  The tail must decide as the
+    # lockstep does, step after step, or a lane's bits would depend on where
+    # it left its batch.  Each t_end ends the lanes within a few hundred steps.
+    p = Params(0.5, 0.75)
+    for states, step, t_end in ((((0.5, 0.0, 0.0), (0.2, 0.3, 0.0)), 10 ** 2.5, 2 * 10 ** 2.5),
+                                (((0.2, 0.3, 0.4),), 1e300, 1e300)):
+        cfg = IntegrationConfig(t_end=t_end, max_step=math.inf)
+        y = np.array(states)
+        runs = []
+        for tail_lanes in (0, len(states)):
+            monkeypatch.setattr(integrator, "_TAIL_LANES", tail_lanes)
+            bufs = [array("d", (0.0, *row)) for row in states]
+            with np.errstate(all="ignore"):
+                runs.append(_advance(p, cfg, y.copy(), field_3d_rows(p, y),
+                                     np.full(len(y), step), bufs))
+        for lockstep, tail in zip(*runs):
+            assert lockstep[1:] == tail[1:]
+            assert _same_bits(lockstep[0], tail[0])
+            # the first attempt is accepted, and so is every later one, each
+            # with h shrunk by 0.2, onto NaN shares
+            samples, _, _, rejected, _ = lockstep
+            assert samples[1, 0] == step and rejected == 0
+            assert np.isnan(samples[-1, 1:]).all()
 
 
 def test_power_of_two_scaling_is_bit_exact():
