@@ -26,9 +26,9 @@ A batch of that many starts or fewer goes to the tail right after its
 first field evaluation; ``integrate`` is a batch of one.  Both paths exist
 because a lockstep iteration pays NumPy's per-call overhead, about 200 us,
 however few lanes it carries, while the tail pays Python's arithmetic,
-about 10 us per step of each lane: on a 2-core Xeon, three 500-start
-batches take 0.15 s in lockstep and 0.57 s in the tail alone, and one lane
-0.34 ms in the tail against 7.9 ms in lockstep.
+about 7 us per step attempt of each lane: on a 2-core Xeon, three
+500-start batches take 0.16 s in lockstep and 0.52 s in the tail alone,
+and one lane 0.44 ms in the tail against 8.2 ms in lockstep.
 
 Every operation on a lane is elementwise and in the order of the scalar
 reference stepper, and the step-size factor uses the scalar libm ``pow``.

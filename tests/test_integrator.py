@@ -18,9 +18,8 @@ from hawkdove import (
     random_interior_starts,
     simulate_hawk_share,
 )
-from hawkdove.equilibrium_catalog import EquilibriumId
-from hawkdove.replicator_field import field_3d_rows
 from hawkdove import integrator
+from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.integrator import (
     CONVERGENCE_EPS,
     _advance,
@@ -29,6 +28,7 @@ from hawkdove.integrator import (
     trajectory_sidecar,
     write_trajectory_csv,
 )
+from hawkdove.replicator_field import field_3d_rows
 
 from util import _project, adaptive_integrate
 
