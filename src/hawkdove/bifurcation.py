@@ -12,11 +12,18 @@ The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
 rows, about 4096 nodes each, into one preallocated int8 array through
 the catalog's one classification path, and keeps that path's layout:
 ``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
-(n_v, n_c) plane per equilibrium.  That path works on whole
-columns of seven floats per node, so the cache sets the chunk size: a
-4096-node chunk's columns stay within a core's L2 cache.  On a 2-core
-Xeon, 8192-node chunks spill it and take the 401x401 scan about 2x
-longer, and 1,170-node chunks pay NumPy's per-call cost 138 times on it.
+(n_v, n_c) plane per equilibrium.  That path writes an eigenvalue table
+and its scaled-back columns, 21 floats per node each, into a buffer that
+``scan`` allocates once per scan, (2, 3, 7, rows, n_c); made afresh for
+each chunk, glibc handed those 1.4 MB back to the OS and faulted them in
+again every time (15.8k minor faults for a fresh 401x401 scan, 617 with
+the buffer).  Every CLI run is a fresh process, so the chunk size was
+swept in fresh processes (2-core Xeon, two sweeps, each the median of
+five scans, 401x401 / 801x801): 1024 nodes took 19.5-23.6 / 68.5-88.7
+ms, paying NumPy's per-call cost on many small chunks; 2048 took
+12.4-20.2 / 54.0-61.9 ms; 4096 took 13.0-19.1 / 48.8-55.0 ms; 8192 took
+18.8-21.9 / 65.8-69.1 ms, its per-chunk temporaries past glibc's mmap
+threshold, so the faults come back (4.5k-7.4k / 15.2k-27.1k).
 Each axis is spaced with its bounds divided by a power of two that puts
 the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
 on a subnormal box each node rounds once.  An axis node within rounding
@@ -28,7 +35,10 @@ array one plane at a time, and attributes lines only on those, in one
 array pass over all of them, each edge at its nodes divided by a power of
 two, so its on-line tolerance and midpoint neither underflow, round nor
 overflow at either end of the float range.  It aggregates with one
-integer key per changed (edge, equilibrium) and ``np.unique`` per line.
+integer key per changed (edge, equilibrium) and the distinct keys per
+line, from ``_distinct``: a sort and a first-of-run mask, which gives
+``np.unique``'s result without ``np.unique``'s import of ``numpy.ma``
+(7-11 ms on a process's first call, more than the whole aggregation).
 ``write_region_csv`` builds one text piece per (distinct row of seven
 tags, c column) and writes each v row as one gather from that table and
 one ``str.join``; its bytes match a cell-by-cell writer's.  Its per-node
@@ -115,9 +125,10 @@ class RegionMap:
     codes: np.ndarray             # (7, n_v, n_c) int8 indexing CLASS_BY_CODE, point first
 
 
-# Nodes classified per chunk of whole rows: bounds the scan's temporaries
-# whatever the grid size, and keeps a chunk's columns of seven floats per
-# node in cache (see the module docstring).
+# Nodes classified per chunk of whole rows: bounds the scan's buffer and
+# temporaries whatever the grid size, and keeps each temporary below
+# glibc's mmap threshold, so freed chunks are reused rather than returned
+# to the OS (fresh-process sweep in the module docstring).
 _CHUNK_NODES = 4096
 
 
@@ -137,9 +148,14 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.ldexp(values, e)
 
 
+def _chunk_rows(spec: GridSpec) -> int:
+    """Whole v rows per chunk: about _CHUNK_NODES nodes, at least one row."""
+    return min(spec.n_v, max(1, _CHUNK_NODES // spec.n_c))
+
+
 def _row_chunks(spec: GridSpec) -> list[slice]:
-    """Slices of whole v rows, about _CHUNK_NODES nodes each, at least one row."""
-    rows = max(1, _CHUNK_NODES // spec.n_c)
+    """Slices of ``_chunk_rows`` whole v rows each; the last may be shorter."""
+    rows = _chunk_rows(spec)
     return [slice(start, start + rows) for start in range(0, spec.n_v, rows)]
 
 
@@ -149,16 +165,19 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     The grid is classified in chunks of whole v rows (about _CHUNK_NODES
     nodes, at least one row), each written into its slice of one
     preallocated (7, n_v, n_c) int8 array, the layout the classification
-    path returns.  Classification is per node, so the output does not
-    depend on the chunking, and two scans of one grid agree bitwise.
+    path returns.  Every chunk works in one float buffer, allocated once
+    here; a short last chunk takes a slice of it.  Classification is per
+    node, so the output does not depend on the chunking, and two scans of
+    one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
     codes = np.empty((7, spec.n_v, spec.n_c), dtype=np.int8)
+    work = np.empty((2, 3, 7, _chunk_rows(spec), spec.n_c))
     for rows in _row_chunks(spec):
         vv, cc = np.meshgrid(v_values[rows], c_values, indexing="ij")
-        codes[:, rows] = classification_codes(vv, cc)
+        codes[:, rows] = classification_codes(vv, cc, _work=work[:, :, :, :len(vv)])
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
@@ -183,6 +202,21 @@ class BifurcationLine:
 # alphabetically first tag.
 _TAG_NAMES = sorted(cls.value for cls in CLASS_BY_CODE)
 _TAG_RANK = np.array([_TAG_NAMES.index(cls.value) for cls in CLASS_BY_CODE])
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The values of the 1-D ``a`` that differ from their predecessor, and its first."""
+    first = np.empty(a.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened: ``np.unique``'s values
+    and dtype.  ``np.unique`` imports ``numpy.ma`` on its first call in a
+    process, which costs more than the sort."""
+    return _run_starts(np.sort(a, axis=None))
 
 
 def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
@@ -234,7 +268,7 @@ def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
     key = (k * n + np.minimum(ra, rb)) * n + np.maximum(ra, rb)
     out = []
     for col, line in enumerate(LineId):
-        keys = np.unique(key[lines[e, col]]).tolist()
+        keys = _distinct(key[lines[e, col]]).tolist()
         if keys:
             affected = sorted(
                 ((EQUILIBRIUM_IDS[q // (n * n)], f"{_TAG_NAMES[q // n % n]}<->{_TAG_NAMES[q % n]}")
@@ -325,13 +359,9 @@ def write_region_csv(m: RegionMap, path) -> None:
                 key += plane
             yield key
 
-    def changes(key):
-        # the keys that differ from their predecessor in row-major order: tag
-        # rows change only at region borders, so few are left to sort
-        flat = key.ravel()
-        return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-
-    distinct = np.unique(np.concatenate([changes(key) for key in keys()]))
+    # only the keys that differ from their predecessor in row-major order are
+    # sorted: tag rows change only at region borders, so few are left
+    distinct = _distinct(np.concatenate([_run_starts(key.ravel()) for key in keys()]))
     rows = distinct[:, None] // base ** np.arange(7) % base
     tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n" for row in rows.tolist()]
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]

@@ -24,11 +24,13 @@ reference the tests hold the table to.  (v, c) is first divided by a
 power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
 unless an eigenvalue overflows (then UNDEFINED).  The table is
 component-major: one (3, 7) + shape array of three eigenvalue columns,
-built and scaled back in one call each, whose real parts
+written in one assignment and scaled back in one call, whose real parts
 ``stability_codes``, still the one code rule, compares in one call per
 count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
-place.  The grid scan calls it on chunks of the grid; ``catalog`` is the
-same call on a 0-d grid.  It reads each array once, with ``tolist``, and
+place.  The table and its scaled-back copy share one (2, 3, 7) + shape
+work array.  The grid scan calls it on chunks of the grid, with one work
+array for the whole scan; ``catalog`` is the same call on a 0-d grid,
+with a fresh one.  It reads each array once, with ``tolist``, and
 does its display work, the descending eigenvalue triples and the
 coincidences, on the Python floats.  The coordinates are written there
 too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
@@ -159,27 +161,29 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     raise ValueError(f"unknown equilibrium {eq!r}")
 
 
-def _eigenvalue_table(v, c, q):
-    """The paper's closed-form eigenvalues of P1..P7, shape (3, 7) + shape.
+def _eigenvalue_table(v, c, q, out):
+    """Write the paper's closed-form eigenvalues of P1..P7 into ``out``.
 
-    Three columns, each of shape (7,) + shape, point axis first, and each
-    holding one eigenvalue of every point; a point's three are unordered.
-    q = v / c; every eigenvalue is real.  P1 and P4 share their values.
+    ``out`` is a (3, 7) + shape float array: three columns, each of shape
+    (7,) + shape, point axis first, and each holding one eigenvalue of
+    every point; a point's three are unordered.  q = v / c; every
+    eigenvalue is real.  P1 and P4 share their values.  The terms are
+    assigned as one nested tuple, which NumPy copies straight into ``out``.
     """
     d = v - c
     r = c - 2.0 * v
     zero = np.zeros(d.shape)
     d4, c4, v4 = 0.25 * d, 0.25 * c, 0.25 * v
-    return np.array(((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v),
-                     (-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4),
-                     (-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4)))
+    out[...] = ((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v),
+                (-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4),
+                (-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4))
 
 
 _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
 _UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 
 
-def _classify(v, c):
+def _classify(v, c, _work=None):
     """(eigenvalue columns, codes) of P1..P7 at (v, c).
 
     Point axis first.  The three eigenvalue columns, one (3, 7) + shape
@@ -189,6 +193,11 @@ def _classify(v, c):
     structural count, and UNDEFINED where an eigenvalue is not finite:
     where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
     where an eigenvalue overflows at (v, c) itself.
+
+    ``_work`` is a float array of shape (2, 3, 7) + shape that receives the
+    table and the columns, which are its second half; without one a fresh
+    array is taken.  The grid scan passes one per scan, so its chunks reuse
+    the same memory rather than fault in new pages for every chunk.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -200,22 +209,24 @@ def _classify(v, c):
         q = v / c
         e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
         v, c = np.ldexp(v, -e), np.ldexp(c, -e)
-        re = _eigenvalue_table(v, c, q)
-        eigs = np.ldexp(re, e)
+        re, eigs = np.empty((2, 3, 7) + e.shape) if _work is None else _work
+        _eigenvalue_table(v, c, q, re)
+        np.ldexp(re, e, out=eigs)
     codes, zeros = stability_codes(re, zero_tol(v, c))
     np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
     np.copyto(codes, _UNDEFINED, where=~np.isfinite(eigs).all(axis=0))
     return eigs, codes
 
 
-def classification_codes(v, c) -> np.ndarray:
+def classification_codes(v, c, *, _work=None) -> np.ndarray:
     """Class codes of P1..P7 over parameter arrays, shape (7,) + shape of (v, c).
 
     Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
     lines and UNDEFINED where a point's formula divides by zero.  The
-    catalog's tags at a point are these codes at that (v, c).
+    catalog's tags at a point are these codes at that (v, c).  ``_work``
+    is ``_classify``'s scratch array, passed on as is.
     """
-    return _classify(v, c)[1]
+    return _classify(v, c, _work)[1]
 
 
 @dataclass(frozen=True)

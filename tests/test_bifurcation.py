@@ -14,6 +14,7 @@ from hawkdove.bifurcation import (
     DEFAULT_GRID,
     GridSpec,
     LineId,
+    _distinct,
     write_region_csv,
 )
 from hawkdove.cli import _REGION_COLORS, _region_svg
@@ -26,7 +27,7 @@ from hawkdove.equilibrium_catalog import (
 from hawkdove.linear_analysis import Classification
 from hawkdove.svg import Canvas
 
-from util import closed_form_codes
+from util import closed_form_codes, run_fresh
 
 C = Classification
 EQS = list(EquilibriumId)
@@ -73,6 +74,46 @@ def test_scan_chunks_match_one_whole_grid_classification():
                          indexing="ij")
     whole = classification_codes(vv, cc)
     assert np.array_equal(scan(spec).codes, whole)
+
+
+def test_scan_of_rows_wider_than_a_chunk_matches_one_whole_grid_classification():
+    # one row per chunk, each wider than _CHUNK_NODES
+    spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 5000)
+    assert spec.n_c > _CHUNK_NODES
+    m = scan(spec)
+    vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
+    assert np.array_equal(m.codes, classification_codes(vv, cc))
+
+
+def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes():
+    # The scan's eigenvalue table and columns live in one buffer for the
+    # whole scan.  Allocated afresh for each chunk, they went back to the
+    # OS and were faulted in again every time: 48k-63k minor faults for
+    # this 801x801 scan, against 928 with the buffer.  The bound allows
+    # each page of the codes two faults, and 500 more.
+    pytest.importorskip("resource")
+    faults, nbytes = map(int, run_fresh("-c", """if True:
+        import resource
+        from hawkdove.bifurcation import GridSpec, scan
+        spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 801, 801)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        codes = scan(spec).codes
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, codes.nbytes)
+        """).split())
+    assert faults < 2 * (nbytes // 4096) + 500, faults
+
+
+def test_distinct_is_np_unique_in_value_and_dtype():
+    rng = np.random.default_rng(29)
+    for dtype in (np.int32, np.int64):
+        info = np.iinfo(dtype)
+        cases = [np.empty(0, dtype), np.array([7], dtype), np.full(40, -3, dtype),
+                 rng.integers(-4, 4, 1000).astype(dtype),
+                 rng.integers(info.min, info.max, 1000, endpoint=True).astype(dtype),
+                 rng.integers(0, 9, (30, 17)).astype(dtype)]
+        for a in cases:
+            got, want = _distinct(a), np.unique(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (dtype, a)
 
 
 def test_scan_homogeneity_power_of_two():

@@ -8,6 +8,8 @@ import pytest
 
 from hawkdove.cli import build_parser, main
 
+from util import run_fresh
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -837,3 +839,29 @@ def test_point_commands_write_their_golden_bytes(tmp_path, capsys, monkeypatch, 
     assert code == 0
     assert written == [f"out/hawk_share_{i:03d}.csv" for i in range(len(golden) - 1)]
     assert tuple(digests) == golden
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call in a process, 7-11 ms
+    # that every command-line run would pay; no command needs it.  NumPy
+    # imports numpy.ma lazily only from 2.0 on.
+    out = run_fresh("-c", f"""if True:
+        import contextlib, io, json, sys
+        import numpy
+        eager = "numpy.ma" in sys.modules
+        from hawkdove.cli import main
+        out = {str(tmp_path)!r}
+        runs = (["bifurcation", "--svg", "--out-dir", out],
+                ["equilibria", "--v", "0.1", "--c", "0.2", "--format", "json"],
+                ["nash", "--v", "0.1", "--c", "0.2"],
+                ["two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.3", "--out-dir", out],
+                ["simulate", "--v", "0.1", "--c", "0.2", "--random-starts", "5", "--seed", "1",
+                 "--svg", "--out-dir", out])
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(json.dumps([eager, codes, "numpy.ma" in sys.modules]))
+        """)
+    eager, codes, imported = json.loads(out)
+    if eager:
+        pytest.skip("this NumPy imports numpy.ma along with numpy")
+    assert codes == [0] * 5 and not imported

@@ -27,16 +27,12 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hawkdove
 from hawkdove import Params, scan
 from hawkdove.bifurcation import GridSpec
 from hawkdove.cli import main
@@ -44,7 +40,8 @@ from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.integrator import random_interior_starts
 from hawkdove.nash import best_response_check
 
-SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
+from util import run_fresh
+
 EQS = list(EquilibriumId)
 # x + (y + z) is the float 1 + 1e-9, the edge of the simplex tolerance;
 # summed left to right, its mirror's x + z + y is one ulp beyond it
@@ -53,13 +50,7 @@ BOUNDARY_START = (0.312860152054027, 0.04502749037411825, 0.6421123585718549)
 
 def cli(*argv, warnings_as_errors=False):
     """Run the CLI in a fresh interpreter; its stdout, after a zero exit."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("HAWKDOVE_OUTDIR", None)
-    flags = ["-W", "error"] if warnings_as_errors else []
-    proc = subprocess.run([sys.executable, *flags, "-m", "hawkdove.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return run_fresh("-m", "hawkdove.cli", *argv, warnings_as_errors=warnings_as_errors)
 
 
 def box(b, n):

@@ -1,12 +1,18 @@
-"""Shared test helpers: samplers, closed-form eigenvalue oracles and the
-scalar reference stepper."""
+"""Shared test helpers: samplers, closed-form eigenvalue oracles, the
+scalar reference stepper and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+import hawkdove
 from hawkdove import Params
 from hawkdove.equilibrium_catalog import CODE_BY_CLASS, STRUCTURAL_ZERO_EIGS
 from hawkdove.game_core import TOL_SIMPLEX
@@ -19,6 +25,23 @@ from hawkdove.integrator import (
     Terminal,
 )
 from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
+
+
+SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
+
+
+def run_fresh(*argv, warnings_as_errors=False) -> str:
+    """Run ``python *argv`` in a fresh interpreter with this ``src`` on its
+    path and no HAWKDOVE_OUTDIR; its stdout, after a zero exit.  A fresh
+    process pays what every command-line run pays: first-touch page faults
+    and lazy imports."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("HAWKDOVE_OUTDIR", None)
+    flags = ["-W", "error"] if warnings_as_errors else []
+    proc = subprocess.run([sys.executable, *flags, *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def rand_params(rng, lo=-1.0, hi=1.0, c_min=0.0, line_margin=0.0) -> Params:
@@ -81,8 +104,14 @@ def multiset_close(got, expected, tol: float) -> bool:
 
 # Scalar reference stepper: the library's steppers are tested against it
 # bit for bit.
+def _np_max(vals: Sequence[float]) -> float:
+    """The largest value, or NaN if one is NaN, as ``np.max`` gives; the
+    builtin ``max`` keeps a NaN only where it comes first."""
+    return math.nan if any(t != t for t in vals) else max(vals)
+
+
 def _norm_inf(vec: Sequence[float]) -> float:
-    return max(abs(t) for t in vec)
+    return _np_max([abs(t) for t in vec])
 
 
 def _project(y):
@@ -97,7 +126,8 @@ def _project(y):
     return out, fixed
 
 
-def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig):
+def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConfig,
+                       h0: Optional[float] = None):
     """Scalar adaptive embedded-pair stepper over state tuples: the reference
     for the lockstep stepper behind ``batch_integrate`` and for the 1D
     kernel ``integrate_hawk_share``, which are compared with it bit for bit.
@@ -105,7 +135,8 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
     The start is projected onto the simplex (not counted as a clamp), and
     so is every accepted step.  Returns (samples, terminal, (accepted,
     rejected), clamp_count) with samples a list of (t, state-tuple), the
-    first being the projected start.
+    first being the projected start.  ``h0``, if given, is the first step
+    size in place of the library's starting rule.
     """
     cfg = cfg.validate()
     y, _fixes = _project(tuple(float(t) for t in y0))
@@ -117,7 +148,7 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
     if _norm_inf(k1) < CONVERGENCE_EPS:
         return samples, Terminal.CONVERGED, (0, 0), 0
 
-    h = min(cfg.max_step, cfg.t_end, 0.01 / (1.0 + _norm_inf(k1)))
+    h = min(cfg.max_step, cfg.t_end, 0.01 / (1.0 + _norm_inf(k1))) if h0 is None else h0
     last_recorded = 0.0
     while True:
         remaining = cfg.t_end - t
@@ -140,16 +171,18 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
         y_new = ys  # stage 7 state uses the fifth-order weights
         k7 = ks[6]
 
-        err = 0.0
+        terms = []
         for i in range(len(y)):
             acc = 0.0
             for e, k in zip(_ERR, ks):
                 acc += e * k[i]
-            err = max(err, abs(h * acc))
-        scale = cfg.atol + cfg.rtol * max(_norm_inf(y), _norm_inf(y_new))
+            terms.append(abs(h * acc))
+        err = _np_max(terms)
+        scale = cfg.atol + cfg.rtol * _np_max([_norm_inf(y), _norm_inf(y_new)])
         ratio = err / scale
 
-        if ratio > 1.0:
+        # a NaN ratio rejects too: max(0.2, nan) is 0.2
+        if not ratio <= 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * ratio ** -0.2)
             continue
