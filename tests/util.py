@@ -30,13 +30,19 @@ from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
 
 
-def run_fresh(*argv, warnings_as_errors=False) -> str:
+def run_fresh(*argv, warnings_as_errors=False, env=None) -> str:
     """Run ``python *argv`` in a fresh interpreter with this ``src`` on its
     path and no HAWKDOVE_OUTDIR; its stdout, after a zero exit.  A fresh
     process pays what every command-line run pays: first-touch page faults
-    and lazy imports."""
+    and lazy imports.  ``env`` sets further variables, or unsets those
+    mapped to None."""
+    overrides = {"HAWKDOVE_OUTDIR": None, **(env or {})}
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("HAWKDOVE_OUTDIR", None)
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     flags = ["-W", "error"] if warnings_as_errors else []
     proc = subprocess.run([sys.executable, *flags, *map(str, argv)],
                           env=env, capture_output=True, text=True)
