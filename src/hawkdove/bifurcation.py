@@ -9,27 +9,27 @@ change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
 The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
-rows, about 4096 nodes each, into one preallocated int8 array through
+rows, about 2048 nodes each, into one preallocated int8 array through
 the catalog's one classification path, and keeps that path's layout:
 ``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
-(n_v, n_c) plane per equilibrium.  That path writes every array it
-makes but the codes, an eigenvalue table and its scaled-back columns of
-21 floats per node each among them, into arrays that ``scan`` allocates
-once per scan (``equilibrium_catalog._work_arrays``).  Made afresh for
+(n_v, n_c) plane per equilibrium.  That path writes an eigenvalue table
+and its scaled-back columns, 21 floats per node each, into a buffer that
+``scan`` allocates once per scan, (2, 3, 7, rows, n_c); made afresh for
 each chunk, glibc handed that memory back to the OS and faulted it in
-again every time: 15.8k minor faults for a fresh 401x401 scan.  Reusing
-the table alone was not enough.  The chunk's other temporaries, about
-800 KB, were returned or kept depending on glibc thresholds that earlier
-allocations move: compiling the modules from source raises them, and an
-801x801 scan whose modules were loaded from cached bytecode still took
-26k-31k faults.  With every array reused it takes about 1.1k either way.
-Every CLI run is a fresh process, so the chunk size was
-swept in fresh processes (2-core Xeon, each the median of five scans,
-401x401 / 801x801, modules compiled from source and from cached
-bytecode): 1024 nodes took 15.2-15.4 / 58.8-60.3 ms, paying NumPy's
-per-call cost on many small chunks; 2048 took 11.4 / 44.0-45.9 ms; 4096
-took 11.5-11.6 / 42.4-44.4 ms; 8192 took 11.2-11.4 / 38.1-40.1 ms, with
-1.4k-1.6k faults at 801x801 against 0.9k-1.1k for 4096.
+again every time (15.8k minor faults for a fresh 401x401 scan, about 500
+with the buffer).  The chunk's other temporaries are at most (7, nodes)
+floats, 112 KiB at 2048 nodes, under glibc's default 128 KiB mmap
+threshold, so they are reused wherever that threshold stands.  Earlier
+frees in the process move it: compiling the modules from source raises
+it, loading them from cached bytecode does not.  Every CLI run is a fresh
+process, so the chunk size was swept in fresh processes (2-core Xeon,
+two sweeps, each the median of five scans, 401x401 / 801x801, modules
+compiled from source and from cached bytecode): 1024 nodes took
+18.7-19.5 / 68.5-74.2 ms, paying NumPy's per-call cost on many small
+chunks; 2048 took 13.5-14.6 / 52.1-55.8 ms, with at most 548 / 824
+faults; 4096 took 14.4-14.9 / 51.1 ms from source but 21.1-22.3 /
+88.9-91.3 ms from cached bytecode, where its temporaries churn (7.0k /
+31.1k faults); 8192 churns there too (8.9k / 32.0k).
 Each axis is spaced with its bounds divided by a power of two that puts
 the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
 on a subnormal box each node rounds once.  An axis node within rounding
@@ -76,7 +76,6 @@ from .equilibrium_catalog import (
     CLASS_BY_CODE,
     EQUILIBRIUM_IDS,
     EquilibriumId,
-    _work_arrays,
     classification_codes,
 )
 from .game_core import Params
@@ -132,9 +131,12 @@ class RegionMap:
     codes: np.ndarray             # (7, n_v, n_c) int8 indexing CLASS_BY_CODE, point first
 
 
-# Nodes classified per chunk of whole rows: bounds the scan's work arrays
-# whatever the grid size (fresh-process sweep in the module docstring).
-_CHUNK_NODES = 4096
+# Nodes classified per chunk of whole rows: bounds the scan's buffer and
+# temporaries whatever the grid size, and keeps each temporary, at most
+# (7, 2048) floats, below glibc's default mmap threshold, so freed chunks
+# are reused rather than returned to the OS (fresh-process sweep in the
+# module docstring).
+_CHUNK_NODES = 2048
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -170,20 +172,19 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     The grid is classified in chunks of whole v rows (about _CHUNK_NODES
     nodes, at least one row), each written into its slice of one
     preallocated (7, n_v, n_c) int8 array, the layout the classification
-    path returns.  Every chunk works in one set of work arrays, allocated
-    once here; a short last chunk takes a slice of each.  Classification
-    is per node, so the output does not depend on the chunking, and two
-    scans of one grid agree bitwise.
+    path returns.  Every chunk works in one float buffer, allocated once
+    here; a short last chunk takes a slice of it.  Classification is per
+    node, so the output does not depend on the chunking, and two scans of
+    one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
     codes = np.empty((7, spec.n_v, spec.n_c), dtype=np.int8)
-    work = _work_arrays((_chunk_rows(spec), spec.n_c))
+    work = np.empty((2, 3, 7, _chunk_rows(spec), spec.n_c))
     for rows in _row_chunks(spec):
-        v = v_values[rows, None]
-        chunk_work = [a[..., :len(v), :] for a in work]
-        codes[:, rows] = classification_codes(v, c_values, _work=chunk_work)
+        vv, cc = np.meshgrid(v_values[rows], c_values, indexing="ij")
+        codes[:, rows] = classification_codes(vv, cc, _work=work[:, :, :, :len(vv)])
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 

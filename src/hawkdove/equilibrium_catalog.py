@@ -24,14 +24,13 @@ reference the tests hold the table to.  (v, c) is first divided by a
 power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
 unless an eigenvalue overflows (then UNDEFINED).  The table is
 component-major: one (3, 7) + shape array of three eigenvalue columns,
-each term written into its slot and scaled back in one call, whose real
-parts ``stability_codes``, still the one code rule, compares in one call
-per count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
-place.  Every array the path writes but the codes, the table and its
-scaled-back copy included, comes from one set of ``_work_arrays``.  The
-grid scan calls it on chunks of the grid, with one set for the whole
-scan; ``catalog`` is the same call on a 0-d grid, with a fresh set.  It
-reads each array once, with ``tolist``, and
+written in one assignment and scaled back in one call, whose real parts
+``stability_codes``, still the one code rule, compares in one call per
+count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
+place.  The table and its scaled-back copy share one (2, 3, 7) + shape
+work array.  The grid scan calls it on chunks of the grid, with one work
+array for the whole scan; ``catalog`` is the same call on a 0-d grid,
+with a fresh one.  It reads each array once, with ``tolist``, and
 does its display work, the descending eigenvalue triples and the
 coincidences, on the Python floats.  The coordinates are written there
 too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
@@ -51,9 +50,9 @@ from .game_core import Params
 from .linear_analysis import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
-    ZERO_REL,
     Classification,
-    _stability_codes,
+    stability_codes,
+    zero_tol,
 )
 from .replicator_field import ReducedState, on_reduced_simplex
 
@@ -162,114 +161,60 @@ def region_predicate(eq: EquilibriumId, p: Params) -> Optional[Classification]:
     raise ValueError(f"unknown equilibrium {eq!r}")
 
 
-def _views(a):
-    """a[0], a[1], ... as arrays, also where they are 0-d (iteration gives scalars)."""
-    return [a[i, ...] for i in range(len(a))]
-
-
-def _eigenvalue_table(v, c, q, out, d, r):
+def _eigenvalue_table(v, c, q, out):
     """Write the paper's closed-form eigenvalues of P1..P7 into ``out``.
 
     ``out`` is a (3, 7) + shape float array: three columns, each of shape
     (7,) + shape, point axis first, and each holding one eigenvalue of
     every point; a point's three are unordered.  q = v / c; every
-    eigenvalue is real.  P1 and P4 share their values.  ``d`` and ``r``
-    receive v - c and c - 2v.  Each term is written straight into its
-    slot, so no term is an array of its own.
+    eigenvalue is real.  P1 and P4 share their values.  The terms are
+    assigned as one nested tuple, which NumPy copies straight into ``out``.
     """
-    np.subtract(v, c, out=d)
-    np.subtract(c, np.multiply(v, 2.0, out=r), out=r)
-    one, two, three = map(_views, out)
-    # (d/4, c/8, v/4, d/4, -d/2, 0, v/2)
-    np.multiply(0.25, d, out=one[0])
-    np.multiply(0.125, c, out=one[1])
-    np.multiply(0.25, v, out=one[2])
-    one[3][...] = one[0]
-    np.multiply(-0.5, d, out=one[4])
-    one[5][...] = 0.0
-    np.multiply(0.5, v, out=one[6])
-    # (-c/4, r/8, -qr/4, -c/4, -d/4, 0, v/4)
-    np.negative(np.multiply(0.25, c, out=two[0]), out=two[0])
-    np.multiply(0.125, r, out=two[1])
-    np.multiply(np.multiply(-0.25, q, out=two[2]), r, out=two[2])
-    two[3][...] = two[0]
-    np.negative(one[0], out=two[4])
-    two[5][...] = 0.0
-    two[6][...] = one[2]
-    # (-v/4, -r/8, 0, -v/4, -d/4, qd/2, v/4)
-    np.negative(one[2], out=three[0])
-    np.multiply(-0.125, r, out=three[1])
-    three[2][...] = 0.0
-    three[3][...] = three[0]
-    three[4][...] = two[4]
-    np.multiply(np.multiply(0.5, q, out=three[5]), d, out=three[5])
-    three[6][...] = one[2]
+    d = v - c
+    r = c - 2.0 * v
+    zero = np.zeros(d.shape)
+    d4, c4, v4 = 0.25 * d, 0.25 * c, 0.25 * v
+    out[...] = ((d4, 0.125 * c, v4, d4, -0.5 * d, zero, 0.5 * v),
+                (-c4, 0.125 * r, -0.25 * q * r, -c4, -d4, zero, v4),
+                (-v4, -0.125 * r, zero, -v4, -d4, 0.5 * q * d, v4))
 
 
 _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
 _UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 
 
-def _work_arrays(shape):
-    """Fresh arrays for every array ``_classify`` writes at ``shape``, the
-    grid axes last: the eigenvalue table and its columns, (2, 3, 7) float;
-    q, the scaled v and c, d, r, tol and -tol, (7,) float; the exponent e
-    and -e, (2,) intc; a (3, 7) bool mask; the zero and negative real part
-    counts, (2, 7) int8; the code table index, (7,) intp; and (7,) bool
-    flags."""
-    return (np.empty((2, 3, 7) + shape), np.empty((7,) + shape),
-            np.empty((2,) + shape, dtype=np.intc), np.empty((3, 7) + shape, dtype=bool),
-            np.empty((2, 7) + shape, dtype=np.int8), np.empty((7,) + shape, dtype=np.intp),
-            np.empty((7,) + shape, dtype=bool))
-
-
 def _classify(v, c, _work=None):
     """(eigenvalue columns, codes) of P1..P7 at (v, c).
 
-    Point axis first, over the broadcast shape of v and c.  The three
-    eigenvalue columns, one (3, 7) + shape array, are
-    ``_eigenvalue_table`` scaled back to (v, c); structural zeros are
-    exact zeros.  A code is the stability code, raised to DEGENERATE
-    where more real parts are zero than the point's structural count, and
-    UNDEFINED where an eigenvalue is not finite: where P3 and P6 divide by
-    c = 0 (q = v / c is then inf or NaN), and where an eigenvalue
-    overflows at (v, c) itself.
+    Point axis first.  The three eigenvalue columns, one (3, 7) + shape
+    array, are ``_eigenvalue_table`` scaled back to (v, c);
+    structural zeros are exact zeros.  A code is the stability code,
+    raised to DEGENERATE where more real parts are zero than the point's
+    structural count, and UNDEFINED where an eigenvalue is not finite:
+    where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
+    where an eigenvalue overflows at (v, c) itself.
 
-    ``_work`` holds ``_work_arrays`` of that shape, which receive every
-    intermediate array, the columns included; without them fresh ones are
-    taken.  The grid scan passes one per scan, so its chunks reuse the
-    same memory rather than allocate, free and fault in pages for every
-    chunk.  Only the codes are a fresh array.
+    ``_work`` is a float array of shape (2, 3, 7) + shape that receives the
+    table and the columns, which are its second half; without one a fresh
+    array is taken.  The grid scan passes one per scan, so its chunks reuse
+    the same memory rather than fault in new pages for every chunk.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
-    shape = np.broadcast(v, c).shape
-    table, floats, exps, mask, counts, index, flags = (
-        _work_arrays(shape) if _work is None else _work)
-    re, eigs = table
-    q, vs, cs, d, r, tol, neg_tol = _views(floats)
-    e, neg_e = _views(exps)
     # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
     # so only a huge q can overflow the table; the exponent, not 2^e, is
     # carried, since 2^1024 is not a float.  q is taken unscaled, so it
-    # stays right where the scaled c underflows.  The scaled max(|v|, |c|)
-    # is frexp's mantissa, so ZERO_REL times it is zero_tol of the scaled
-    # pair.
+    # stays right where the scaled c underflows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(v, c, out=q)
-        np.frexp(np.maximum(np.abs(v, out=vs), np.abs(c, out=cs), out=tol), out=(tol, e))
-        np.multiply(ZERO_REL, tol, out=tol)
-        np.negative(tol, out=neg_tol)
-        np.negative(e, out=neg_e)
-        np.ldexp(v, neg_e, out=vs)
-        np.ldexp(c, neg_e, out=cs)
-        _eigenvalue_table(vs, cs, q, re, d, r)
+        q = v / c
+        e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
+        v, c = np.ldexp(v, -e), np.ldexp(c, -e)
+        re, eigs = np.empty((2, 3, 7) + e.shape) if _work is None else _work
+        _eigenvalue_table(v, c, q, re)
         np.ldexp(re, e, out=eigs)
-    codes, zeros = _stability_codes(re, tol, neg_tol, mask, counts, index)
-    np.greater(zeros, _STRUCTURAL.reshape((-1,) + (1,) * len(shape)), out=flags)
-    np.copyto(codes, _DEGENERATE, where=flags)
-    np.logical_not(np.isfinite(eigs, out=mask).all(axis=0, out=flags), out=flags)
-    np.copyto(codes, _UNDEFINED, where=flags)
+    codes, zeros = stability_codes(re, zero_tol(v, c))
+    np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
+    np.copyto(codes, _UNDEFINED, where=~np.isfinite(eigs).all(axis=0))
     return eigs, codes
 
 

@@ -161,32 +161,12 @@ def stability_codes(re, tol):
     """
     re = np.asarray(re, dtype=float)
     tol = np.asarray(tol, dtype=float)
-    mask = np.empty(np.broadcast_shapes(re.shape, tol.shape), dtype=bool)
-    shape = mask.shape[1:]
-    codes, zeros = _stability_codes(re, tol, -tol, mask, np.empty((2,) + shape, dtype=np.int8),
-                                    np.empty(shape, dtype=np.intp))
-    return codes, zeros[()]     # a scalar where the triples are one
-
-
-def _stability_codes(re, tol, neg_tol, mask, counts, index):
-    """``stability_codes`` into caller-owned arrays: ``neg_tol`` is -tol,
-    ``mask`` a bool array of the broadcast shape of ``re`` and ``tol``,
-    ``counts`` an int8 array of shape (2,) + shape, that shape without its
-    first axis, which receives the zero and negative counts, and ``index``
-    an intp array of that shape, the table index (``take`` would convert
-    a narrower one into a temporary).  The returned codes are a fresh
-    array."""
     # |re| <= tol is re <= tol and not re < -tol, so zeros are the real
     # parts at most tol less the negative ones.  Each count is one
     # comparison over all three columns, its int8 view summed over the
     # column axis, and one flat index, 4 * zeros + negatives, reads the
     # table in a single take.
-    zeros, negs = counts[0, ...], counts[1, ...]     # arrays, also where 0-d
-    np.less_equal(re, tol, out=mask)
-    mask.view(np.int8).sum(axis=0, dtype=np.int8, out=zeros)
-    np.less(re, neg_tol, out=mask)
-    mask.view(np.int8).sum(axis=0, dtype=np.int8, out=negs)
-    zeros -= negs
-    np.multiply(zeros, 4, out=index)
-    index += negs
-    return _CODE_TABLE.ravel().take(index), zeros
+    at_most = (re <= tol).view(np.int8).sum(axis=0, dtype=np.int8)
+    negs = (re < -tol).view(np.int8).sum(axis=0, dtype=np.int8)
+    zeros = at_most - negs
+    return _CODE_TABLE.ravel().take(4 * zeros + negs), zeros

@@ -86,16 +86,18 @@ def test_scan_of_rows_wider_than_a_chunk_matches_one_whole_grid_classification()
 
 
 def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes(tmp_path):
-    # Every array a chunk of the scan writes lives in one set of arrays for
-    # the whole scan.  Allocated afresh for each chunk, they went back to
-    # the OS and were faulted in again every time: 48k-66k minor faults for
-    # this 801x801 scan, against about 1,100 with the arrays.  The bound
-    # allows each page of the codes two faults, and 500 more.  glibc's
-    # thresholds for returning freed memory depend on what the process did
-    # before: compiling the modules from source raises them and hid a
-    # churn of 26k-31k faults that loading them from cached bytecode showed.
-    # So the scan runs twice, each in a fresh interpreter whose bytecode
-    # cache is tmp_path: first compiled from source, then from the cache.
+    # The scan's eigenvalue table and columns live in one buffer for the
+    # whole scan, and each of its other temporaries stays under glibc's
+    # default mmap threshold.  Allocated afresh for each chunk, the table
+    # went back to the OS and was faulted in again every time: 48k-66k minor
+    # faults for this 801x801 scan, against 600-830 now.  The bound allows
+    # each page of the codes two faults, and 500 more.  glibc's thresholds
+    # for returning freed memory depend on what the process did before:
+    # compiling the modules from source raises them and hid a churn of
+    # 26k-31k faults (4096-node chunks) that loading them from cached
+    # bytecode showed.  So the scan runs twice, each in a fresh interpreter
+    # whose bytecode cache is tmp_path: first compiled from source, then
+    # from the cache.
     pytest.importorskip("resource")
     cache = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(tmp_path)}
     for _ in range(2):
