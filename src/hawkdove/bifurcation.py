@@ -8,28 +8,11 @@ Degenerate by the catalog's zero-count upgrade, so a region-to-region
 change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
-The pipeline is array-at-a-time.  ``scan`` classifies chunks of whole
-rows, about 2048 nodes each, into one preallocated int8 array through
-the catalog's one classification path, and keeps that path's layout:
-``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
-(n_v, n_c) plane per equilibrium.  That path writes an eigenvalue table
-and its scaled-back columns, 21 floats per node each, into a buffer that
-``scan`` allocates once per scan, (2, 3, 7, rows, n_c); made afresh for
-each chunk, glibc handed that memory back to the OS and faulted it in
-again every time (15.8k minor faults for a fresh 401x401 scan, about 500
-with the buffer).  The chunk's other temporaries are at most (7, nodes)
-floats, 112 KiB at 2048 nodes, under glibc's default 128 KiB mmap
-threshold, so they are reused wherever that threshold stands.  Earlier
-frees in the process move it: compiling the modules from source raises
-it, loading them from cached bytecode does not.  Every CLI run is a fresh
-process, so the chunk size was swept in fresh processes (2-core Xeon,
-two sweeps, each the median of five scans, 401x401 / 801x801, modules
-compiled from source and from cached bytecode): 1024 nodes took
-18.7-19.5 / 68.5-74.2 ms, paying NumPy's per-call cost on many small
-chunks; 2048 took 13.5-14.6 / 52.1-55.8 ms, with at most 548 / 824
-faults; 4096 took 14.4-14.9 / 51.1 ms from source but 21.1-22.3 /
-88.9-91.3 ms from cached bytecode, where its temporaries churn (7.0k /
-31.1k faults); 8192 churns there too (8.9k / 32.0k).
+The pipeline is array-at-a-time.  ``scan`` is one call of the catalog's
+``classification_codes`` on the v axis as a column against the c axis,
+which classifies the grid in bounded chunks, and keeps that call's
+layout: ``RegionMap.codes`` is (7, n_v, n_c), point first, one
+contiguous (n_v, n_c) plane per equilibrium.
 Each axis is spaced with its bounds divided by a power of two that puts
 the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
 on a subnormal box each node rounds once.  An axis node within rounding
@@ -76,6 +59,7 @@ from .equilibrium_catalog import (
     CLASS_BY_CODE,
     EQUILIBRIUM_IDS,
     EquilibriumId,
+    _CHUNK_NODES,
     classification_codes,
 )
 from .game_core import Params
@@ -131,14 +115,6 @@ class RegionMap:
     codes: np.ndarray             # (7, n_v, n_c) int8 indexing CLASS_BY_CODE, point first
 
 
-# Nodes classified per chunk of whole rows: bounds the scan's buffer and
-# temporaries whatever the grid size, and keeps each temporary, at most
-# (7, 2048) floats, below glibc's default mmap threshold, so freed chunks
-# are reused rather than returned to the OS (fresh-process sweep in the
-# module docstring).
-_CHUNK_NODES = 2048
-
-
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     """``linspace(lo, hi, n)`` with a node within rounding of zero set to 0.0.
 
@@ -155,36 +131,26 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.ldexp(values, e)
 
 
-def _chunk_rows(spec: GridSpec) -> int:
-    """Whole v rows per chunk: about _CHUNK_NODES nodes, at least one row."""
-    return min(spec.n_v, max(1, _CHUNK_NODES // spec.n_c))
-
-
 def _row_chunks(spec: GridSpec) -> list[slice]:
-    """Slices of ``_chunk_rows`` whole v rows each; the last may be shorter."""
-    rows = _chunk_rows(spec)
+    """Slices of whole v rows, about _CHUNK_NODES nodes and at least one row
+    each; the last may be shorter."""
+    rows = max(1, _CHUNK_NODES // spec.n_c)
     return [slice(start, start + rows) for start in range(0, spec.n_v, rows)]
 
 
 def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     """Classify all seven equilibria at every grid node.
 
-    The grid is classified in chunks of whole v rows (about _CHUNK_NODES
-    nodes, at least one row), each written into its slice of one
-    preallocated (7, n_v, n_c) int8 array, the layout the classification
-    path returns.  Every chunk works in one float buffer, allocated once
-    here; a short last chunk takes a slice of it.  Classification is per
-    node, so the output does not depend on the chunking, and two scans of
-    one grid agree bitwise.
+    One ``classification_codes`` call on the v axis as a column against
+    the c axis gives the (7, n_v, n_c) int8 codes; it classifies the grid
+    in chunks of at most _CHUNK_NODES nodes, so what the scan holds beyond
+    its codes and axes does not grow with the grid.  Classification is per
+    node, so two scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
-    codes = np.empty((7, spec.n_v, spec.n_c), dtype=np.int8)
-    work = np.empty((2, 3, 7, _chunk_rows(spec), spec.n_c))
-    for rows in _row_chunks(spec):
-        vv, cc = np.meshgrid(v_values[rows], c_values, indexing="ij")
-        codes[:, rows] = classification_codes(vv, cc, _work=work[:, :, :, :len(vv)])
+    codes = classification_codes(v_values[:, None], c_values)
     codes.flags.writeable = False
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 

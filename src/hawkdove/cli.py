@@ -158,13 +158,13 @@ def _project_xy(val_a, val_b, origin, size):
     return ox + val_a * size, oy + size - val_b * size
 
 
-def _simulate_svg(p, records, trajectories, starts, path) -> None:
+def _simulate_svg(p, trajectories, starts, path) -> None:
     panel, margin = 260, 36
     width = 3 * panel + 4 * margin
     height = panel + 2 * margin
     cv = Canvas(width, height)
     pairs = (("x", "y", 0, 1), ("x", "z", 0, 2), ("y", "z", 1, 2))
-    records = [r for r in records if r.defined and r.in_simplex]
+    records = [r for r in catalog(p) if r.defined and r.in_simplex]
     for k, (na, nb, ia, ib) in enumerate(pairs):
         ox = margin + k * (panel + margin)
         oy = margin
@@ -193,8 +193,7 @@ def cmd_simulate(args) -> tuple:
     starts = _parse_starts(args)
     cfg = IntegrationConfig(rtol=args.rtol, atol=args.atol, t_end=args.t_end,
                             max_step=args.max_step, record_stride=args.stride)
-    records = catalog(p)
-    trajectories = batch_integrate(p, starts, cfg, _records=records)
+    trajectories = batch_integrate(p, starts, cfg)
     out = _out_dir(args.out_dir)
 
     histogram: dict[str, int] = {}
@@ -218,7 +217,7 @@ def cmd_simulate(args) -> tuple:
                   functools.partial(_write_text, json.dumps(summary, indent=2) + "\n")))
     if args.svg:
         files.append((out / "portrait.svg",
-                      functools.partial(_simulate_svg, p, records, trajectories, starts)))
+                      functools.partial(_simulate_svg, p, trajectories, starts)))
 
     text = json.dumps({"terminals": summary["terminals"], "out_dir": str(out)}) + "\n"
     failed = any(t.terminal is Terminal.STEP_FAILURE for t in trajectories)

@@ -28,9 +28,15 @@ written in one assignment and scaled back in one call, whose real parts
 ``stability_codes``, still the one code rule, compares in one call per
 count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
 place.  The table and its scaled-back copy share one (2, 3, 7) + shape
-work array.  The grid scan calls it on chunks of the grid, with one work
-array for the whole scan; ``catalog`` is the same call on a 0-d grid,
-with a fresh one.  It reads each array once, with ``tolist``, and
+work array.  ``classification_codes`` classifies any shape in C-order
+chunks of at most _CHUNK_NODES nodes, each in a contiguous view of one
+scratch array per call, so what a call holds beyond its codes is bounded
+whatever the shape.  Each chunk's other temporaries are then at most
+(7, 2048) floats, 112 KiB, under glibc's default 128 KiB mmap threshold:
+freed, they are reused rather than handed back to the OS and faulted in
+again for the next chunk, and the one scratch keeps the larger table from
+that churn.  ``catalog`` is the same classification on a 0-d grid, with
+a fresh work array.  It reads each array once, with ``tolist``, and
 does its display work, the descending eigenvalue triples and the
 coincidences, on the Python floats.  The coordinates are written there
 too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
@@ -40,6 +46,7 @@ its sign at a zero v and is +-inf where it overflows.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -183,7 +190,7 @@ _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
 _UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 
 
-def _classify(v, c, _work=None):
+def _classify(v, c, work=None):
     """(eigenvalue columns, codes) of P1..P7 at (v, c).
 
     Point axis first.  The three eigenvalue columns, one (3, 7) + shape
@@ -194,10 +201,9 @@ def _classify(v, c, _work=None):
     where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
     where an eigenvalue overflows at (v, c) itself.
 
-    ``_work`` is a float array of shape (2, 3, 7) + shape that receives the
+    ``work`` is a float array of shape (2, 3, 7) + shape that receives the
     table and the columns, which are its second half; without one a fresh
-    array is taken.  The grid scan passes one per scan, so its chunks reuse
-    the same memory rather than fault in new pages for every chunk.
+    array is taken.  ``classification_codes`` passes a view of its scratch.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -209,7 +215,7 @@ def _classify(v, c, _work=None):
         q = v / c
         e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
         v, c = np.ldexp(v, -e), np.ldexp(c, -e)
-        re, eigs = np.empty((2, 3, 7) + e.shape) if _work is None else _work
+        re, eigs = np.empty((2, 3, 7) + e.shape) if work is None else work
         _eigenvalue_table(v, c, q, re)
         np.ldexp(re, e, out=eigs)
     codes, zeros = stability_codes(re, zero_tol(v, c))
@@ -218,15 +224,44 @@ def _classify(v, c, _work=None):
     return eigs, codes
 
 
-def classification_codes(v, c, *, _work=None) -> np.ndarray:
-    """Class codes of P1..P7 over parameter arrays, shape (7,) + shape of (v, c).
+# Nodes per ``_classify`` call: bounds a classification's scratch and
+# temporaries whatever the grid, each temporary below glibc's default mmap
+# threshold (see the module docstring).
+_CHUNK_NODES = 2048
+
+
+def _chunks(shape):
+    """Index tuples covering ``shape`` in C order, at most _CHUNK_NODES nodes
+    each: runs of whole leading-axis slices where one slice fits, else each
+    slice split the same way."""
+    if not shape:
+        return [()]
+    inner = math.prod(shape[1:])
+    if inner > _CHUNK_NODES:
+        return [(i,) + rest for i in range(shape[0]) for rest in _chunks(shape[1:])]
+    step = _CHUNK_NODES // max(inner, 1)
+    return [(slice(i, i + step),) for i in range(0, shape[0], step)]
+
+
+def classification_codes(v, c) -> np.ndarray:
+    """Class codes of P1..P7 over parameter arrays, shape (7,) + the broadcast
+    shape of (v, c).
 
     Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
     lines and UNDEFINED where a point's formula divides by zero.  The
-    catalog's tags at a point are these codes at that (v, c).  ``_work``
-    is ``_classify``'s scratch array, passed on as is.
+    catalog's tags at a point are these codes at that (v, c).  The nodes
+    are classified in ``_chunks``, each in a contiguous view of one scratch
+    array of 42 floats per chunk node; classification is per node, so the
+    codes do not depend on the chunking.
     """
-    return _classify(v, c, _work)[1]
+    v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
+    codes = np.empty((7,) + v.shape, dtype=np.int8)
+    scratch = np.empty(42 * min(v.size, _CHUNK_NODES))
+    for chunk in _chunks(v.shape):
+        vc = v[chunk]
+        work = scratch[:42 * vc.size].reshape((2, 3, 7) + vc.shape)
+        codes[(slice(None),) + chunk] = _classify(vc, c[chunk], work)[1]
+    return codes
 
 
 @dataclass(frozen=True)

@@ -546,8 +546,7 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
 
 
 def batch_integrate(p: Params, starts: Sequence[Reduced],
-                    cfg: Optional[IntegrationConfig] = None, *,
-                    _records=None) -> list[Trajectory]:
+                    cfg: Optional[IntegrationConfig] = None) -> list[Trajectory]:
     """Integrate every start in one batch, in input order.
 
     Each trajectory runs in dimensionless time (see ``time_scale``) until
@@ -562,8 +561,7 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     last _TAIL_LANES finish on the scalar tail (see the module docstring),
     bit for bit alike.  The stepper projects each start as it projects
     every step, so a start within TOL_SIMPLEX of the simplex begins, and is
-    recorded, on it.  ``_records``, if given, is ``catalog(p)``, computed by
-    a caller that needs the records too.
+    recorded, on it.
     """
     p = Params(*p).validate()
     cfg = (cfg or IntegrationConfig()).validate()
@@ -576,7 +574,7 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
     e, scaled = time_scale(p, cfg.t_end)
     lanes = _lockstep(scaled, starts, cfg)
 
-    points = [rec for rec in (catalog(p) if _records is None else _records) if rec.defined]
+    points = [rec for rec in catalog(p) if rec.defined]
     ids = [rec.id for rec in points]
     coords = np.array([rec.coords for rec in points])
     finals = np.array([samples[-1, 1:4] for samples, *_ in lanes])

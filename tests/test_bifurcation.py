@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -10,7 +9,6 @@ import pytest
 from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
 from hawkdove.bifurcation import (
     BifurcationLine,
-    _CHUNK_NODES,
     DEFAULT_GRID,
     GridSpec,
     LineId,
@@ -21,13 +19,15 @@ from hawkdove.cli import _REGION_COLORS, _region_svg
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
+    _CHUNK_NODES,
     EquilibriumId,
+    _classify,
     classification_codes,
 )
 from hawkdove.linear_analysis import Classification
 from hawkdove.svg import Canvas
 
-from util import closed_form_codes, run_fresh
+from util import closed_form_codes, run_fresh, traced_peak
 
 C = Classification
 EQS = list(EquilibriumId)
@@ -70,47 +70,74 @@ def test_scan_is_deterministic():
 def test_scan_chunks_match_one_whole_grid_classification():
     spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 101)
     assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # more than two chunks, the last short
-    vv, cc = np.meshgrid(np.linspace(-0.3, 0.3, 201), np.linspace(-0.3, 0.3, 101),
-                         indexing="ij")
-    whole = classification_codes(vv, cc)
-    assert np.array_equal(scan(spec).codes, whole)
+    m = scan(spec)
+    # one unchunked _classify call: classification_codes chunks too
+    vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
+    assert np.array_equal(m.codes, _classify(vv, cc)[1])
 
 
 def test_scan_of_rows_wider_than_a_chunk_matches_one_whole_grid_classification():
-    # one row per chunk, each wider than _CHUNK_NODES
+    # each row split into chunks of its own, the last short
     spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 5000)
     assert spec.n_c > _CHUNK_NODES
     m = scan(spec)
     vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
-    assert np.array_equal(m.codes, classification_codes(vv, cc))
+    assert np.array_equal(m.codes, _classify(vv, cc)[1])
+
+
+@pytest.mark.parametrize("n_v, n_c", [(400, 401), (2, 100000), (100000, 2)])
+def test_a_scan_holds_little_beyond_its_codes_whatever_the_grid_shape(n_v, n_c):
+    # the classification works in chunks of at most _CHUNK_NODES nodes, in
+    # one scratch array of 42 floats per chunk node, whatever the shape: a
+    # (2, 100000) grid in rows cut into chunks, a (100000, 2) one in runs
+    # of rows.  Chunked by whole rows only, the (2, 100000) scan peaked at
+    # 50.7 MB beyond its codes and axes.
+    scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 3))   # one-time allocations fall outside
+    peak, m = traced_peak(scan, GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, n_c))
+    held = m.codes.nbytes + m.v_values.nbytes + m.c_values.nbytes
+    assert peak - held < 2 * 2**20, peak - held
+
+
+def test_classification_codes_holds_little_beyond_its_codes():
+    # a broadcast (v, c) pair is classified chunk by chunk, without a
+    # meshgrid or an eigenvalue table of the whole grid (77.9 MB here)
+    v, c = np.linspace(-0.3, 0.3, 400), np.linspace(-0.3, 0.3, 401)
+    classification_codes(v[:3, None], c[:3])
+    peak, codes = traced_peak(classification_codes, v[:, None], c)
+    assert codes.shape == (7, 400, 401)
+    assert peak - codes.nbytes < 2 * 2**20, peak - codes.nbytes
 
 
 def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes(tmp_path):
-    # The scan's eigenvalue table and columns live in one buffer for the
-    # whole scan, and each of its other temporaries stays under glibc's
+    # The scan's eigenvalue table and columns live in one scratch array for
+    # the whole scan, and each of its other temporaries stays under glibc's
     # default mmap threshold.  Allocated afresh for each chunk, the table
     # went back to the OS and was faulted in again every time: 48k-66k minor
-    # faults for this 801x801 scan, against 600-830 now.  The bound allows
-    # each page of the codes two faults, and 500 more.  glibc's thresholds
-    # for returning freed memory depend on what the process did before:
-    # compiling the modules from source raises them and hid a churn of
-    # 26k-31k faults (4096-node chunks) that loading them from cached
-    # bytecode showed.  So the scan runs twice, each in a fresh interpreter
-    # whose bytecode cache is tmp_path: first compiled from source, then
-    # from the cache.
+    # faults for the 801x801 scan, against 600-830 now.  Rows wider than a
+    # chunk once made chunks of one whole row, whose temporaries passed the
+    # threshold: 44.9k faults for the 201x5000 scan, against about 1k now.
+    # The bound allows each page of the codes two faults, and 500 more.
+    # glibc's thresholds for returning freed memory depend on what the
+    # process did before: compiling the modules from source raises them and
+    # hid a churn of 26k-31k faults (4096-node chunks) that loading them
+    # from cached bytecode showed.  So each grid is scanned twice, each time
+    # in a fresh interpreter whose bytecode cache is a new directory: first
+    # compiled from source, then from the cache.
     pytest.importorskip("resource")
-    cache = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(tmp_path)}
-    for _ in range(2):
-        faults, nbytes = map(int, run_fresh("-c", """if True:
-            import resource
-            from hawkdove.bifurcation import GridSpec, scan
-            spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 801, 801)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            codes = scan(spec).codes
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, codes.nbytes)
-            """, env=cache).split())
-        assert faults < 2 * (nbytes // 4096) + 500, faults
-    assert list(tmp_path.rglob("bifurcation*.pyc"))
+    for n_v, n_c in ((801, 801), (201, 5000)):
+        cache_dir = tmp_path / f"{n_v}x{n_c}"
+        cache = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(cache_dir)}
+        for _ in range(2):
+            faults, nbytes = map(int, run_fresh("-c", f"""if True:
+                import resource
+                from hawkdove.bifurcation import GridSpec, scan
+                spec = GridSpec(-0.3, 0.3, -0.3, 0.3, {n_v}, {n_c})
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                codes = scan(spec).codes
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, codes.nbytes)
+                """, env=cache).split())
+            assert faults < 2 * (nbytes // 4096) + 500, (n_v, n_c, faults)
+        assert list(cache_dir.rglob("bifurcation*.pyc"))
 
 
 def test_distinct_is_np_unique_in_value_and_dtype():
@@ -600,16 +627,6 @@ def test_region_svg_matches_reference_writer(writer_case, tmp_path):
         assert len(rects) == m.spec.n_v * m.spec.n_c
 
 
-def _traced_peak(write, m, path):
-    """Peak bytes that tracemalloc sees allocated while ``write(m, path)`` runs."""
-    tracemalloc.start()
-    try:
-        write(m, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _region_svg_p1(m, path):
     _region_svg(m, EquilibriumId.P1, path)
 
@@ -627,7 +644,7 @@ def test_region_writer_peak_memory_does_not_grow_with_the_v_rows(
     # one warm-up call, so one-time allocations (lazy imports, caches) fall
     # in neither measured peak
     write(scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 3)), tmp_path / "warm-up")
-    peaks = [_traced_peak(write, m, tmp_path / "out") for m in rows_50_and_400]
+    peaks = [traced_peak(write, m, tmp_path / "out")[0] for m in rows_50_and_400]
     assert peaks[1] <= growth * peaks[0], peaks
     # far below the file written: no whole document is held in memory
     assert peaks[1] < (tmp_path / "out").stat().st_size / 8, peaks

@@ -256,6 +256,26 @@ def test_catalog_eigenvalues_are_the_scan_columns_at_every_node(box):
                     assert got == triples[k, i, j].tobytes(), (v, c, rec.id)
 
 
+def test_classification_codes_shape_contract():
+    # codes are (7,) + the broadcast shape of (v, c), whatever the shape
+    # and however it is chunked
+    assert classification_codes(0.1, 0.2).shape == (7,)
+    assert np.array_equal(classification_codes(0.1, 0.2),
+                          [CODE_BY_CLASS[rec.classification] for rec in catalog(Params(0.1, 0.2))])
+    assert classification_codes([], []).shape == (7, 0)
+    assert classification_codes(np.zeros((0, 3)), 0.2).shape == (7, 0, 3)
+    v, c = np.linspace(-0.3, 0.3, 31), np.linspace(-0.3, 0.3, 29)
+    vv, cc = np.meshgrid(v, c, indexing="ij")
+    assert np.array_equal(classification_codes(v[:, None], c), classification_codes(vv, cc))
+    # rows of 5000 nodes are split into chunks of their own, under two
+    # levels of whole slices; one unchunked _classify call is the reference
+    rng = np.random.default_rng(233)
+    v, c = rng.uniform(-1.0, 1.0, (2, 2, 3, 5000))
+    codes = classification_codes(v, c)
+    assert codes.shape == (7, 2, 3, 5000)
+    assert np.array_equal(codes, _classify(v, c)[1])
+
+
 def test_small_scale_catalog_matches_closed_form():
     # (1e-7, 2e-7) sits on c = 2v, where P2 and P3 pick up an extra zero
     # eigenvalue; P6 keeps its two structural zeros

@@ -1,5 +1,6 @@
 """Shared test helpers: samplers, closed-form eigenvalue oracles, the
-scalar reference stepper and a fresh-interpreter runner."""
+scalar reference stepper, a fresh-interpreter runner and a traced-peak
+probe."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +50,17 @@ def run_fresh(*argv, warnings_as_errors=False, env=None) -> str:
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def traced_peak(fn, *args):
+    """(peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs,
+    its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def rand_params(rng, lo=-1.0, hi=1.0, c_min=0.0, line_margin=0.0) -> Params:
