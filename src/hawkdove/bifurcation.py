@@ -9,10 +9,12 @@ change shows up as two attributable half-transitions when a node sits
 exactly on the line.
 
 The pipeline is array-at-a-time.  ``scan`` is one call of the catalog's
-``classification_codes`` on the v axis as a column against the c axis,
-which classifies the grid in bounded chunks, and keeps that call's
-layout: ``RegionMap.codes`` is (7, n_v, n_c), point first, one
-contiguous (n_v, n_c) plane per equilibrium.
+``classification_codes`` on the v axis as a column against the c axis.
+That call looks up the codes of every node off and away from the four
+lines in the catalog's sector table, classifies the nodes on or near a
+line from their eigenvalues, in bounded chunks, and keeps its layout:
+``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
+(n_v, n_c) plane per equilibrium.
 Each axis is spaced with its bounds divided by a power of two that puts
 the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
 on a subnormal box each node rounds once.  An axis node within rounding
@@ -143,9 +145,9 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
 
     One ``classification_codes`` call on the v axis as a column against
     the c axis gives the (7, n_v, n_c) int8 codes; it classifies the grid
-    in chunks of at most _CHUNK_NODES nodes, so what the scan holds beyond
-    its codes and axes does not grow with the grid.  Classification is per
-    node, so two scans of one grid agree bitwise.
+    in blocks of bounded size, so what the scan holds beyond its codes and
+    axes does not grow with the grid.  Classification is per node, so two
+    scans of one grid agree bitwise.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)

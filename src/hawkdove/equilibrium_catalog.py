@@ -20,27 +20,50 @@ axis first: ``classification_codes``.  Every eigenvalue of P1..P7 is a
 closed form in (v, c) from the stability analysis, such as (v - c)/4,
 -v(c - 2v)/(4c) or 0, so the tags come from that table, with each
 structural zero an exact zero; the Jacobian with a LAPACK solve is the
-reference the tests hold the table to.  (v, c) is first divided by a
-power of two, which is exact, so the tags at 2^m (v, c) are bit-identical
-unless an eigenvalue overflows (then UNDEFINED).  The table is
-component-major: one (3, 7) + shape array of three eigenvalue columns,
-written in one assignment and scaled back in one call, whose real parts
-``stability_codes``, still the one code rule, compares in one call per
-count; the DEGENERATE and UNDEFINED upgrades then overwrite codes in
-place.  The table and its scaled-back copy share one (2, 3, 7) + shape
-work array.  ``classification_codes`` classifies any shape in C-order
-chunks of at most _CHUNK_NODES nodes, each in a contiguous view of one
-scratch array per call, so what a call holds beyond its codes is bounded
-whatever the shape.  Each chunk's other temporaries are then at most
-(7, 2048) floats, 112 KiB, under glibc's default 128 KiB mmap threshold:
-freed, they are reused rather than handed back to the OS and faulted in
-again for the next chunk, and the one scratch keeps the larger table from
-that churn.  ``catalog`` is the same classification on a 0-d grid, with
-a fresh work array.  It reads each array once, with ``tolist``, and
-does its display work, the descending eigenvalue triples and the
-coincidences, on the Python floats.  The coordinates are written there
-too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
-its sign at a zero v and is +-inf where it overflows.
+reference the tests hold the table to.  ``_classify`` evaluates it.
+(v, c) is first divided by a power of two, which is exact, so the tags at
+2^m (v, c) are bit-identical unless an eigenvalue overflows (then
+UNDEFINED).  The table is component-major: one (3, 7) + shape array of
+three eigenvalue columns, written in one assignment and scaled back in one
+call, whose real parts ``stability_codes``, still the one code rule,
+compares in one call per count; the DEGENERATE and UNDEFINED upgrades then
+overwrite codes in place.  The table and its scaled-back copy share one
+(2, 3, 7) + shape work array.
+
+Each eigenvalue is a constant times v, c, v - c or c - 2v, or one of the
+products -v(c - 2v)/(4c) (P3) and v(v - c)/(2c) (P6).  So off the four
+lines a node's seven tags depend only on which of the eight open sectors
+it lies in.  ``classification_codes`` classifies in two passes:
+
+* The sector pass looks up each node's codes in ``_SECTOR_TABLE``, a
+  (7, 16) table indexed by 8 [v > c] + 4 [c > 0] + 2 [v > 0] + [c > 2v].
+  Its columns are ``_classify``'s own codes at one representative of each
+  sector; no tag is written by hand.  A node keeps them when |v|, |c|,
+  |v - c| and |c - 2v| all exceed m = mu max(|v|, |c|), with mu =
+  _SECTOR_REL = 1e-3, and max(|v|, |c|) < 2^1000.  There every eigenvalue
+  has its sector's sign and clears the zero threshold, 1e-9 max(|v|, |c|),
+  by a wide margin: the linear ones are at least mu/8 max(|v|, |c|), and
+  the two products at least mu^2/4 max(|v|, |c|).  |v/c| is at most 1/mu,
+  so no eigenvalue overflows below 2^1000.  The signs of v - c and c - 2v
+  are exact in floating point, and a strict comparison with m stays right
+  on the subnormal grid.
+* Every other node, on or near a line, at +-0, NaN, +-inf or at 2^1000
+  and above, fails a comparison and goes through ``_classify``.
+
+The nodes go in C-order blocks of at most _BLOCK_NODES nodes.  A block's
+fallback nodes are compressed out and classified at most _CHUNK_NODES at
+a time.  The sector pass's float temporaries and each ``_classify`` table
+are views of one scratch array per call, so what a call holds beyond its
+codes is bounded whatever the shape.  Each chunk's other temporaries are
+then at most (7, 2048) floats, 112 KiB, under glibc's default 128 KiB
+mmap threshold: freed, they are reused rather than handed back to the OS
+and faulted in again for the next chunk, and the one scratch keeps the
+larger table from that churn.  ``catalog`` is ``_classify`` on a 0-d
+grid, with a fresh work array.  It reads each array once, with
+``tolist``, and does its display work, the descending eigenvalue triples
+and the coincidences, on the Python floats.  The coordinates are written
+there too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c
+keeps its sign at a zero v and is +-inf where it overflows.
 """
 
 from __future__ import annotations
@@ -228,19 +251,74 @@ def _classify(v, c, work=None):
 # temporaries whatever the grid, each temporary below glibc's default mmap
 # threshold (see the module docstring).
 _CHUNK_NODES = 2048
+# Nodes per block of the sector pass.  Its five float temporaries are views
+# of the ``_classify`` scratch (5 * 8192 <= 42 * 2048 floats), and its masks
+# 8 KiB each.  Fewer nodes pay the per-call costs more often: 2048-node
+# blocks made the 401x401 scan twice as slow.
+_BLOCK_NODES = 8192
+# A node takes its codes from the sector table when v, c, v - c and c - 2v
+# all exceed _SECTOR_REL * max(|v|, |c|), and that max is below _SECTOR_MAX.
+_SECTOR_REL = 1e-3
+_SECTOR_MAX = 2.0 ** 1000
 
 
-def _chunks(shape):
-    """Index tuples covering ``shape`` in C order, at most _CHUNK_NODES nodes
+def _chunks(shape, nodes):
+    """Index tuples covering ``shape`` in C order, at most ``nodes`` nodes
     each: runs of whole leading-axis slices where one slice fits, else each
     slice split the same way."""
     if not shape:
         return [()]
     inner = math.prod(shape[1:])
-    if inner > _CHUNK_NODES:
-        return [(i,) + rest for i in range(shape[0]) for rest in _chunks(shape[1:])]
-    step = _CHUNK_NODES // max(inner, 1)
+    if inner > nodes:
+        return [(i,) + rest for i in range(shape[0]) for rest in _chunks(shape[1:], nodes)]
+    step = nodes // max(inner, 1)
     return [(slice(i, i + step),) for i in range(0, shape[0], step)]
+
+
+def _sector(d, c, v, r):
+    """The sector index 8 [v > c] + 4 [c > 0] + 2 [v > 0] + [c > 2v] as int8,
+    one bit per sign of the four line forms d = v - c, c, v and r = c - 2v.
+    Eight of the sixteen indices occur."""
+    idx = (d > 0).view(np.int8)
+    for line in (c, v, r):
+        idx += idx
+        idx |= line > 0
+    return idx
+
+
+def _sector_table():
+    """(7, 16) int8 codes by sector index: ``_classify``'s codes at one
+    representative (v, c) of each of the eight open sectors, UNDEFINED at the
+    eight indices that no (v, c) has."""
+    v, c = np.array([(1.0, 0.5), (1.0, 1.5), (1.0, 3.0), (-1.0, 3.0),
+                     (-1.0, -0.5), (-1.0, -1.5), (-1.0, -3.0), (1.0, -3.0)]).T
+    table = np.full((7, 16), _UNDEFINED, dtype=np.int8)
+    table[:, _sector(v - c, c, v, c - 2.0 * v)] = _classify(v, c)[1]
+    return table
+
+
+_SECTOR_TABLE = _sector_table()
+
+
+def _sector_codes(v, c, out, work):
+    """Write each node's column of _SECTOR_TABLE into ``out``, (7,) + shape;
+    return where those are its codes: where |v|, |c|, |v - c| and |c - 2v|
+    all exceed m = _SECTOR_REL max(|v|, |c|) and that max is below
+    _SECTOR_MAX (see the module docstring).  +-0, NaN and +-inf fail the
+    comparisons.  ``work`` is a (5,) + shape float array for the
+    temporaries."""
+    d, r, av, ac, m = work
+    np.subtract(v, c, out=d)
+    np.subtract(c, np.multiply(v, 2.0, out=r), out=r)
+    np.maximum(np.abs(v, out=av), np.abs(c, out=ac), out=m)
+    fast = m < _SECTOR_MAX
+    m *= _SECTOR_REL
+    fast &= av > m
+    fast &= ac > m
+    fast &= np.abs(d, out=av) > m
+    fast &= np.abs(r, out=ac) > m
+    _SECTOR_TABLE.take(_sector(d, c, v, r), axis=1, out=out)
+    return fast
 
 
 def classification_codes(v, c) -> np.ndarray:
@@ -249,18 +327,38 @@ def classification_codes(v, c) -> np.ndarray:
 
     Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
     lines and UNDEFINED where a point's formula divides by zero.  The
-    catalog's tags at a point are these codes at that (v, c).  The nodes
-    are classified in ``_chunks``, each in a contiguous view of one scratch
-    array of 42 floats per chunk node; classification is per node, so the
-    codes do not depend on the chunking.
+    catalog's tags at a point are these codes at that (v, c).
+
+    The nodes go in ``_chunks`` of at most _BLOCK_NODES nodes through two
+    passes.  ``_sector_codes`` gives each node its sector's codes and marks
+    the nodes off and away from the four lines.  The others, near or on a
+    line, at +-0, NaN, +-inf or a max(|v|, |c|) of 2^1000 or more, are
+    compressed out of the block and classified by ``_classify`` at most
+    _CHUNK_NODES at a time, each in a view of one scratch array of 42
+    floats per chunk node.  Classification is per node, so the codes do not
+    depend on the blocks or chunks.
     """
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
+    if not v.ndim:      # one node, as a grid of one: every block is an array
+        return classification_codes(v[None], c[None])[:, 0]
     codes = np.empty((7,) + v.shape, dtype=np.int8)
     scratch = np.empty(42 * min(v.size, _CHUNK_NODES))
-    for chunk in _chunks(v.shape):
-        vc = v[chunk]
-        work = scratch[:42 * vc.size].reshape((2, 3, 7) + vc.shape)
-        codes[(slice(None),) + chunk] = _classify(vc, c[chunk], work)[1]
+    # 2v and the differences may overflow, and NaN compares false: both fall back
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _chunks(v.shape, _BLOCK_NODES):
+            vb, cb = v[block], c[block]
+            out = codes[(slice(None),) + block]
+            work = scratch[:5 * vb.size].reshape((5,) + vb.shape)
+            slow = ~_sector_codes(vb, cb, out, work)
+            if not slow.any():
+                continue
+            vs, cs = vb[slow], cb[slow]
+            slow_codes = np.empty((7, vs.size), dtype=np.int8)
+            for (chunk,) in _chunks(vs.shape, _CHUNK_NODES):
+                vc = vs[chunk]
+                work = scratch[:42 * vc.size].reshape((2, 3, 7, vc.size))
+                slow_codes[:, chunk] = _classify(vc, cs[chunk], work)[1]
+            out[:, slow] = slow_codes
     return codes
 
 

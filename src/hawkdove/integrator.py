@@ -23,9 +23,11 @@ lane per row of (N, 3) NumPy arrays.  Each lane keeps its own time and
 step size and is accepted or rejected on its own; the stage-7 derivative
 becomes the next first stage (FSAL) except on a lane that was just
 projected.  A lane leaves the batch when it converges, reaches the time
-limit or its step size underflows.  Once no more than ``_TAIL_LANES``
-lanes are left, the lockstep hands each one to ``_finish_lane``, the same
-step written out as straight-line float code, which runs it to its end.
+limit, its step size underflows or it has spent its budget of step
+attempts (``IntegrationConfig.max_attempts``).  Once no more than
+``_TAIL_LANES`` lanes are left, the lockstep hands each one to
+``_finish_lane``, the same step written out as straight-line float code,
+which runs it to its end.
 A batch of that many starts or fewer goes to the tail right after its
 first field evaluation; ``integrate`` is a batch of one.  Both paths exist
 because a lockstep iteration pays NumPy's per-call overhead, about 200 us,
@@ -115,6 +117,7 @@ class Terminal(enum.Enum):
     CONVERGED = "ConvergedToEquilibrium"
     TIME_LIMIT = "TimeLimit"
     STEP_FAILURE = "StepFailure"
+    STEP_BUDGET = "StepBudget"
 
     def __str__(self) -> str:
         return self.value
@@ -129,6 +132,11 @@ class IntegrationConfig:
     of the field divided by s (see ``time_scale``), so one config means
     the same at every scale of (v, c).  ``rtol`` and ``atol`` are in share
     units.  Recorded samples carry physical time t = tau / s.
+    ``max_attempts`` bounds the step attempts, accepted and rejected, of
+    each lane: a lane that has made that many without converging or
+    reaching ``t_end`` ends at ``Terminal.STEP_BUDGET``, so no run goes on
+    without end.  The default is over 300 times the most any start of the
+    benchmark workloads takes (628 attempts, a 1D run of ``point_queries``).
     """
 
     rtol: float = 1e-6
@@ -136,6 +144,7 @@ class IntegrationConfig:
     t_end: float = 2000.0                   # tau
     max_step: float = 10.0                  # tau
     record_stride: Optional[float] = None   # tau; None = record every accepted step
+    max_attempts: int = 200_000             # step attempts per lane
 
     def validate(self) -> "IntegrationConfig":
         # inf tolerances would accept every step; max_step and record_stride may be inf
@@ -146,6 +155,8 @@ class IntegrationConfig:
             raise ValueError("max_step must be positive")
         if self.record_stride is not None and not self.record_stride > 0:
             raise ValueError("record_stride must be positive")
+        if not (isinstance(self.max_attempts, int) and self.max_attempts > 0):
+            raise ValueError("max_attempts must be a positive int")
         return self
 
 
@@ -204,7 +215,7 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
     """
     cfg = cfg.validate()
     rtol, atol, t_end, max_step = cfg.rtol, cfg.atol, cfg.t_end, cfg.max_step
-    stride = cfg.record_stride
+    stride, budget = cfg.record_stride, cfg.max_attempts
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _STAGE_A
     e1, e2, e3, e4, e5, e6, e7 = _ERR
@@ -233,6 +244,8 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
         h = min(h, max_step, remaining)
         if h < h_min:
             return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
+        if accepted + rejected >= budget:
+            return samples, Terminal.STEP_BUDGET, (accepted, rejected), clamps
 
         ys = y + h * (0.0 + a21 * k1)
         k2 = 0.5 * ys * (1.0 - ys) * (v - c * ys)
@@ -368,6 +381,8 @@ def _finish_lane(v, c, cfg, t, last, h, state, k1, counts, buf):
             return Terminal.TIME_LIMIT, accepted, rejected, clamps
         if h < _H_UNDERFLOW:
             return Terminal.STEP_FAILURE, accepted, rejected, clamps
+        if accepted + rejected >= cfg.max_attempts:
+            return Terminal.STEP_BUDGET, accepted, rejected, clamps
 
         k2x, k2y, k2z = f(v, c, x + h * (a21 * k1x), y + h * (a21 * k1y), z + h * (a21 * k1z))
         k3x, k3y, k3z = f(v, c, x + h * (a31 * k1x + a32 * k2x), y + h * (a31 * k1y + a32 * k2y),
@@ -452,7 +467,8 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
     """Step the lanes (state rows y, first stages k1, step sizes h, sample
     buffers bufs) from t = 0 to their ends; returns as ``_lockstep``.
 
-    A lane retires on convergence, at the time limit or on step underflow.
+    A lane retires on convergence, at the time limit, on step underflow or
+    once it has made ``cfg.max_attempts`` step attempts.
     Once no more than _TAIL_LANES are active, each is finished on
     ``_finish_lane``.
     """
@@ -480,6 +496,9 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
     keep = ~(np.abs(k1).max(axis=1) < CONVERGENCE_EPS)
     retire(np.flatnonzero(~keep), Terminal.CONVERGED)
     time_eps = 1e-13 * max(1.0, cfg.t_end)
+    # Every lane steps from t = 0 and makes one attempt per iteration until
+    # it retires, so every active lane has made this many attempts.
+    attempts = 0
 
     while True:
         if not keep.all():
@@ -502,6 +521,9 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
             retire(np.flatnonzero(stop & ~out_of_time), Terminal.STEP_FAILURE)
             keep = ~stop
             continue
+        if attempts >= cfg.max_attempts:
+            retire(np.arange(len(lane)), Terminal.STEP_BUDGET)
+            return out
 
         hh = h[:, None]
         ks = [k1]
@@ -517,6 +539,7 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
         ok = ratio <= 1.0       # a NaN ratio rejects, with factor 0.2
         rejected += ~ok
         accepted += ok
+        attempts += 1
         t = np.where(ok, t + h, t)
 
         fixed = np.where(ok, _project_rows(y_new), 0)
@@ -551,8 +574,9 @@ def batch_integrate(p: Params, starts: Sequence[Reduced],
 
     Each trajectory runs in dimensionless time (see ``time_scale``) until
     convergence (the scaled field's sup norm below CONVERGENCE_EPS), the
-    time limit, or step failure; its samples carry physical time.  Raises
-    ValueError where physical time cannot be represented (``time_scale``).
+    time limit, step failure or the end of its step-attempt budget; its
+    samples carry physical time.  Raises ValueError where physical time
+    cannot be represented (``time_scale``).
     Every trajectory records the nearest defined point of ``catalog(p)``
     (Euclidean, reduced coordinates), the distance to it and the final
     scaled field norm; on convergence that point is also attached as

@@ -108,6 +108,27 @@ def test_classification_codes_holds_little_beyond_its_codes():
     assert peak - codes.nbytes < 2 * 2**20, peak - codes.nbytes
 
 
+def test_classification_codes_on_a_line_holds_little_beyond_its_codes():
+    # every node on v = c is near a line, so none takes the sector table:
+    # each block's nodes go through _classify at most _CHUNK_NODES at a
+    # time, in the one scratch array.  Classified in one _classify call per
+    # 8192-node block, they would take a 2.75 MB table.
+    v = np.linspace(-0.3, 0.3, 100000)
+    classification_codes(v[:3], v[:3])
+    peak, codes = traced_peak(classification_codes, v, v)
+    assert (codes[EQS.index(EquilibriumId.P5)] == CODE_BY_CLASS[C.DEGENERATE]).all()
+    assert peak - codes.nbytes < 2 * 2**20, peak - codes.nbytes
+
+
+def test_a_scan_on_the_line_c_eq_0_holds_little_beyond_its_codes():
+    # a 2 x 100000 grid on c = 0: every node falls back to _classify
+    scan(GridSpec(-0.3, 0.3, 0.0, 0.0, 3, 3))
+    peak, m = traced_peak(scan, GridSpec(-0.3, 0.3, 0.0, 0.0, 2, 100000))
+    assert (m.codes[EQS.index(EquilibriumId.P3)] == CODE_BY_CLASS[C.UNDEFINED]).all()
+    held = m.codes.nbytes + m.v_values.nbytes + m.c_values.nbytes
+    assert peak - held < 2 * 2**20, peak - held
+
+
 def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes(tmp_path):
     # The scan's eigenvalue table and columns live in one scratch array for
     # the whole scan, and each of its other temporaries stays under glibc's

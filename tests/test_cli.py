@@ -249,6 +249,23 @@ def test_simulate_step_failure_exits_3_with_partial_outputs(tmp_path, capsys):
     assert (out / "portrait.svg").read_text().endswith("</svg>\n")
 
 
+def test_a_simulate_that_neither_converges_nor_reaches_t_end_ends_on_its_step_budget(tmp_path):
+    # With no step bound and a time limit out of reach, the lane settles
+    # near P1 on steps the controller keeps rejecting and accepting at the
+    # edge of the explicit pair's stability interval, and never converges:
+    # without a budget of step attempts the command runs without end.  It
+    # now stops after IntegrationConfig.max_attempts attempts, in about
+    # 1.5 s on a 2-core Xeon.
+    out = tmp_path / "runaway"
+    text = run_fresh("-m", "hawkdove.cli", "simulate", "--v", "0.5", "--c", "0.75",
+                     "--start", "0.2,0.3,0.4", "--max-step", "inf", "--t-end", "1e300",
+                     "--stride", "1e6", "--out-dir", out, timeout=60)
+    assert json.loads(text)["terminals"] == {"StepBudget": 1}
+    (lane,) = json.loads((out / "summary.json").read_text())["trajectories"]
+    assert lane["terminal"] == "StepBudget"
+    assert lane["steps"] + lane["rejected_steps"] == 200_000
+
+
 def test_bifurcation_csv_and_svg(tmp_path, capsys):
     out = tmp_path / "bif"
     code, report = run(capsys, "bifurcation", "--nv", "13", "--nc", "13",

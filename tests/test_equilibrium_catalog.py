@@ -396,3 +396,75 @@ def test_predicate_made_no_claim_on_lines():
     # the P2 regions the printed union omits
     assert region_predicate(EquilibriumId.P2, Params(0.1, 0.5)) is None
     assert region_predicate(EquilibriumId.P2, Params(-0.2, 0.3)) is None
+
+
+def _sector_pairs(rng):
+    """About 114k seeded (v, c) pairs for the sector pass: log-uniform
+    magnitudes over the whole float range at all angles; pairs exactly on
+    each of v = c, c = 0, v = 0 and c = 2v, and at relative distances
+    log-uniform in 1e-12..1e-1 from each; and +-0.0, subnormals and
+    max(|v|, |c|) at or above 2^1000."""
+    def signed_magnitudes(n, lo=-1074.0, hi=1023.0):
+        return np.exp2(rng.uniform(lo, hi, n)) * rng.choice([-1.0, 1.0], n)
+
+    n = 50000
+    r, theta = np.exp2(rng.uniform(-1074.0, 1023.0, n)), rng.uniform(0.0, 2 * np.pi, n)
+    vs, cs = [r * np.cos(theta)], [r * np.sin(theta)]
+    t = signed_magnitudes(4 * 2000, hi=1022.0).reshape(4, -1)
+    vs += [t[0], t[1], 0.0 * t[2], t[3]]
+    cs += [t[0], 0.0 * t[1], t[2], 2.0 * t[3]]
+    m = 12000
+    t = signed_magnitudes(4 * m, hi=1021.0).reshape(4, -1)
+    delta = 10.0 ** rng.uniform(-12.0, -1.0, (4, m)) * rng.choice([-1.0, 1.0], (4, m))
+    vs += [t[0], t[1], delta[2] * t[2], t[3]]
+    cs += [t[0] * (1.0 + delta[0]), delta[1] * t[1], t[2], 2.0 * t[3] * (1.0 + delta[3])]
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.0 ** -1022,
+                        0.3, -0.7, 2.0 ** 1000, -2.0 ** 1000, 1.7e308, -1.7e308,
+                        np.nextafter(2.0 ** 1000, 0.0)])
+    sv, sc = np.meshgrid(special, special, indexing="ij")
+    vs += [sv.ravel()]
+    cs += [sc.ravel()]
+    huge = signed_magnitudes(2 * 4000, lo=999.0, hi=1021.0).reshape(2, -1)
+    vs += [huge[0], 0.3 * huge[1]]
+    cs += [huge[1] * rng.uniform(-3.0, 3.0, 4000), huge[0]]
+    return np.concatenate(vs), np.concatenate(cs)
+
+
+def test_the_sector_pass_matches_one_unchunked_classify():
+    # classification_codes takes most nodes' codes from one lookup in the
+    # sector table and sends the rest, near or on the lines, at +-0, subnormal
+    # or above 2^1000, through _classify.  Whichever way a node goes, its
+    # codes must be _classify's.  A sector gate below ZERO_REL (1e-10 in
+    # place of 1e-3) tags nodes within 1e-9 max(|v|, |c|) of a line from the
+    # table instead of Degenerate, and fails here.
+    v, c = _sector_pairs(np.random.default_rng(241))
+    assert v.size > 100000
+    with np.errstate(over="ignore"):
+        ref = _classify(v, c)[1]
+    codes = classification_codes(v, c)
+    bad = np.flatnonzero((codes != ref).any(axis=0))
+    assert bad.size == 0, [(v[i], c[i]) for i in bad[:5]]
+    # both paths are exercised: Degenerate and Undefined tags and sector tags
+    degenerate, undefined = CODE_BY_CLASS[C.DEGENERATE], CODE_BY_CLASS[C.UNDEFINED]
+    assert (codes == degenerate).any(axis=0).sum() > 10000
+    assert (codes == undefined).any(axis=0).sum() > 1000
+    assert (~np.isin(codes, [degenerate, undefined])).all(axis=0).sum() > 50000
+
+
+def test_sector_table_rows_agree_with_the_region_predicate():
+    # each sector's column of the table, read at its index 8 [v > c] +
+    # 4 [c > 0] + 2 [v > 0] + [c > 2v], is the transcribed region wherever
+    # the predicate makes a claim; every sector is visited
+    from hawkdove.equilibrium_catalog import _SECTOR_TABLE
+
+    rng = np.random.default_rng(251)
+    seen = set()
+    for _ in range(400):
+        v, c = rand_params(rng, line_margin=1e-3)
+        index = 8 * (v > c) + 4 * (c > 0) + 2 * (v > 0) + (c > 2 * v)
+        seen.add(index)
+        for k, eq in enumerate(EQS):
+            claim = region_predicate(eq, Params(v, c))
+            if claim is not None:
+                assert CLASS_BY_CODE[_SECTOR_TABLE[k, index]] is claim, (eq, v, c)
+    assert len(seen) == 8

@@ -86,6 +86,25 @@ def test_step_size_underflow_reports_failure():
     assert traj.terminal is Terminal.STEP_FAILURE
 
 
+def test_config_needs_a_positive_int_step_budget():
+    for bad in (0, -1, 2.5, None):
+        with pytest.raises(ValueError, match="^max_attempts must be a positive int$"):
+            IntegrationConfig(max_attempts=bad).validate()
+
+
+def test_a_lane_ends_when_it_has_spent_its_step_attempts():
+    # accepted and rejected steps both count, and the 1D kernel keeps the
+    # same budget; the default is far above the few hundred attempts that
+    # the benchmark's starts take
+    cfg = IntegrationConfig(max_attempts=7)
+    traj = integrate(Params(0.1, 0.2), (0.2, 0.3, 0.4), cfg)
+    assert traj.terminal is Terminal.STEP_BUDGET and traj.nearest is None
+    assert traj.steps + traj.rejected == 7
+    _, terminal, (accepted, rejected), _ = integrator.integrate_hawk_share(0.1, 0.2, 0.3, cfg)
+    assert terminal is Terminal.STEP_BUDGET and accepted + rejected == 7
+    assert IntegrationConfig().max_attempts >= 50 * 3358
+
+
 def test_face_invariance_is_exact_along_trajectories():
     traj = integrate(Params(0.1, 0.2), (0.3, 0.0, 0.5))
     assert np.all(traj.samples[:, 2] == 0.0)
@@ -123,7 +142,8 @@ def test_batch_matches_individual_calls_and_preserves_order():
     # Mixed lanes: converged at step 0 (P2), a y = 0 face start (as -0.0)
     # and interior starts, at a preset, at the (2, 3) preset, whose field is
     # divided by s = 4, at a time limit short enough to end its lanes there,
-    # and under a step size that underflows.  Comparing a batch of eight with
+    # under a step size that underflows and under a step-attempt budget that
+    # ends the longer lanes.  Comparing a batch of eight with
     # batches of one and with the scalar driver on the scaled field also
     # checks the ratio ** -0.2 step factor, which a vectorised pow may round
     # differently.  The last three starts need projecting first.
@@ -133,7 +153,8 @@ def test_batch_matches_individual_calls_and_preserves_order():
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
-                   (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15))):
+                   (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15)),
+                   (Params(0.1, 0.2), IntegrationConfig(max_attempts=30))):
         e, scaled = time_scale(p, cfg.t_end)
         batch = batch_integrate(p, starts, cfg)
         for s0, got in zip(starts, batch):
@@ -172,7 +193,8 @@ def test_lockstep_and_tail_lanes_are_bit_identical_to_the_reference(monkeypatch)
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
                    (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15)),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0, record_stride=0.5)),
-                   (Params(0.1, 0.2), IntegrationConfig(record_stride=25.0))):
+                   (Params(0.1, 0.2), IntegrationConfig(record_stride=25.0)),
+                   (Params(0.1, 0.2), IntegrationConfig(max_attempts=30))):
         e, scaled = time_scale(p, cfg.t_end)
         alone = [integrate(p, s0, cfg) for s0 in starts]
         for s0, one in zip(starts, alone):
@@ -205,7 +227,8 @@ def test_tail_and_lockstep_agree_where_the_error_terms_are_not_finite(monkeypatc
     # reference's steps.  The shrinking h soon gives finite error terms, and
     # every lane reaches t_end within a few hundred steps.  (With h = t_end =
     # 1e300 the interior lane's terms are NaN too, but once its NaN steps are
-    # rejected it stalls near P1, ROADMAP item 1, and does not end.)
+    # rejected it stalls near P1, ROADMAP item 1, and ends only when it has
+    # spent its budget of step attempts.)
     p = Params(0.5, 0.75)
     assert time_scale(p, 1.0)[0] == 0          # p is the field that is stepped
     for states, step, t_end in ((((0.5, 0.0, 0.0), (0.2, 0.3, 0.0)), 10 ** 2.5, 2 * 10 ** 2.5),

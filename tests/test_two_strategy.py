@@ -145,12 +145,13 @@ def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
     # need projecting first at both ends of [0, 1], and starts just beyond
     # the tolerance, left alone until a step brings them within it and
     # clamps them there; a run that converges, one that hits the time limit
-    # (t_end = 5), one whose step underflows (max_step = 1e-15), and runs
-    # with and without a stride
+    # (t_end = 5), one whose step underflows (max_step = 1e-15), one that
+    # spends its step-attempt budget (max_attempts = 30), and runs with and
+    # without a stride
     bases = [(1.0, 1.0), (0.7, 0.0), (0.0, 0.7), (0.3, 0.6), (0.3, 0.7), (-0.45, 0.2),
              (-1.0, -1.0), (-0.7, 0.0), (0.0, -0.7), (-0.3, -0.6), (0.8, -0.1)]
     configs = (IntegrationConfig(), IntegrationConfig(t_end=5.0),
-               IntegrationConfig(max_step=1e-15),
+               IntegrationConfig(max_step=1e-15), IntegrationConfig(max_attempts=30),
                IntegrationConfig(t_end=3.0, record_stride=0.5),
                IntegrationConfig(record_stride=7.0))
     rng = np.random.default_rng(131)

@@ -32,12 +32,13 @@ from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
 
 
-def run_fresh(*argv, warnings_as_errors=False, env=None) -> str:
+def run_fresh(*argv, warnings_as_errors=False, env=None, timeout=None) -> str:
     """Run ``python *argv`` in a fresh interpreter with this ``src`` on its
     path and no HAWKDOVE_OUTDIR; its stdout, after a zero exit.  A fresh
     process pays what every command-line run pays: first-touch page faults
     and lazy imports.  ``env`` sets further variables, or unsets those
-    mapped to None."""
+    mapped to None.  A run that takes longer than ``timeout`` seconds is
+    killed and raises ``subprocess.TimeoutExpired``."""
     overrides = {"HAWKDOVE_OUTDIR": None, **(env or {})}
     env = dict(os.environ, PYTHONPATH=SRC)
     for name, value in overrides.items():
@@ -47,7 +48,7 @@ def run_fresh(*argv, warnings_as_errors=False, env=None) -> str:
             env[name] = value
     flags = ["-W", "error"] if warnings_as_errors else []
     proc = subprocess.run([sys.executable, *flags, *map(str, argv)],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -176,6 +177,8 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
         h = min(h, cfg.max_step, remaining)
         if h < _H_UNDERFLOW:
             return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
+        if accepted + rejected >= cfg.max_attempts:
+            return samples, Terminal.STEP_BUDGET, (accepted, rejected), clamps
 
         ks = [k1]
         for coeffs in _STAGE_A[1:]:
