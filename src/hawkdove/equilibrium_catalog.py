@@ -263,11 +263,9 @@ _SECTOR_MAX = 2.0 ** 1000
 
 
 def _chunks(shape, nodes):
-    """Index tuples covering ``shape`` in C order, at most ``nodes`` nodes
-    each: runs of whole leading-axis slices where one slice fits, else each
-    slice split the same way."""
-    if not shape:
-        return [()]
+    """Index tuples covering ``shape``, of at least one axis, in C order, at
+    most ``nodes`` nodes each: runs of whole leading-axis slices where one
+    slice fits, else each slice split the same way."""
     inner = math.prod(shape[1:])
     if inner > nodes:
         return [(i,) + rest for i in range(shape[0]) for rest in _chunks(shape[1:], nodes)]
@@ -339,7 +337,7 @@ def classification_codes(v, c) -> np.ndarray:
     depend on the blocks or chunks.
     """
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
-    if not v.ndim:      # one node, as a grid of one: every block is an array
+    if not v.ndim:      # a grid of one node, so that no block is 0-d
         return classification_codes(v[None], c[None])[:, 0]
     codes = np.empty((7,) + v.shape, dtype=np.int8)
     scratch = np.empty(42 * min(v.size, _CHUNK_NODES))
