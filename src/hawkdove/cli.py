@@ -3,7 +3,8 @@
 All outputs are file-based (CSV/JSON, optional static SVG projections).
 Floats in CSV are printed with 17 significant digits so files re-parse to
 the exact in-memory values.  Exit codes: 0 success, 2 usage error,
-3 numerical failure.  A usage error is an input the parser or the library
+3 numerical failure (a ``simulate`` lane that ends at ``StepFailure`` or
+``StepBudget``).  A usage error is an input the parser or the library
 rejects, or an output path that cannot be written.  Each ``cmd_*`` only
 computes, and returns its report text, its ``--out`` (None: stdout), its
 files as (path, writer) pairs and its exit code; ``main`` does the writing.
@@ -220,7 +221,8 @@ def cmd_simulate(args) -> tuple:
                       functools.partial(_simulate_svg, p, trajectories, starts)))
 
     text = json.dumps({"terminals": summary["terminals"], "out_dir": str(out)}) + "\n"
-    failed = any(t.terminal is Terminal.STEP_FAILURE for t in trajectories)
+    failed = any(t.terminal in (Terminal.STEP_FAILURE, Terminal.STEP_BUDGET)
+                 for t in trajectories)
     return text, None, files, EXIT_NUMERIC if failed else EXIT_OK
 
 

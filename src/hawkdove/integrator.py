@@ -24,7 +24,7 @@ step size and is accepted or rejected on its own; the stage-7 derivative
 becomes the next first stage (FSAL) except on a lane that was just
 projected.  A lane leaves the batch when it converges, reaches the time
 limit, its step size underflows or it has spent its budget of step
-attempts (``IntegrationConfig.max_attempts``).  Once no more than
+attempts (``_attempt_budget``).  Once no more than
 ``_TAIL_LANES`` lanes are left, the lockstep hands each one to
 ``_finish_lane``, the same step written out as straight-line float code,
 which runs it to its end.
@@ -108,6 +108,12 @@ _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 /
 
 _H_UNDERFLOW = 1e-14
 
+# Step attempts, accepted and rejected, that a lane may make beyond four per
+# max_step that t_end spans (see _attempt_budget): over 300 times the most
+# that a start of the benchmark workloads takes, 628, in a 1D run of
+# point_queries.
+_ATTEMPT_ALLOWANCE = 200_000
+
 #: A run has converged once the sup norm of the field divided by s (see
 #: ``time_scale``) falls below this.
 CONVERGENCE_EPS = 1e-10
@@ -132,11 +138,6 @@ class IntegrationConfig:
     of the field divided by s (see ``time_scale``), so one config means
     the same at every scale of (v, c).  ``rtol`` and ``atol`` are in share
     units.  Recorded samples carry physical time t = tau / s.
-    ``max_attempts`` bounds the step attempts, accepted and rejected, of
-    each lane: a lane that has made that many without converging or
-    reaching ``t_end`` ends at ``Terminal.STEP_BUDGET``, so no run goes on
-    without end.  The default is over 300 times the most any start of the
-    benchmark workloads takes (628 attempts, a 1D run of ``point_queries``).
     """
 
     rtol: float = 1e-6
@@ -144,7 +145,6 @@ class IntegrationConfig:
     t_end: float = 2000.0                   # tau
     max_step: float = 10.0                  # tau
     record_stride: Optional[float] = None   # tau; None = record every accepted step
-    max_attempts: int = 200_000             # step attempts per lane
 
     def validate(self) -> "IntegrationConfig":
         # inf tolerances would accept every step; max_step and record_stride may be inf
@@ -155,9 +155,21 @@ class IntegrationConfig:
             raise ValueError("max_step must be positive")
         if self.record_stride is not None and not self.record_stride > 0:
             raise ValueError("record_stride must be positive")
-        if not (isinstance(self.max_attempts, int) and self.max_attempts > 0):
-            raise ValueError("max_attempts must be a positive int")
         return self
+
+
+def _attempt_budget(cfg: IntegrationConfig) -> float:
+    """The step attempts, accepted and rejected, that a lane may make
+    under ``cfg`` before it ends at ``Terminal.STEP_BUDGET``.
+
+    That is _ATTEMPT_ALLOWANCE plus four per ``max_step`` that ``t_end``
+    spans, so a lane whose steps average at least half of ``max_step``,
+    with no more rejected steps than accepted ones, still reaches ``t_end``.
+    With ``max_step = inf`` only the allowance is left, so a lane that
+    neither converges nor reaches an unbounded time limit still ends.  The
+    budget is inf where t_end / max_step overflows.
+    """
+    return _ATTEMPT_ALLOWANCE + 4.0 * (cfg.t_end / cfg.max_step)
 
 
 @dataclass(frozen=True)
@@ -215,7 +227,7 @@ def integrate_hawk_share(v: float, c: float, z0: float, cfg: IntegrationConfig):
     """
     cfg = cfg.validate()
     rtol, atol, t_end, max_step = cfg.rtol, cfg.atol, cfg.t_end, cfg.max_step
-    stride, budget = cfg.record_stride, cfg.max_attempts
+    stride, budget = cfg.record_stride, _attempt_budget(cfg)
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _STAGE_A
     e1, e2, e3, e4, e5, e6, e7 = _ERR
@@ -371,6 +383,7 @@ def _finish_lane(v, c, cfg, t, last, h, state, k1, counts, buf):
     e1, _, e3, e4, e5, e6, e7 = _ERR
     f, eps, tol, top = _field_3d_terms, CONVERGENCE_EPS, TOL_SIMPLEX, 1.0 + TOL_SIMPLEX
     time_eps = 1e-13 * max(1.0, t_end)
+    budget = _attempt_budget(cfg)
     x, y, z = state
     k1x, k1y, k1z = k1
     accepted, rejected, clamps = counts
@@ -381,7 +394,7 @@ def _finish_lane(v, c, cfg, t, last, h, state, k1, counts, buf):
             return Terminal.TIME_LIMIT, accepted, rejected, clamps
         if h < _H_UNDERFLOW:
             return Terminal.STEP_FAILURE, accepted, rejected, clamps
-        if accepted + rejected >= cfg.max_attempts:
+        if accepted + rejected >= budget:
             return Terminal.STEP_BUDGET, accepted, rejected, clamps
 
         k2x, k2y, k2z = f(v, c, x + h * (a21 * k1x), y + h * (a21 * k1y), z + h * (a21 * k1z))
@@ -468,7 +481,7 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
     buffers bufs) from t = 0 to their ends; returns as ``_lockstep``.
 
     A lane retires on convergence, at the time limit, on step underflow or
-    once it has made ``cfg.max_attempts`` step attempts.
+    once it has made ``_attempt_budget(cfg)`` step attempts.
     Once no more than _TAIL_LANES are active, each is finished on
     ``_finish_lane``.
     """
@@ -496,6 +509,7 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
     keep = ~(np.abs(k1).max(axis=1) < CONVERGENCE_EPS)
     retire(np.flatnonzero(~keep), Terminal.CONVERGED)
     time_eps = 1e-13 * max(1.0, cfg.t_end)
+    budget = _attempt_budget(cfg)
     # Every lane steps from t = 0 and makes one attempt per iteration until
     # it retires, so every active lane has made this many attempts.
     attempts = 0
@@ -521,7 +535,7 @@ def _advance(p: Params, cfg: IntegrationConfig, y: np.ndarray, k1: np.ndarray,
             retire(np.flatnonzero(stop & ~out_of_time), Terminal.STEP_FAILURE)
             keep = ~stop
             continue
-        if attempts >= cfg.max_attempts:
+        if attempts >= budget:
             retire(np.arange(len(lane)), Terminal.STEP_BUDGET)
             return out
 

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from hawkdove import integrator
 from hawkdove.cli import build_parser, main
 
 from util import run_fresh
@@ -253,17 +254,30 @@ def test_a_simulate_that_neither_converges_nor_reaches_t_end_ends_on_its_step_bu
     # With no step bound and a time limit out of reach, the lane settles
     # near P1 on steps the controller keeps rejecting and accepting at the
     # edge of the explicit pair's stability interval, and never converges:
-    # without a budget of step attempts the command runs without end.  It
-    # now stops after IntegrationConfig.max_attempts attempts, in about
-    # 1.5 s on a 2-core Xeon.
+    # without a budget of step attempts the command runs without end.  At
+    # max_step = inf the budget is the allowance of 200,000 attempts, spent
+    # in about 1.5 s on a 2-core Xeon, and the run exits 3 with its files.
     out = tmp_path / "runaway"
     text = run_fresh("-m", "hawkdove.cli", "simulate", "--v", "0.5", "--c", "0.75",
                      "--start", "0.2,0.3,0.4", "--max-step", "inf", "--t-end", "1e300",
-                     "--stride", "1e6", "--out-dir", out, timeout=60)
+                     "--stride", "1e6", "--out-dir", out, timeout=60, code=3)
     assert json.loads(text)["terminals"] == {"StepBudget": 1}
     (lane,) = json.loads((out / "summary.json").read_text())["trajectories"]
     assert lane["terminal"] == "StepBudget"
     assert lane["steps"] + lane["rejected_steps"] == 200_000
+
+
+def test_a_simulate_at_a_small_max_step_still_reaches_t_end(tmp_path, capsys, monkeypatch):
+    # The budget grows by four attempts per max_step that t_end spans: with
+    # the allowance cut to 100, the 203 steps of 0.5 that reach t_end = 100
+    # (tau; t = 400 at s = 1/4) still fit, and the run exits 0.
+    monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE", 100)
+    out = tmp_path / "fine"
+    code, text = run(capsys, "simulate", "--v", "0.1", "--c", "0.2", "--start", "0.2,0.3,0.4",
+                     "--max-step", "0.5", "--t-end", "100", "--out-dir", str(out))
+    assert (code, json.loads(text)["terminals"]) == (0, {"TimeLimit": 1})
+    (lane,) = json.loads((out / "summary.json").read_text())["trajectories"]
+    assert (lane["steps"], lane["rejected_steps"]) == (203, 0)
 
 
 def test_bifurcation_csv_and_svg(tmp_path, capsys):

@@ -86,23 +86,32 @@ def test_step_size_underflow_reports_failure():
     assert traj.terminal is Terminal.STEP_FAILURE
 
 
-def test_config_needs_a_positive_int_step_budget():
-    for bad in (0, -1, 2.5, None):
-        with pytest.raises(ValueError, match="^max_attempts must be a positive int$"):
-            IntegrationConfig(max_attempts=bad).validate()
-
-
-def test_a_lane_ends_when_it_has_spent_its_step_attempts():
+def test_a_lane_ends_when_it_has_spent_its_step_attempts(monkeypatch):
     # accepted and rejected steps both count, and the 1D kernel keeps the
-    # same budget; the default is far above the few hundred attempts that
-    # the benchmark's starts take
-    cfg = IntegrationConfig(max_attempts=7)
+    # same budget; at max_step = inf the budget is the allowance alone
+    monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE", 7)
+    cfg = IntegrationConfig(max_step=math.inf)
     traj = integrate(Params(0.1, 0.2), (0.2, 0.3, 0.4), cfg)
     assert traj.terminal is Terminal.STEP_BUDGET and traj.nearest is None
     assert traj.steps + traj.rejected == 7
     _, terminal, (accepted, rejected), _ = integrator.integrate_hawk_share(0.1, 0.2, 0.3, cfg)
     assert terminal is Terminal.STEP_BUDGET and accepted + rejected == 7
-    assert IntegrationConfig().max_attempts >= 50 * 3358
+
+
+def test_the_step_budget_grows_with_the_steps_t_end_spans(monkeypatch):
+    # 203 steps of max_step = 0.5 reach t_end = 100 (tau) at (0.4, 0.8):
+    # more than the allowance of 100, well within the 100 + 4 * 200 left to
+    # a run that steps at max_step, in lockstep, in the tail and in 1D
+    monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE", 100)
+    cfg = IntegrationConfig(max_step=0.5, t_end=100.0)
+    assert integrator._attempt_budget(cfg) == 900
+    for tail_lanes in (0, integrator._TAIL_LANES):
+        monkeypatch.setattr(integrator, "_TAIL_LANES", tail_lanes)
+        for traj in batch_integrate(Params(0.4, 0.8), [(0.2, 0.3, 0.4)] * 2, cfg):
+            assert traj.terminal is Terminal.TIME_LIMIT
+            assert (traj.steps, traj.rejected) == (203, 0)
+    _, terminal, steps, _ = integrator.integrate_hawk_share(0.4, 0.8, 0.3, cfg)
+    assert (terminal, steps) == (Terminal.TIME_LIMIT, (203, 0))
 
 
 def test_face_invariance_is_exact_along_trajectories():
@@ -129,7 +138,7 @@ def test_bitwise_determinism():
     assert a.terminal is b.terminal and a.steps == b.steps
 
 
-def test_batch_matches_individual_calls_and_preserves_order():
+def test_batch_matches_individual_calls_and_preserves_order(monkeypatch):
     p = Params(0.1, 0.2)
     starts = random_interior_starts(4, seed=11)
     batch = batch_integrate(p, starts)
@@ -142,19 +151,22 @@ def test_batch_matches_individual_calls_and_preserves_order():
     # Mixed lanes: converged at step 0 (P2), a y = 0 face start (as -0.0)
     # and interior starts, at a preset, at the (2, 3) preset, whose field is
     # divided by s = 4, at a time limit short enough to end its lanes there,
-    # under a step size that underflows and under a step-attempt budget that
-    # ends the longer lanes.  Comparing a batch of eight with
+    # under a step size that underflows and, last, under a step-attempt
+    # budget of 30 that ends the longer lanes.  Comparing a batch of eight with
     # batches of one and with the scalar driver on the scaled field also
     # checks the ratio ** -0.2 step factor, which a vectorised pow may round
     # differently.  The last three starts need projecting first.
     starts = [(0.0, 0.5, 0.5), (0.3, -0.0, 0.5), *random_interior_starts(3, seed=11),
               (-1e-10, 0.5, 0.5), (-0.0, 0.3, 0.3), (1.000000001, 0.0, 0.0)]
     seen = set()
+    spent = IntegrationConfig(max_step=math.inf)   # only the allowance bounds it
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
                    (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15)),
-                   (Params(0.1, 0.2), IntegrationConfig(max_attempts=30))):
+                   (Params(0.1, 0.2), spent)):
+        if cfg is spent:
+            monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE", 30)
         e, scaled = time_scale(p, cfg.t_end)
         batch = batch_integrate(p, starts, cfg)
         for s0, got in zip(starts, batch):
@@ -188,13 +200,16 @@ def test_lockstep_and_tail_lanes_are_bit_identical_to_the_reference(monkeypatch)
     assert len(starts) > integrator._TAIL_LANES
     settings = (0, 20, integrator._TAIL_LANES, 10 * len(starts))
     seen = set()
+    spent = IntegrationConfig(max_step=math.inf)   # only the allowance bounds it
     for p, cfg in ((Params(0.1, 0.2), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig()),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0)),
                    (Params(0.1, 0.2), IntegrationConfig(max_step=1e-15)),
                    (Params(2.0, 3.0), IntegrationConfig(t_end=5.0, record_stride=0.5)),
                    (Params(0.1, 0.2), IntegrationConfig(record_stride=25.0)),
-                   (Params(0.1, 0.2), IntegrationConfig(max_attempts=30))):
+                   (Params(0.1, 0.2), spent)):
+        if cfg is spent:
+            monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE", 30)
         e, scaled = time_scale(p, cfg.t_end)
         alone = [integrate(p, s0, cfg) for s0 in starts]
         for s0, one in zip(starts, alone):

@@ -5,6 +5,7 @@ import pytest
 
 from hawkdove import (Params, catalog, classify_1d, correspondence, f, f_prime, integrate,
                       simulate_hawk_share)
+from hawkdove import integrator
 from hawkdove.equilibrium_catalog import EquilibriumId
 from hawkdove.game_core import TOL_SIMPLEX
 from hawkdove.integrator import IntegrationConfig, Terminal, integrate_hawk_share, time_scale
@@ -138,7 +139,7 @@ def _bits(samples):
     return [(t.hex(), z.hex()) for t, z in samples]
 
 
-def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
+def test_scalar_kernel_is_bit_identical_to_the_reference_stepper(monkeypatch):
     # v = c, c = 0, v = 0, c = 2v and off every line, each with both signs,
     # at magnitudes 2^-1000 .. 2^960, stepped at time_scale's (v, c) as the
     # oracle steps them; every start the oracle accepts, with starts that
@@ -146,12 +147,14 @@ def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
     # the tolerance, left alone until a step brings them within it and
     # clamps them there; a run that converges, one that hits the time limit
     # (t_end = 5), one whose step underflows (max_step = 1e-15), one that
-    # spends its step-attempt budget (max_attempts = 30), and runs with and
-    # without a stride
+    # spends a step-attempt budget of 30 (the allowance alone, at max_step =
+    # inf), and runs with and without a stride
     bases = [(1.0, 1.0), (0.7, 0.0), (0.0, 0.7), (0.3, 0.6), (0.3, 0.7), (-0.45, 0.2),
              (-1.0, -1.0), (-0.7, 0.0), (0.0, -0.7), (-0.3, -0.6), (0.8, -0.1)]
+    spent = IntegrationConfig(max_step=math.inf)
+    allowance = integrator._ATTEMPT_ALLOWANCE
     configs = (IntegrationConfig(), IntegrationConfig(t_end=5.0),
-               IntegrationConfig(max_step=1e-15), IntegrationConfig(max_attempts=30),
+               IntegrationConfig(max_step=1e-15), spent,
                IntegrationConfig(t_end=3.0, record_stride=0.5),
                IntegrationConfig(record_stride=7.0))
     rng = np.random.default_rng(131)
@@ -162,6 +165,8 @@ def test_scalar_kernel_is_bit_identical_to_the_reference_stepper():
             for z0 in (0.0, 1.0, -TOL_SIMPLEX, 1.0 + TOL_SIMPLEX, float(rng.random()),
                        -5e-10, 1.0 + 5e-10, -2 * TOL_SIMPLEX, 1.0 + 2 * TOL_SIMPLEX):
                 for cfg in configs:
+                    monkeypatch.setattr(integrator, "_ATTEMPT_ALLOWANCE",
+                                        30 if cfg is spent else allowance)
                     _e, scaled = time_scale(p, cfg.t_end)
                     ref, terminal, steps, n_clamped = adaptive_integrate(
                         lambda s: (f(scaled, s[0]),), (z0,), cfg)

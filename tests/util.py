@@ -25,6 +25,7 @@ from hawkdove.integrator import (
     CONVERGENCE_EPS,
     IntegrationConfig,
     Terminal,
+    _attempt_budget,
 )
 from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 
@@ -32,9 +33,9 @@ from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
 SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
 
 
-def run_fresh(*argv, warnings_as_errors=False, env=None, timeout=None) -> str:
+def run_fresh(*argv, warnings_as_errors=False, env=None, timeout=None, code=0) -> str:
     """Run ``python *argv`` in a fresh interpreter with this ``src`` on its
-    path and no HAWKDOVE_OUTDIR; its stdout, after a zero exit.  A fresh
+    path and no HAWKDOVE_OUTDIR; its stdout, after an exit with ``code``.  A fresh
     process pays what every command-line run pays: first-touch page faults
     and lazy imports.  ``env`` sets further variables, or unsets those
     mapped to None.  A run that takes longer than ``timeout`` seconds is
@@ -49,7 +50,7 @@ def run_fresh(*argv, warnings_as_errors=False, env=None, timeout=None) -> str:
     flags = ["-W", "error"] if warnings_as_errors else []
     proc = subprocess.run([sys.executable, *flags, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout
 
 
@@ -159,6 +160,7 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
     size in place of the library's starting rule.
     """
     cfg = cfg.validate()
+    budget = _attempt_budget(cfg)
     y, _fixes = _project(tuple(float(t) for t in y0))
     t = 0.0
     k1 = tuple(float(g) for g in rate(y))
@@ -177,7 +179,7 @@ def adaptive_integrate(rate: Callable, y0: Sequence[float], cfg: IntegrationConf
         h = min(h, cfg.max_step, remaining)
         if h < _H_UNDERFLOW:
             return samples, Terminal.STEP_FAILURE, (accepted, rejected), clamps
-        if accepted + rejected >= cfg.max_attempts:
+        if accepted + rejected >= budget:
             return samples, Terminal.STEP_BUDGET, (accepted, rejected), clamps
 
         ks = [k1]
