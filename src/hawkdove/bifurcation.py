@@ -1,44 +1,35 @@
-"""Parameter-plane scans and local bifurcation line detection.
+"""Parameter-plane scans and the local bifurcations of the (v, c) plane.
 
-The (v, c) plane is scanned on a rectangular grid; at every node all seven
-catalog equilibria are classified.  Classification changes between
-adjacent nodes are then attributed to the four destabilization lines
-v = c, c = 0, v = 0 and c = 2v.  Nodes landing on a line itself are tagged
-Degenerate by the catalog's zero-count upgrade, so a region-to-region
-change shows up as two attributable half-transitions when a node sits
-exactly on the line.
+Every eigenvalue of P1..P7 and the zero threshold are homogeneous of
+degree 1 in (v, c), so the seven tags depend only on the direction of
+(v, c): one of the eight open sectors between the lines v = c, c = 0,
+v = 0 and c = 2v, one of their eight rays, or the origin.  The catalog's
+direction table holds the codes of these 17 directions.
+``detect_transitions`` reads the local bifurcations from it, not from a
+grid: for each line whose rays the box meets, the changes from the sector
+on one side of a ray to the sector on the other (``affected``) and from
+either sector to the ray (``on_line``).  ``_line_segments`` is the one
+place that knows where the lines meet the box: which rays, decided
+exactly, and the segments the region SVG draws.
 
-The pipeline is array-at-a-time.  ``scan`` is one call of the catalog's
-``classification_codes`` on the v axis as a column against the c axis.
-That call looks up the codes of every node off and away from the four
-lines in the catalog's sector table, classifies the nodes on or near a
-line from their eigenvalues, in bounded chunks, and keeps its layout:
-``RegionMap.codes`` is (7, n_v, n_c), point first, one contiguous
-(n_v, n_c) plane per equilibrium.
-Each axis is spaced with its bounds divided by a power of two that puts
-the larger in [0.5, 1), which is exact: ``hi - lo`` cannot overflow, and
-on a subnormal box each node rounds once.  An axis node within rounding
-of zero is put exactly on zero, so the lines c = 0 and v = 0 pass
-through nodes on every box that straddles them.
-``detect_transitions`` finds changed edges by comparing each plane with
-itself shifted along v and along c, OR-ed into one (2, n_v, n_c) bool
-array one plane at a time, and attributes lines only on those, in one
-array pass over all of them, each edge at its nodes divided by a power of
-two, so its on-line tolerance and midpoint neither underflow, round nor
-overflow at either end of the float range.  It aggregates with one
-integer key per changed (edge, equilibrium) and the distinct keys per
-line, from ``_distinct``: a sort and a first-of-run mask, which gives
-``np.unique``'s result without ``np.unique``'s import of ``numpy.ma``
-(7-11 ms on a process's first call, more than the whole aggregation).
+``scan`` is one ``classification_codes`` call on the v axis as a column
+against the c axis: sector-table lookups off and away from the lines, the
+eigenvalue table on or near them, in bounded chunks.  ``RegionMap.codes``
+is (7, n_v, n_c), point first, one contiguous (n_v, n_c) plane per
+equilibrium.  Each axis is spaced with its bounds divided by a power of
+two that puts the larger in [0.5, 1), which is exact: ``hi - lo`` cannot
+overflow, and on a subnormal box each node rounds once.  An axis node
+within rounding of zero is put exactly on zero, so the lines c = 0 and
+v = 0 pass through nodes on every box that straddles them.
+
 ``write_region_csv`` builds one text piece per (distinct row of seven
 tags, c column) and writes each v row as one gather from that table and
 one ``str.join``; its bytes match a cell-by-cell writer's.  Its per-node
-keys and table indices exist one chunk of rows at a time, so what it
-holds beyond ``codes`` does not grow with n_v.  Every
-eigenvalue and the zero threshold are homogeneous of degree 1 in (v, c),
-so the tags depend on the direction of (v, c) only, and a grid has few
+keys and table indices exist one chunk of rows at a time.  A grid has few
 distinct tag rows (at most 23 on every box probed, from subnormal to
-+-1.7e308): the table grows with n_c, not with n_v * n_c.
++-1.7e308), so the table grows with n_c, not with n_v * n_c.  The distinct
+keys come from ``_distinct``, a sort and a first-of-run mask: without
+``np.unique``'s import of ``numpy.ma`` (7-11 ms on a first call).
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -62,6 +53,8 @@ from .equilibrium_catalog import (
     EQUILIBRIUM_IDS,
     EquilibriumId,
     _CHUNK_NODES,
+    _DIRECTION_TABLE,
+    _DIRECTIONS,
     classification_codes,
 )
 from .game_core import Params
@@ -78,11 +71,14 @@ __all__ = [
 ]
 
 class LineId(enum.Enum):
+    """The four destabilization lines, in the order the report lists them.
+    Each is two rays from the origin; off the origin, tags change only on
+    the eight rays."""
+
     VEQC = "VeqC"      # v = c
     CEQ0 = "Ceq0"      # c = 0
     VEQ0 = "Veq0"      # v = 0
     CEQ2V = "Ceq2V"    # c = 2v
-    UNEXPLAINED = "Unexplained"
 
     def __str__(self) -> str:
         return self.value
@@ -157,26 +153,62 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
 
-# The four lines in LineId order, each as a signed value at (v, c) and the
-# norm of its gradient; a fifth column of the line mask is UNEXPLAINED.
-_LINE_NORMS = np.array([math.sqrt(2.0), 1.0, 1.0, math.sqrt(5.0)])
-
-
-def _line_values(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(E, 4): v - c, c, v and c - 2v at each point."""
-    return np.stack([v - c, c, v, c - 2.0 * v], axis=-1)
-
-
 @dataclass(frozen=True)
 class BifurcationLine:
+    """The changes at one line's rays that the box meets, as (equilibrium,
+    "TagA<->TagB"), tags in alphabetical order, sorted by point then pair:
+    ``affected`` from the sector on one side of a ray to the other,
+    ``on_line`` from either sector to the ray itself."""
+
     id: LineId
     affected: tuple[tuple[EquilibriumId, str], ...]
+    on_line: tuple[tuple[EquilibriumId, str], ...]
 
 
-# Tag codes ranked by their names, so the smaller rank of a tag pair is the
-# alphabetically first tag.
-_TAG_NAMES = sorted(cls.value for cls in CLASS_BY_CODE)
-_TAG_RANK = np.array([_TAG_NAMES.index(cls.value) for cls in CLASS_BY_CODE])
+def _line_segments(spec: GridSpec):
+    """The four lines v = c, c = 0, v = 0 and c = 2v where they meet the grid
+    box, in LineId order, as (line, rays, ((v1, c1), (v2, c2))); a line
+    missing the box is left out.
+
+    ``rays`` are the columns of _DIRECTION_TABLE of the line's rays that the
+    box meets, as open rays: a box that meets a line only at the origin
+    meets none.  Both tests are exact.  The line through (dv, dc) meets the
+    box where dc v - dv c takes both signs on it, which compares dc v with
+    dv c and never subtracts them: with dv in {0, 1} and dc in {0, 1, 2}
+    each product is exact, or an inf of the right sign where 2v overflows,
+    which orders as the exact product would.  The ray t (dv, dc), with t
+    of the sign s, meets the box where the line does and the box holds a v
+    of the sign of s dv and a c of the sign of s dc, each where that sign
+    is not zero.
+
+    The segment's ends are where the line leaves the box, (c / m, c) or
+    (v, m v) on the line c = m v; an end inside the box is the same value
+    as the unclipped one.  c / 2 rounds on some subnormal c, and an end is
+    then within one rounding of the line.
+    """
+    v_lo, v_hi, c_lo, c_hi = spec.v_min, spec.v_max, spec.c_min, spec.c_max
+
+    def reaches(d, lo, hi):     # a bound of the sign of d, where d is nonzero
+        return hi > 0.0 if d > 0.0 else lo < 0.0 if d < 0.0 else True
+
+    out = []
+    # each line as a direction (dv, dc): its rays are t (dv, dc), t > 0 and t < 0
+    for line, (dv, dc) in zip(LineId, ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 2.0))):
+        dcv, dvc = (dc * v_lo, dc * v_hi), (dv * c_lo, dv * c_hi)
+        if not (min(dcv) <= max(dvc) and min(dvc) <= max(dcv)):
+            continue
+        rays = tuple(_DIRECTIONS.index((s * dv, s * dc)) for s in (1.0, -1.0)
+                     if reaches(s * dv, v_lo, v_hi) and reaches(s * dc, c_lo, c_hi))
+        if not dv:
+            segment = ((0.0, c_lo), (0.0, c_hi))
+        elif not dc:
+            segment = ((v_lo, 0.0), (v_hi, 0.0))
+        else:       # c = m v, m > 0
+            lo = (c_lo / dc, c_lo) if c_lo / dc >= v_lo else (v_lo, dc * v_lo)
+            hi = (c_hi / dc, c_hi) if c_hi / dc <= v_hi else (v_hi, dc * v_hi)
+            segment = (lo, hi)
+        out.append((line, rays, segment))
+    return out
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -194,63 +226,27 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return _run_starts(np.sort(a, axis=None))
 
 
+def _changes(pairs) -> tuple[tuple[EquilibriumId, str], ...]:
+    """(equilibrium, "TagA<->TagB"), sorted, for each point whose code differs
+    between the columns a and b of _DIRECTION_TABLE, over the (a, b) in ``pairs``."""
+    table = _DIRECTION_TABLE.T.tolist()
+    found = {(eq.value, "<->".join(sorted((CLASS_BY_CODE[x].value, CLASS_BY_CODE[y].value))))
+             for a, b in pairs for eq, x, y in zip(EQUILIBRIUM_IDS, table[a], table[b]) if x != y}
+    return tuple((EquilibriumId(eq), desc) for eq, desc in sorted(found))
+
+
 def detect_transitions(m: RegionMap) -> list[BifurcationLine]:
-    """Aggregate classification changes per destabilization line.
+    """The classification changes at each line whose rays the box meets.
 
-    Each affected entry is (equilibrium, "TagA<->TagB") with the tag pair
-    in alphabetical order.  A line is crossed by an edge between adjacent
-    nodes when its signed value changes sign over the edge or an end node
-    lies on it, within a tolerance relative to the edge's nodes (so a box
-    scaled by k gives the same lines); of the crossed lines, those nearest
-    the edge's midpoint are reported, every one of them on a tie near the
-    origin.  Changes on an edge that crosses none of the four lines are
-    collected under UNEXPLAINED for manual review.  Every changed (edge,
-    equilibrium) gets one integer key, from the equilibrium and the tag
-    pair, and each line takes the distinct keys of its edges.
-
-    Changed edges are marked in one (2, n_v, n_c) bool array, along v then
-    along c, OR-ing in one plane at a time: the temporaries there are one
-    plane's two shifted comparisons, (n_v - 1, n_c) and (n_v, n_c - 1)
-    bools.  Past that, arrays are per changed edge.
+    They are read from _DIRECTION_TABLE, not from the grid's nodes: the
+    sectors beside a ray are the columns before and after it, and a line
+    gathers the changes at those of its rays that ``_line_segments`` finds
+    in the box.  A box that meets no ray gets an empty list.
     """
-    codes = m.codes
-    # an edge changed where any of the seven contiguous planes changed
-    step = np.zeros((2, m.spec.n_v, m.spec.n_c), dtype=bool)
-    for plane in codes:
-        step[0, :-1] |= plane[1:] != plane[:-1]
-        step[1, :, :-1] |= plane[:, 1:] != plane[:, :-1]
-    along_c, i, j = np.nonzero(step)
-    i2, j2 = i + (1 - along_c), j + along_c
-    va, ca = m.v_values[i], m.c_values[j]
-    vb, cb = m.v_values[i2], m.c_values[j2]
-    # each edge at its nodes divided by a power of two, which is exact: the
-    # largest lands in [0.5, 1), so no tolerance underflows and no sum
-    # overflows or rounds at either end of the float range
-    top, e = np.frexp(np.maximum.reduce([np.abs(va), np.abs(ca), np.abs(vb), np.abs(cb)]))
-    va, ca, vb, cb = (np.ldexp(t, -e) for t in (va, ca, vb, cb))
-    on_tol = 1e-12 * top
-    fa, fb = _line_values(va, ca), _line_values(vb, cb)
-    crossed = (fa * fb <= 0.0) | (np.minimum(np.abs(fa), np.abs(fb)) <= on_tol[:, None])
-    dist = np.abs(_line_values(0.5 * (va + vb), 0.5 * (ca + cb))) / _LINE_NORMS
-    dmin = np.where(crossed, dist, np.inf).min(axis=1)
-    near = crossed & (dist <= (dmin + on_tol)[:, None])
-    lines = np.column_stack([near, ~near.any(axis=1)])
-
-    codes_a, codes_b = codes[:, i, j], codes[:, i2, j2]
-    k, e = np.nonzero(codes_a != codes_b)
-    ra, rb = _TAG_RANK[codes_a[k, e]], _TAG_RANK[codes_b[k, e]]
-    n = len(_TAG_NAMES)
-    key = (k * n + np.minimum(ra, rb)) * n + np.maximum(ra, rb)
-    out = []
-    for col, line in enumerate(LineId):
-        keys = _distinct(key[lines[e, col]]).tolist()
-        if keys:
-            affected = sorted(
-                ((EQUILIBRIUM_IDS[q // (n * n)], f"{_TAG_NAMES[q // n % n]}<->{_TAG_NAMES[q % n]}")
-                 for q in keys),
-                key=lambda a: (a[0].value, a[1]))
-            out.append(BifurcationLine(id=line, affected=tuple(affected)))
-    return out
+    return [BifurcationLine(
+                id=line, affected=_changes(((r - 1) % 16, r + 1) for r in rays),
+                on_line=_changes(p for r in rays for p in (((r - 1) % 16, r), (r, r + 1))))
+            for line, rays, _ in _line_segments(m.spec) if rays]
 
 
 def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from . import __version__
 from .bifurcation import (
     DEFAULT_GRID,
     GridSpec,
+    _line_segments,
     detect_transitions,
     scan,
     write_region_csv,
@@ -241,30 +242,6 @@ _REGION_COLORS = {
 }
 
 
-def _line_segments(spec: GridSpec):
-    """The four destabilization lines v = c, c = 0, v = 0, c = 2v, clipped
-    to the grid box, as ((v1, c1), (v2, c2)); a line missing the box is left out.
-
-    Each end is where the line leaves the box, computed in one exact
-    operation (c / m or m * v, with m = 1 or 2), so it lies on its line; an
-    end already inside the box is the same value as the unclipped one.
-    """
-    v_lo, v_hi, c_lo, c_hi = spec.v_min, spec.v_max, spec.c_min, spec.c_max
-
-    def slope(m):   # c = m v, m > 0
-        lo = (c_lo / m, c_lo) if c_lo / m >= v_lo else (v_lo, m * v_lo)
-        hi = (c_hi / m, c_hi) if c_hi / m <= v_hi else (v_hi, m * v_hi)
-        return (lo, hi) if lo[0] <= hi[0] else None
-
-    segments = (
-        slope(1.0),
-        ((v_lo, 0.0), (v_hi, 0.0)) if c_lo <= 0.0 <= c_hi else None,
-        ((0.0, c_lo), (0.0, c_hi)) if v_lo <= 0.0 <= v_hi else None,
-        slope(2.0),
-    )
-    return [s for s in segments if s is not None]
-
-
 def _region_svg(m, eq: EquilibriumId, path) -> None:
     size, margin = 420, 40
     cv = Canvas(size + 2 * margin, size + 2 * margin)
@@ -292,7 +269,7 @@ def _region_svg(m, eq: EquilibriumId, path) -> None:
         fy = frac(c, spec.c_min, spec.c_max)
         return margin + fx * size, margin + size - fy * size
 
-    for (v1, c1), (v2, c2) in _line_segments(spec):
+    for _, _, ((v1, c1), (v2, c2)) in _line_segments(spec):
         cv.line(*to_canvas(v1, c1), *to_canvas(v2, c2), stroke="black", width=1.2)
     cv.text(margin, margin - 8, f"{eq.value} classification over (v, c)", size=12)
     cv.write(path)
@@ -309,7 +286,8 @@ def cmd_bifurcation(args) -> tuple:
         "csv": str(csv_path),
         "transition_lines": [
             {"line": bl.id.value,
-             "affected": [[eq.value, desc] for eq, desc in bl.affected]}
+             "affected": [[eq.value, desc] for eq, desc in bl.affected],
+             "on_line": [[eq.value, desc] for eq, desc in bl.on_line]}
             for bl in lines
         ],
     }

@@ -37,10 +37,14 @@ it lies in.  ``classification_codes`` classifies in two passes:
 
 * The sector pass looks up each node's codes in ``_SECTOR_TABLE``, a
   (7, 16) table indexed by 8 [v > c] + 4 [c > 0] + 2 [v > 0] + [c > 2v].
-  Its columns are ``_classify``'s own codes at one representative of each
-  sector; no tag is written by hand.  A node keeps them when |v|, |c|,
-  |v - c| and |c - 2v| all exceed m = mu max(|v|, |c|), with mu =
-  _SECTOR_REL = 1e-3, and max(|v|, |c|) < 2^1000.  There every eigenvalue
+  Its columns are the sector columns of ``_DIRECTION_TABLE``, which holds
+  ``_classify``'s own codes, taken once at import, at one representative
+  of each of the 17 directions: the eight sectors, the eight rays of the
+  four lines and the origin.  No tag is written by hand, and
+  ``bifurcation`` reads its account of the local bifurcations from the
+  same table.  A node keeps its sector's codes when |v|, |c|, |v - c|
+  and |c - 2v| all exceed m = mu max(|v|, |c|), with mu = _SECTOR_REL =
+  1e-3, and max(|v|, |c|) < 2^1000.  There every eigenvalue
   has its sector's sign and clears the zero threshold, 1e-9 max(|v|, |c|),
   by a wide margin: the linear ones are at least mu/8 max(|v|, |c|), and
   the two products at least mu^2/4 max(|v|, |c|).  |v/c| is at most 1/mu,
@@ -284,14 +288,25 @@ def _sector(d, c, v, r):
     return idx
 
 
+# One representative of each of the 17 directions of the (v, c) plane that
+# the tags tell apart, counterclockwise from (1, 0): a ray of one of the four
+# lines at each even position, the open sector between it and the next ray
+# at the odd position after it, and the origin last.
+_DIRECTIONS = ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0),
+               (0.0, 1.0), (-1.0, 3.0), (-1.0, 0.0), (-1.0, -0.5), (-1.0, -1.0),
+               (-1.0, -1.5), (-1.0, -2.0), (-1.0, -3.0), (0.0, -1.0), (1.0, -3.0),
+               (0.0, 0.0))
+# (7, 17) int8: ``_classify``'s codes at each of _DIRECTIONS, one column each.
+_DIRECTION_TABLE = _classify(*np.array(_DIRECTIONS).T)[1]
+_DIRECTION_TABLE.flags.writeable = False
+
+
 def _sector_table():
-    """(7, 16) int8 codes by sector index: ``_classify``'s codes at one
-    representative (v, c) of each of the eight open sectors, UNDEFINED at the
-    eight indices that no (v, c) has."""
-    v, c = np.array([(1.0, 0.5), (1.0, 1.5), (1.0, 3.0), (-1.0, 3.0),
-                     (-1.0, -0.5), (-1.0, -1.5), (-1.0, -3.0), (1.0, -3.0)]).T
+    """(7, 16) int8 codes by sector index: the sector columns of
+    _DIRECTION_TABLE, UNDEFINED at the eight indices that no (v, c) has."""
+    v, c = np.array(_DIRECTIONS[1:16:2]).T
     table = np.full((7, 16), _UNDEFINED, dtype=np.int8)
-    table[:, _sector(v - c, c, v, c - 2.0 * v)] = _classify(v, c)[1]
+    table[:, _sector(v - c, c, v, c - 2.0 * v)] = _DIRECTION_TABLE[:, 1:16:2]
     return table
 
 

@@ -195,7 +195,7 @@ def test_criterion_8_bifurcation_map():
     with criterion(8, "201x201 region map: runtime, attribution, P5 half-plane",
                    budget_s=10.0):
         m = scan(DEFAULT_GRID)
-        assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
+        assert [bl.id for bl in detect_transitions(m)] == list(LineId)
         k5 = list(EquilibriumId).index(EquilibriumId.P5)
         vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
         stable = m.codes[k5] == CODE_BY_CLASS[Classification.STABLE_NODE]

@@ -1,18 +1,17 @@
 import math
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from hawkdove import Params, detect_transitions, jacobian, linearized_field, scan
 from hawkdove.bifurcation import (
-    BifurcationLine,
     DEFAULT_GRID,
     GridSpec,
     LineId,
     _distinct,
+    _line_segments,
     write_region_csv,
 )
 from hawkdove.cli import _REGION_COLORS, _region_svg
@@ -20,6 +19,8 @@ from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
     _CHUNK_NODES,
+    _DIRECTION_TABLE,
+    _DIRECTIONS,
     EquilibriumId,
     _classify,
     classification_codes,
@@ -238,35 +239,79 @@ def test_box_near_the_top_of_the_float_range_keeps_the_unit_box_tags():
     assert np.array_equal(wide.codes, base.codes)
 
 
+# The default grid's transition lines, read from the direction table: per
+# line, the sector-to-sector changes across its rays, then the sector-to-ray
+# ones, as "point tagA<->tagB".
+DEFAULT_TRANSITION_LINES = {
+    LineId.VEQC: (
+        ["P1 Saddle<->StableNode", "P1 Saddle<->UnstableNode", "P4 Saddle<->StableNode",
+         "P4 Saddle<->UnstableNode", "P5 StableNode<->UnstableNode"],
+        ["P1 Degenerate<->Saddle", "P1 Degenerate<->StableNode", "P1 Degenerate<->UnstableNode",
+         "P4 Degenerate<->Saddle", "P4 Degenerate<->StableNode", "P4 Degenerate<->UnstableNode",
+         "P5 Degenerate<->StableNode", "P5 Degenerate<->UnstableNode",
+         "P6 Degenerate<->NonHyperbolic"]),
+    LineId.CEQ0: (
+        ["P3 NormallyHyperbolicSaddle<->NormallyHyperbolicStable",
+         "P3 NormallyHyperbolicSaddle<->NormallyHyperbolicUnstable"],
+        ["P1 Degenerate<->Saddle", "P2 Degenerate<->Saddle",
+         "P3 NormallyHyperbolicSaddle<->Undefined", "P3 NormallyHyperbolicStable<->Undefined",
+         "P3 NormallyHyperbolicUnstable<->Undefined", "P4 Degenerate<->Saddle",
+         "P6 NonHyperbolic<->Undefined"]),
+    LineId.VEQ0: (
+        ["P1 Saddle<->StableNode", "P1 Saddle<->UnstableNode", "P4 Saddle<->StableNode",
+         "P4 Saddle<->UnstableNode", "P7 StableNode<->UnstableNode"],
+        ["P1 Degenerate<->Saddle", "P1 Degenerate<->StableNode", "P1 Degenerate<->UnstableNode",
+         "P3 Degenerate<->NormallyHyperbolicSaddle", "P4 Degenerate<->Saddle",
+         "P4 Degenerate<->StableNode", "P4 Degenerate<->UnstableNode",
+         "P6 Degenerate<->NonHyperbolic", "P7 Degenerate<->StableNode",
+         "P7 Degenerate<->UnstableNode"]),
+    LineId.CEQ2V: (
+        ["P3 NormallyHyperbolicSaddle<->NormallyHyperbolicStable",
+         "P3 NormallyHyperbolicSaddle<->NormallyHyperbolicUnstable"],
+        ["P2 Degenerate<->Saddle", "P3 Degenerate<->NormallyHyperbolicSaddle",
+         "P3 Degenerate<->NormallyHyperbolicStable",
+         "P3 Degenerate<->NormallyHyperbolicUnstable"]),
+}
+DEFAULT_COUNTS = [(len(a), len(o)) for a, o in DEFAULT_TRANSITION_LINES.values()]
+
+
+def as_text(lines):
+    """``detect_transitions``'s result in the form of DEFAULT_TRANSITION_LINES."""
+    return {bl.id: tuple([f"{eq.value} {desc}" for eq, desc in pairs]
+                         for pairs in (bl.affected, bl.on_line)) for bl in lines}
+
+
+def test_default_grid_transition_lines():
+    lines = detect_transitions(scan(DEFAULT_GRID))
+    assert [bl.id for bl in lines] == list(LineId)
+    assert as_text(lines) == DEFAULT_TRANSITION_LINES
+    assert DEFAULT_COUNTS == [(5, 9), (2, 7), (5, 10), (2, 4)]
+
+
 def test_transition_lines_are_scale_invariant():
-    # the on-line tolerance is relative to the edge's nodes; an absolute
-    # floor put every changed edge of the +-3e-14 box on all four lines
+    # the report depends on which rays the box meets, and a box scaled by
+    # k > 0 meets the same rays
     def lines(b):
         return detect_transitions(scan(GridSpec(-b, b, -b, b, 41, 41)))
     base = lines(0.3)
-    assert [len(bl.affected) for bl in base] == [15, 11, 15, 15]
+    assert [(len(bl.affected), len(bl.on_line)) for bl in base] == DEFAULT_COUNTS
     for b in (3e-14, 3e-6, 3e11):
         assert lines(b) == base, b
 
 
 def test_transition_lines_keep_the_unit_box_lines_at_the_top_of_the_float_range():
-    # a midpoint summed before halving overflowed to inf, its distance to
-    # v = c came out NaN, and changes at nodes exactly on v = c fell to
-    # UNEXPLAINED; the only changes left there are tags that overflow
+    # some P3 and P6 tags of the +-1e308 box overflow to Undefined; the
+    # report comes from the table, not the grid, so it is the unit box's
     def lines(b):
-        return {bl.id: bl.affected
-                for bl in detect_transitions(scan(GridSpec(-b, b, -b, b, 41, 41)))}
-    base, huge = lines(0.3), lines(1e308)
-    unexplained = huge.pop(LineId.UNEXPLAINED, ())
-    assert huge == base and LineId.UNEXPLAINED not in base
-    assert all("Undefined" in desc.split("<->") for _, desc in unexplained)
+        return detect_transitions(scan(GridSpec(-b, b, -b, b, 41, 41)))
+    assert lines(1e308) == lines(0.3)
 
 
 @pytest.mark.parametrize("half_width", [5e-323, 1e-310])
 def test_subnormal_boxes_keep_the_integer_box_codes_and_lines(half_width):
     # The nodes of the +-5e-323 box are the integers -10..10 times the
-    # smallest subnormal: the +-10 box's codes, and its lines once each edge
-    # is attributed at a normal scale (an unscaled on-line tolerance
+    # smallest subnormal: the +-10 box's codes, and its lines (when they
+    # were read from the grid's edges, an unscaled on-line tolerance
     # underflowed to 0 and reported 16/14/17/19 entries).  On the +-1e-310
     # box the zero threshold of the axis underflowed too: the middle node
     # sat 9 subnormal steps off zero, and 41 nodes took other codes.
@@ -278,7 +323,7 @@ def test_subnormal_boxes_keep_the_integer_box_codes_and_lines(half_width):
     assert m.v_values[10] == 0.0 and m.c_values[10] == 0.0
     assert np.array_equal(m.codes, base.codes)
     assert lines == detect_transitions(base)
-    assert [len(bl.affected) for bl in lines] == [15, 11, 15, 15]
+    assert [(len(bl.affected), len(bl.on_line)) for bl in lines] == DEFAULT_COUNTS
 
 
 @pytest.mark.parametrize("exponent", [-1000, 0, 1000])
@@ -331,12 +376,19 @@ def test_transitions_across_c_equals_2v():
 
 
 def test_on_line_nodes_split_transitions_but_stay_attributed():
-    # 5x5 square grid has nodes exactly on the diagonal: Degenerate there
+    # 5x5 square grid has nodes exactly on the diagonal: Degenerate there,
+    # so the grid shows P1's change across v = c as two changes to the ray,
+    # which the report lists under VeqC's on_line.  The box meets the rays
+    # v = c and c = 2v with v > 0, and no other.
     m = scan(GridSpec(0.05, 0.25, 0.05, 0.25, 5, 5))
     k = EQS.index(EquilibriumId.P1)
     diag = [m.codes[k, i, i] for i in range(5)]
     assert all(d == CODE_BY_CLASS[C.DEGENERATE] for d in diag)
-    assert LineId.UNEXPLAINED not in {bl.id for bl in detect_transitions(m)}
+    lines = detect_transitions(m)
+    assert [bl.id for bl in lines] == [LineId.VEQC, LineId.CEQ2V]
+    p1 = {desc for eq, desc in lines[0].on_line if eq is EquilibriumId.P1}
+    assert p1 == {"Degenerate<->Saddle", "Degenerate<->StableNode"}
+    assert (EquilibriumId.P1, "Saddle<->StableNode") in lines[0].affected
 
 
 def test_region_csv_round_trip(tmp_path):
@@ -438,76 +490,6 @@ def test_linearized_undefined_at_zero_cost():
 
 # -- the per-cell writers the array versions replaced, kept as references ----
 
-_LINE_FUNCS = {
-    LineId.VEQC: (lambda v, c: v - c, math.sqrt(2.0)),
-    LineId.CEQ0: (lambda v, c: c, 1.0),
-    LineId.VEQ0: (lambda v, c: v, 1.0),
-    LineId.CEQ2V: (lambda v, c: c - 2.0 * v, math.sqrt(5.0)),
-}
-
-
-def _crossed_lines(a, b):
-    # at the edge's nodes divided by a power of two, which is exact, so a box
-    # scaled by k gives the same lines, and neither the tolerance nor a
-    # midpoint rounds or overflows at either end of the float range
-    e = math.frexp(max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1])))[1]
-    a, b = ([math.ldexp(t, -e) for t in node] for node in (a, b))
-    on_tol = 1e-12 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    crossed = []
-    for line, (func, norm) in _LINE_FUNCS.items():
-        fa, fb = func(*a), func(*b)
-        if fa * fb <= 0.0 or min(abs(fa), abs(fb)) <= on_tol:
-            crossed.append((abs(func(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))) / norm, line))
-    if not crossed:
-        return ()
-    dmin = min(d for d, _ in crossed)
-    # Tie near the origin: report every line at the minimal distance.
-    return tuple(line for d, line in crossed if d <= dmin + on_tol)
-
-
-class TransitionPair(NamedTuple):
-    """One adjacent-node classification change, before aggregation."""
-
-    eq: EquilibriumId
-    tags: tuple[Classification, Classification]
-    lines: tuple[LineId, ...]     # empty = unexplained
-
-
-def reference_transition_pairs(m):
-    n_v, n_c = m.spec.n_v, m.spec.n_c
-    for i in range(n_v):
-        for j in range(n_c):
-            a = (float(m.v_values[i]), float(m.c_values[j]))
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 >= n_v or j2 >= n_c:
-                    continue
-                b = (float(m.v_values[i2]), float(m.c_values[j2]))
-                ca = m.codes[:, i, j]
-                cb = m.codes[:, i2, j2]
-                if np.array_equal(ca, cb):
-                    continue
-                lines = _crossed_lines(a, b)
-                for k, eq in enumerate(EQS):
-                    if ca[k] != cb[k]:
-                        yield TransitionPair(
-                            eq=eq,
-                            tags=(CLASS_BY_CODE[ca[k]], CLASS_BY_CODE[cb[k]]),
-                            lines=lines)
-
-
-def reference_detect_transitions(pairs):
-    """``detect_transitions``'s aggregation rule, one pair at a time."""
-    buckets = {}
-    for pair in pairs:
-        desc = "<->".join(sorted(t.value for t in pair.tags))
-        for line in (pair.lines or (LineId.UNEXPLAINED,)):
-            buckets.setdefault(line, set()).add((pair.eq, desc))
-    return [BifurcationLine(id=line,
-                            affected=tuple(sorted(buckets[line], key=lambda t: (t[0].value, t[1]))))
-            for line in LineId if line in buckets]
-
-
 def reference_region_csv(m, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQS) + "\n")
@@ -584,33 +566,6 @@ def assert_same_lines(new: bytes, ref: bytes):
     assert len(new_lines) == len(ref_lines)
 
 
-@pytest.fixture(scope="module", params=list(REFERENCE_GRIDS), ids=list(REFERENCE_GRIDS))
-def reference_case(request):
-    spec, eq = REFERENCE_GRIDS[request.param]
-    return scan(spec), eq
-
-
-def test_detect_transitions_matches_reference_aggregation(reference_case):
-    m, _ = reference_case
-    assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
-
-
-@pytest.mark.parametrize("spec", [
-    GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
-    GridSpec(-3e11, 3e11, -3e11, 3e11, 41, 41),
-    # near the corners the unscaled line values and midpoint sums overflow
-    GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41),
-    # every node a multiple of the smallest subnormal, where an unscaled
-    # tolerance underflows to 0 and half of the midpoints round
-    GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21),
-    GridSpec(0.1, 0.1, 0.2, 0.2, 1, 1),
-    GridSpec(0.15, 0.25, 0.2, 0.2, 2, 1),
-], ids=["3e-14", "3e11", "1e308", "5e-323", "1x1", "2x1"])
-def test_transitions_match_reference_loop_on_scaled_and_tiny_grids(spec):
-    m = scan(spec)
-    assert detect_transitions(m) == reference_detect_transitions(reference_transition_pairs(m))
-
-
 # The reference grids plus the ends of the float range, where a writer's
 # per-axis text tables hold the widest and the most finely rounded values.
 WRITER_GRIDS = {
@@ -669,3 +624,178 @@ def test_region_writer_peak_memory_does_not_grow_with_the_v_rows(
     assert peaks[1] <= growth * peaks[0], peaks
     # far below the file written: no whole document is held in memory
     assert peaks[1] < (tmp_path / "out").stat().st_size / 8, peaks
+
+
+# -- transition lines from the direction table --------------------------------
+
+def ray_lines():
+    """{column of _DIRECTION_TABLE: line} for the eight rays, each from the
+    one line form that vanishes at its representative."""
+    forms = {LineId.VEQC: lambda v, c: v - c, LineId.CEQ0: lambda v, c: c,
+             LineId.VEQ0: lambda v, c: v, LineId.CEQ2V: lambda v, c: c - 2 * v}
+    out = {}
+    for k, (v, c) in enumerate(_DIRECTIONS):
+        on = [line for line, form in forms.items() if form(v, c) == 0]
+        if len(on) == 1:
+            out[k] = on[0]
+    return out
+
+
+def test_direction_table_goes_once_round_the_circle():
+    # rays at the even columns, sectors between them, the origin last; the
+    # 17 columns are distinct, so a node's codes name its direction
+    angles = [math.atan2(c, v) % (2 * math.pi) for v, c in _DIRECTIONS[:16]]
+    assert angles == sorted(angles) and angles[0] == 0.0
+    assert sorted(ray_lines()) == list(range(0, 16, 2))
+    assert _DIRECTIONS[16] == (0.0, 0.0)
+    assert len({tuple(col) for col in _DIRECTION_TABLE.T.tolist()}) == 17
+
+
+def direction_columns(m):
+    """(n_v, n_c): each node's column of _DIRECTION_TABLE, the one whose
+    seven codes are the node's."""
+    weights = 9 ** np.arange(7)
+    table = weights @ _DIRECTION_TABLE.astype(np.int64)
+    keys = np.tensordot(weights, m.codes.astype(np.int64), axes=1)
+    order = np.argsort(table)
+    pos = np.minimum(np.searchsorted(table[order], keys), 16)
+    assert (table[order][pos] == keys).all(), "a node's codes are no column of the table"
+    return order[pos]
+
+
+def arc_rays(a, b):
+    """The ray columns on the shorter arc from column a to b, both ends
+    included; both arcs when they are equal."""
+    d = (b - a) % 16
+    arcs = ([range(a, a + d + 1)] if d <= 8 else []) + ([range(b, b + 17 - d)] if d >= 8 else [])
+    return {k % 16 for arc in arcs for k in arc if k % 2 == 0}
+
+
+# Grids whose every node is classified as some column of the table: no tag
+# overflows.  The ids of the old grid-reading tests' boxes are kept.
+TABLE_GRIDS = {
+    **{name: spec for name, (spec, _) in REFERENCE_GRIDS.items()},
+    "3e-14": GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
+    "3e11": GridSpec(-3e11, 3e11, -3e11, 3e11, 41, 41),
+    "5e-323": GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21),
+    "1x1": GridSpec(0.1, 0.1, 0.2, 0.2, 1, 1),
+    "2x1": GridSpec(0.15, 0.25, 0.2, 0.2, 2, 1),
+    "200x200": GridSpec(-0.3, 0.3, -0.3, 0.3, 200, 200),
+    "333x555-off-centre": GridSpec(-0.13, 0.41, -0.27, 0.35, 333, 555),
+    "5e-320": GridSpec(-5e-320, 5e-320, -5e-320, 5e-320, 201, 201),
+    "1e300": GridSpec(-1e300, 1e300, -1e300, 1e300, 101, 101),
+    # off the origin: it meets the rays v = c, c = 2v and v = 0 with c > 0 only
+    "no-origin": GridSpec(-0.3, 0.1, 0.05, 0.4, 150, 170),
+}
+
+
+@pytest.mark.parametrize("spec", TABLE_GRIDS.values(), ids=TABLE_GRIDS)
+def test_transition_lines_account_for_every_changed_edge(spec):
+    # Every node's codes are a column of the table.  An edge whose codes
+    # change, and that does not touch the origin node, crosses the rays
+    # between its two columns, and the report lists each of their lines.
+    # The two columns need not be neighbours: within a few grid steps of
+    # the origin an edge can pass a whole sector.
+    m = scan(spec)
+    reported = {bl.id for bl in detect_transitions(m)}
+    col = direction_columns(m)
+    ray_line = ray_lines()
+    for a, b in ((col[:-1], col[1:]), (col[:, :-1], col[:, 1:])):
+        changed = (a != b) & (a != 16) & (b != 16)
+        for pair in set(zip(a[changed].tolist(), b[changed].tolist())):
+            crossed = {ray_line[r] for r in arc_rays(*pair)}
+            assert crossed <= reported, (pair, crossed - reported)
+
+
+ALL_RAY_BOXES = {
+    "0.3-200": GridSpec(-0.3, 0.3, -0.3, 0.3, 200, 200),
+    "0.3-201": DEFAULT_GRID,
+    "0.3-801": GridSpec(-0.3, 0.3, -0.3, 0.3, 801, 801),
+    "3e-14-41": GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
+    "1e308-41": GridSpec(-1e308, 1e308, -1e308, 1e308, 41, 41),
+    "5e-323-21": GridSpec(-5e-323, 5e-323, -5e-323, 5e-323, 21, 21),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_RAY_BOXES.values(), ids=ALL_RAY_BOXES)
+def test_every_box_that_meets_all_eight_rays_reports_the_default_lines(spec):
+    # the report does not depend on the grid: 200x200 has no node on
+    # either axis, where the grid-read report listed 9/7/12/9 pairs
+    assert {ray for _, rays, _ in _line_segments(spec) for ray in rays} == set(range(0, 16, 2))
+    assert as_text(detect_transitions(scan(spec))) == DEFAULT_TRANSITION_LINES
+
+
+def test_a_subnormal_box_lists_the_ray_c_eq_2v_that_it_meets():
+    # c / 2 rounds here: the segment drawn for c = 2v runs from (-0, -5e-324)
+    # to (0, 5e-324), but the line meets the box at (+-2.5e-324, +-5e-324),
+    # and the edge from (-1e-323, -5e-324) to (0, -5e-324) crosses its ray
+    # with v < 0.  Read from the grid's edges, the report left out Ceq2V.
+    spec = GridSpec(-1e-323, 1e-323, -5e-324, 5e-324, 3, 3)
+    lines = detect_transitions(scan(spec))
+    assert [bl.id for bl in lines] == list(LineId)
+    assert [rays for _, rays, _ in _line_segments(spec)] == [(2, 10), (0, 8), (6, 14), (4, 12)]
+
+
+def test_a_box_on_a_ray_lists_its_line():
+    # one node on v = c: no edge changes, but the box meets the ray
+    lines = detect_transitions(scan(GridSpec(0.1, 0.1, 0.1, 0.1, 1, 1)))
+    assert [bl.id for bl in lines] == [LineId.VEQC]
+    assert detect_transitions(scan(GridSpec(0.0, 0.0, 0.0, 0.0, 1, 1))) == []
+
+
+def reference_rays(spec):
+    """{line: its ray columns that the box meets}, with exact rationals:
+    the ray t (dv, dc), t > 0, meets the box where the t of the box's
+    points on the line through it form an interval reaching above 0."""
+    lo, hi = (Fraction(spec.v_min), Fraction(spec.c_min)), (Fraction(spec.v_max), Fraction(spec.c_max))
+    out = {}
+    for k, line in ray_lines().items():
+        t_lo, t_hi, meets = Fraction(-10**400), Fraction(10**400), True
+        for d, a, b in zip(_DIRECTIONS[k], lo, hi):
+            if d:
+                ends = sorted((a / Fraction(d), b / Fraction(d)))
+                t_lo, t_hi = max(t_lo, ends[0]), min(t_hi, ends[1])
+            else:
+                meets &= a <= 0 <= b
+        if meets and t_lo <= t_hi and t_hi > 0:
+            out.setdefault(line, []).append(k)
+    return out
+
+
+def test_rays_met_match_exact_rationals():
+    # bounds from the smallest subnormal to the largest float, many of them
+    # where 2v overflows or c / 2 rounds
+    rng = np.random.default_rng(32)
+    magnitudes = [0.0, 5e-324, 1e-323, 1.5e-323, 2.2250738585072014e-308, 1e-300, 0.1, 0.3,
+                  1.0, 8.98846567431158e307, 1e308, 1.7976931348623157e308]
+    values = sorted({s * x for x in magnitudes for s in (1.0, -1.0)})
+    for _ in range(3000):
+        v = sorted(float(x) for x in rng.choice(values, 2))
+        c = sorted(float(x) for x in rng.choice(values, 2))
+        if rng.random() < 0.5:      # a random box, scaled into every range
+            e = int(rng.integers(-1074, 1020))
+            v, c = (sorted(math.ldexp(x, e) for x in rng.uniform(-4, 4, 2)) for _ in "vc")
+        spec = GridSpec(v[0], v[1], c[0], c[1], 2, 2)
+        got = {line: sorted(rays) for line, rays, _ in _line_segments(spec) if rays}
+        assert got == {line: sorted(rays) for line, rays in reference_rays(spec).items()}, spec
+
+
+# every box of this module's tests
+ALL_BOXES = {
+    **{name: spec for name, (spec, _) in WRITER_GRIDS.items()}, **TABLE_GRIDS, **ALL_RAY_BOXES,
+    "subnormal-3x3": GridSpec(-1e-323, 1e-323, -5e-324, 5e-324, 3, 3),
+    "diagonal-2x3": GridSpec(0.3, 0.4, 0.25, 0.45, 2, 3),
+    "c=2v-1x2": GridSpec(0.1, 0.1, 0.15, 0.25, 1, 2),
+    "one-region-3x3": GridSpec(0.05, 0.08, 0.3, 0.31, 3, 3),
+    "10-21x21": GridSpec(-10, 10, -10, 10, 21, 21),
+    "33x65": GridSpec(-0.3, 0.3, -0.5, 0.5, 33, 65),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_BOXES.values(), ids=ALL_BOXES)
+def test_transition_lines_change_p1_and_p4_alike(spec):
+    # swapping y and z swaps P1 and P4, so every line changes them alike
+    for bl in detect_transitions(scan(spec)):
+        for pairs in (bl.affected, bl.on_line):
+            p1 = [desc for eq, desc in pairs if eq is EquilibriumId.P1]
+            assert p1 == [desc for eq, desc in pairs if eq is EquilibriumId.P4], bl.id

@@ -292,6 +292,7 @@ def test_bifurcation_csv_and_svg(tmp_path, capsys):
     assert (out / "region_P5.svg").exists()
     assert {bl["line"] for bl in payload["transition_lines"]} <= {
         "VeqC", "Ceq0", "Veq0", "Ceq2V"}
+    assert all(set(bl) == {"line", "affected", "on_line"} for bl in payload["transition_lines"])
 
 
 def test_bifurcation_accepts_1d_sweep(tmp_path, capsys):
