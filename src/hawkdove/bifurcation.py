@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -129,13 +128,6 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.ldexp(values, e)
 
 
-def _row_chunks(spec: GridSpec) -> list[slice]:
-    """Slices of whole v rows, about _CHUNK_NODES nodes and at least one row
-    each; the last may be shorter."""
-    rows = max(1, _CHUNK_NODES // spec.n_c)
-    return [slice(start, start + rows) for start in range(0, spec.n_v, rows)]
-
-
 def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     """Classify all seven equilibria at every grid node.
 
@@ -209,21 +201,6 @@ def _line_segments(spec: GridSpec):
             segment = (lo, hi)
         out.append((line, rays, segment))
     return out
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """The values of the 1-D ``a`` that differ from their predecessor, and its first."""
-    first = np.empty(a.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``a``, flattened: ``np.unique``'s values
-    and dtype.  ``np.unique`` imports ``numpy.ma`` on its first call in a
-    process, which costs more than the sort."""
-    return _run_starts(np.sort(a, axis=None))
 
 
 def _changes(pairs) -> tuple[tuple[EquilibriumId, str], ...]:
@@ -302,45 +279,52 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
     raise ValueError(f"unknown equilibrium {at!r}")
 
 
+def _row_runs(planes: np.ndarray):
+    """For each v row of the (k, n_v, n_c) code planes, in order: the columns
+    where a run of equal k codes along c starts, as a list, and each run's k
+    codes, as a list of tuples.
+
+    The runs are found one chunk of whole rows, about _CHUNK_NODES nodes and
+    at least one row, at a time, so what the generator holds grows with n_c,
+    not with n_v.
+    """
+    k, n_v, n_c = planes.shape
+    rows = max(1, _CHUNK_NODES // n_c)
+    for top in range(0, n_v, rows):
+        chunk = planes[:, top:top + rows]
+        first = np.ones(chunk.shape[1:], dtype=bool)
+        np.any(chunk[:, :, 1:] != chunk[:, :, :-1], axis=0, out=first[:, 1:])
+        at = np.flatnonzero(first)
+        columns = (at % n_c).tolist()
+        codes = list(zip(*chunk.reshape(k, -1)[:, at].tolist()))
+        a = 0
+        for b in np.cumsum(first.sum(axis=1)).tolist():
+            yield columns[a:b], codes[a:b]
+            a = b
+
+
 def write_region_csv(m: RegionMap, path) -> None:
     """Region map as CSV: header v,c,P1..P7, row-major in v then c.
 
-    One text piece ``",c,tags\n"`` is built per (distinct row of seven
-    tags, c column), and a v row is one gather from that table joined with
-    the row's v text.  Tags depend on the direction of (v, c) only, so
-    there are few distinct tag rows (see the module docstring) and the
-    table grows with n_c, not with n_v * n_c.
-
-    Each node's key, an int32 encoding its seven tags, and its int64 index
-    into the table exist for one chunk of whole rows (about _CHUNK_NODES
-    nodes) at a time: the keys are computed once to find the distinct tag
-    rows, of which only those that differ from their predecessor are
-    sorted, and again, chunk by chunk, as the rows are written.
+    Each v row is written as its runs of equal tag rows along c (see
+    ``_row_runs``): the run from column a to b is the v text, then the
+    c texts a..b-1 joined with the run's tags and the v text, then the
+    tags, one ``str.join``; the row is one write.  The text of each tag
+    row is built when a run first has it.  The writer holds the c texts,
+    one row's text and one chunk of rows' runs, so its memory grows with
+    n_c, not with n_v.
     """
-    base = len(CLASS_BY_CODE)
-
-    def keys():
-        # one key per node, the sum of code_k * base^k by Horner's rule over
-        # the planes (below 9^7, so int32 holds it), a chunk of rows at a
-        # time; a key decodes to its tag row
-        for chunk in _row_chunks(m.spec):
-            key = m.codes[6, chunk].astype(np.int32)
-            for plane in m.codes[5::-1, chunk]:
-                key *= base
-                key += plane
-            yield key
-
-    # only the keys that differ from their predecessor in row-major order are
-    # sorted: tag rows change only at region borders, so few are left
-    distinct = _distinct(np.concatenate([_run_starts(key.ravel()) for key in keys()]))
-    rows = distinct[:, None] // base ** np.arange(7) % base
-    tag_text = [",".join(CLASS_BY_CODE[k].value for k in row) + "\n" for row in rows.tolist()]
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
-    pieces = np.array([[ct + tt for ct in c_text] for tt in tag_text], dtype=object)
-    columns = np.arange(m.spec.n_c)
+    n_c = len(c_text)
+    tag_text = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
-        indices = chain.from_iterable(np.searchsorted(distinct, key) for key in keys())
-        for v, row in zip(m.v_values.tolist(), indices):
-            v_text = f"{v:.17g}"
-            fh.write(v_text + v_text.join(pieces[row, columns].tolist()))
+        for v, (starts, codes) in zip(m.v_values, _row_runs(m.codes)):
+            head = f"{v:.17g}"
+            parts = []
+            for a, b, key in zip(starts, starts[1:] + [n_c], codes):
+                tags = tag_text.get(key)
+                if tags is None:
+                    tags = tag_text[key] = ",".join(CLASS_BY_CODE[c].value for c in key) + "\n"
+                parts += (head, (tags + head).join(c_text[a:b]), tags)
+            fh.write("".join(parts))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from itertools import chain
 
-import numpy as np
+from .bifurcation import _row_runs
 
 __all__ = ["Canvas"]
 
@@ -42,22 +42,26 @@ class Canvas:
 
         ``fill_index`` is a 2-D integer array of shape (len(xs), len(ys)).
         Cells come row-major in i then j, each as ``rect`` writes it with
-        the default stroke.  One text piece, from y to the end of the
-        element, is built per (fill, y), so the table grows with len(ys),
-        not with the cell count.  A row is one gather from it joined with
-        the row's ``<rect x=...`` head, its cells separated by newlines,
-        and is built only when ``write`` reaches it: ``fill_index`` is read
-        then, and the grid holds one row's text at a time.
+        the default stroke, one per line.  A row is written as its runs of
+        equal fills along j (``bifurcation._row_runs``): a run is one
+        ``str.join`` of its y texts with the row's ``<rect x=...`` head and
+        the fill's tail.  A row is built only when ``write`` reaches it:
+        ``fill_index`` is read then, and the grid holds one row's text and
+        one chunk of rows' runs at a time.
         """
         tails = [_rect_tail(width, height, fill, "none", 0.0) for fill in fills]
         y_text = [_fmt(y) for y in ys]
-        pieces = np.array([[yt + tail for yt in y_text] for tail in tails], dtype=object)
-        columns = np.arange(len(ys))
+        n = len(y_text)
 
         def rows():
-            for x, row in zip(xs, fill_index):
+            for x, (starts, codes) in zip(xs, _row_runs(fill_index[None])):
                 head = f'<rect x="{_fmt(x)}" y="'
-                yield head + ("\n" + head).join(pieces[row, columns].tolist())
+                parts = []
+                for a, b, (fill,) in zip(starts, starts[1:] + [n], codes):
+                    tail = tails[fill]
+                    parts += (head, (tail + "\n" + head).join(y_text[a:b]), tail, "\n")
+                parts.pop()     # write ends the row's last line
+                yield "".join(parts)
 
         self._parts.append(rows)
 

@@ -897,3 +897,32 @@ def test_no_command_imports_numpy_ma(tmp_path):
     if eager:
         pytest.skip("this NumPy imports numpy.ma along with numpy")
     assert codes == [0] * 5 and not imported
+
+
+def test_every_command_writes_its_files_whatever_the_locale(tmp_path):
+    # every file is opened with an explicit encoding, so its bytes do not
+    # depend on the locale: PYTHONWARNDEFAULTENCODING makes an open, read_text
+    # or write_text without one warn, and -W error makes the warning fatal
+    out = tmp_path / "out"
+    starts = tmp_path / "starts.csv"
+    starts.write_text("x,y,z\n0.2,0.3,0.4\n0.1,0.6,0.2\n", encoding="utf-8")
+    runs = (["bifurcation", "--nv", "21", "--nc", "21", "--svg", "--point", "P3",
+             "--out-dir", out, "--out", "map.csv"],
+            ["equilibria", "--v", "0.1", "--c", "0.2", "--format", "csv", "--out", out / "eq.csv"],
+            ["nash", "--v", "0.1", "--c", "0.2", "--out", out / "nash.json"],
+            ["two-strategy", "--v", "0.1", "--c", "0.2", "--z0", "0.3", "--out-dir", out,
+             "--out", out / "two.json"],
+            ["simulate", "--v", "0.1", "--c", "0.2", "--starts-file", starts, "--svg",
+             "--out-dir", out])
+    text = run_fresh("-c", f"""if True:
+        import contextlib, io, json
+        from hawkdove.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {[[str(a) for a in argv] for argv in runs]!r}]
+        print(json.dumps(codes))
+        """, warnings_as_errors=True, env={"PYTHONWARNDEFAULTENCODING": "1"})
+    assert json.loads(text) == [0] * 5
+    written = {f.name for f in out.iterdir()}
+    assert {"map.csv", "region_P3.svg", "eq.csv", "nash.json", "two.json",
+            "hawk_share_000.csv", "trajectory_000.csv", "trajectory_001.csv",
+            "summary.json", "portrait.svg"} <= written, written
