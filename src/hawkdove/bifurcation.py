@@ -22,14 +22,13 @@ overflow, and on a subnormal box each node rounds once.  An axis node
 within rounding of zero is put exactly on zero, so the lines c = 0 and
 v = 0 pass through nodes on every box that straddles them.
 
-``write_region_csv`` builds one text piece per (distinct row of seven
-tags, c column) and writes each v row as one gather from that table and
-one ``str.join``; its bytes match a cell-by-cell writer's.  Its per-node
-keys and table indices exist one chunk of rows at a time.  A grid has few
-distinct tag rows (at most 23 on every box probed, from subnormal to
-+-1.7e308), so the table grows with n_c, not with n_v * n_c.  The distinct
-keys come from ``_distinct``, a sort and a first-of-run mask: without
-``np.unique``'s import of ``numpy.ma`` (7-11 ms on a first call).
+``write_region_csv`` and the region SVG's ``Canvas.rect_grid`` write each
+v row as its runs of equal codes along c, which ``_row_runs`` finds one
+chunk of rows at a time: tags change only where a row crosses one of the
+four lines, so a row is a few runs, and a run is one ``str.join`` of its
+column texts with its tag or fill text.  Their bytes match a cell-by-cell
+writer's.  Beyond the codes, a writer holds its per-column texts, one
+chunk of rows' runs and one row's text.
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -280,9 +279,9 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
 
 
 def _row_runs(planes: np.ndarray):
-    """For each v row of the (k, n_v, n_c) code planes, in order: the columns
-    where a run of equal k codes along c starts, as a list, and each run's k
-    codes, as a list of tuples.
+    """For each v row of the (k, n_v, n_c) code planes, in order, its runs
+    of equal k codes along c: a list of (first column, end column, codes),
+    the codes as a k-tuple.
 
     The runs are found one chunk of whole rows, about _CHUNK_NODES nodes and
     at least one row, at a time, so what the generator holds grows with n_c,
@@ -295,11 +294,14 @@ def _row_runs(planes: np.ndarray):
         first = np.ones(chunk.shape[1:], dtype=bool)
         np.any(chunk[:, :, 1:] != chunk[:, :, :-1], axis=0, out=first[:, 1:])
         at = np.flatnonzero(first)
-        columns = (at % n_c).tolist()
-        codes = list(zip(*chunk.reshape(k, -1)[:, at].tolist()))
+        start = at % n_c
+        # a run ends where the next one starts, in its row or at the next row
+        end = np.append(at[1:], first.size) - (at - start)
+        runs = list(zip(start.tolist(), end.tolist(),
+                        zip(*chunk.reshape(k, -1)[:, at].tolist())))
         a = 0
         for b in np.cumsum(first.sum(axis=1)).tolist():
-            yield columns[a:b], codes[a:b]
+            yield runs[a:b]
             a = b
 
 
@@ -315,14 +317,14 @@ def write_region_csv(m: RegionMap, path) -> None:
     n_c, not with n_v.
     """
     c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
-    n_c = len(c_text)
     tag_text = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
-        for v, (starts, codes) in zip(m.v_values, _row_runs(m.codes)):
+        # the v values one at a time: a list of them all would grow with n_v
+        for v, runs in zip(m.v_values, _row_runs(m.codes)):
             head = f"{v:.17g}"
             parts = []
-            for a, b, key in zip(starts, starts[1:] + [n_c], codes):
+            for a, b, key in runs:
                 tags = tag_text.get(key)
                 if tags is None:
                     tags = tag_text[key] = ",".join(CLASS_BY_CODE[c].value for c in key) + "\n"

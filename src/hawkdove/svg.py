@@ -51,13 +51,12 @@ class Canvas:
         """
         tails = [_rect_tail(width, height, fill, "none", 0.0) for fill in fills]
         y_text = [_fmt(y) for y in ys]
-        n = len(y_text)
 
         def rows():
-            for x, (starts, codes) in zip(xs, _row_runs(fill_index[None])):
+            for x, runs in zip(xs, _row_runs(fill_index[None])):
                 head = f'<rect x="{_fmt(x)}" y="'
                 parts = []
-                for a, b, (fill,) in zip(starts, starts[1:] + [n], codes):
+                for a, b, (fill,) in runs:
                     tail = tails[fill]
                     parts += (head, (tail + "\n" + head).join(y_text[a:b]), tail, "\n")
                 parts.pop()     # write ends the row's last line
