@@ -591,8 +591,8 @@ def test_region_svg_matches_reference_writer(writer_case, tmp_path):
 
 
 def hand_built_map(codes):
-    """A RegionMap of the (7, n_v, n_c) ``codes`` on the +-0.3 box, whatever
-    a scan of it would give."""
+    """A RegionMap with the (7, n_v, n_c) ``codes`` on the +-0.3 box, not
+    the codes a scan of that box gives."""
     _, n_v, n_c = codes.shape
     return RegionMap(spec=GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, n_c),
                      v_values=np.linspace(-0.3, 0.3, n_v), c_values=np.linspace(-0.3, 0.3, n_c),
