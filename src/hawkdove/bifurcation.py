@@ -22,13 +22,16 @@ overflow, and on a subnormal box each node rounds once.  An axis node
 within rounding of zero is put exactly on zero, so the lines c = 0 and
 v = 0 pass through nodes on every box that straddles them.
 
-``write_region_csv`` and the region SVG's ``Canvas.rect_grid`` write each
-v row as its runs of equal codes along c, which ``_row_runs`` finds one
-chunk of rows at a time: tags change only where a row crosses one of the
-four lines, so a row is a few runs, and a run is one ``str.join`` of its
-column texts with its tag or fill text.  Their bytes match a cell-by-cell
-writer's.  Beyond the codes, a writer holds its per-column texts, one
-chunk of rows' runs and one row's text.
+``write_region_csv`` and ``write_region_svg`` write the region map's
+two files, and both write each v row as one ``_row_texts`` text: tags
+change only where a row crosses one of the four lines, so a row is a few
+runs of equal codes along c, and a run is its row's head, its columns'
+texts joined with its tail and the head, then the tail.  The CSV's head
+is the v text, its columns the c texts and its tails the tag rows; the
+heat map's head is a rect's x, its columns the rects' y and its tails the
+fills.  Their bytes match a cell-by-cell writer's.  Beyond the codes, a
+writer holds its column texts, one chunk of rows' runs and one row's
+text.
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -40,8 +43,10 @@ eigenvalues.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +61,8 @@ from .equilibrium_catalog import (
     classification_codes,
 )
 from .game_core import Params
+from .linear_analysis import Classification
+from .svg import Canvas, _fmt, _rect_tail
 
 __all__ = [
     "LineId",
@@ -66,6 +73,7 @@ __all__ = [
     "detect_transitions",
     "linearized_field",
     "write_region_csv",
+    "write_region_svg",
 ]
 
 class LineId(enum.Enum):
@@ -278,16 +286,20 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
     raise ValueError(f"unknown equilibrium {at!r}")
 
 
-def _row_runs(planes: np.ndarray):
-    """For each v row of the (k, n_v, n_c) code planes, in order, its runs
-    of equal k codes along c: a list of (first column, end column, codes),
-    the codes as a k-tuple.
+def _row_texts(planes: np.ndarray, heads, columns, tail_of):
+    """Each v row's text, in order, built from its runs of equal codes
+    along c in the (k, n_v, n_c) code planes.
 
-    The runs are found one chunk of whole rows, about _CHUNK_NODES nodes and
-    at least one row, at a time, so what the generator holds grows with n_c,
-    not with n_v.
+    The run from column a to b, with codes ``key`` (a k-tuple), is its
+    row's head, then ``columns[a:b]`` joined with ``tail_of(key)`` and the
+    head, then that tail: one ``str.join``.  ``heads`` gives the rows'
+    heads one at a time.  The runs are found one chunk of whole rows,
+    about _CHUNK_NODES nodes and at least one row, at a time, so what the
+    generator holds beyond the planes and ``columns`` is one chunk's runs
+    and one row's text.
     """
     k, n_v, n_c = planes.shape
+    heads = iter(heads)
     rows = max(1, _CHUNK_NODES // n_c)
     for top in range(0, n_v, rows):
         chunk = planes[:, top:top + rows]
@@ -297,36 +309,81 @@ def _row_runs(planes: np.ndarray):
         start = at % n_c
         # a run ends where the next one starts, in its row or at the next row
         end = np.append(at[1:], first.size) - (at - start)
-        runs = list(zip(start.tolist(), end.tolist(),
-                        zip(*chunk.reshape(k, -1)[:, at].tolist())))
-        a = 0
-        for b in np.cumsum(first.sum(axis=1)).tolist():
-            yield runs[a:b]
-            a = b
+        runs = zip(start.tolist(), end.tolist(), zip(*chunk.reshape(k, -1)[:, at].tolist()))
+        for n in first.sum(axis=1).tolist():
+            head = next(heads)
+            parts = []
+            for a, b, key in islice(runs, n):
+                tail = tail_of(key)
+                parts += (head, (tail + head).join(columns[a:b]), tail)
+            yield "".join(parts)
 
 
 def write_region_csv(m: RegionMap, path) -> None:
     """Region map as CSV: header v,c,P1..P7, row-major in v then c.
 
-    Each v row is written as its runs of equal tag rows along c (see
-    ``_row_runs``): the run from column a to b is the v text, then the
-    c texts a..b-1 joined with the run's tags and the v text, then the
-    tags, one ``str.join``; the row is one write.  The text of each tag
-    row is built when a run first has it.  The writer holds the c texts,
-    one row's text and one chunk of rows' runs, so its memory grows with
-    n_c, not with n_v.
+    Each v row is one ``_row_texts`` text: the v text as head, the
+    ",c," texts as columns and a run's tags and newline as its tail,
+    each tag row's text built when a run first has it.
     """
-    c_text = [f",{c:.17g}," for c in m.c_values.tolist()]
-    tag_text = {}
+    tags = functools.cache(lambda key: ",".join(CLASS_BY_CODE[c].value for c in key) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
         # the v values one at a time: a list of them all would grow with n_v
-        for v, runs in zip(m.v_values, _row_runs(m.codes)):
-            head = f"{v:.17g}"
-            parts = []
-            for a, b, key in runs:
-                tags = tag_text.get(key)
-                if tags is None:
-                    tags = tag_text[key] = ",".join(CLASS_BY_CODE[c].value for c in key) + "\n"
-                parts += (head, (tags + head).join(c_text[a:b]), tags)
-            fh.write("".join(parts))
+        fh.writelines(_row_texts(m.codes, (f"{v:.17g}" for v in m.v_values),
+                                 [f",{c:.17g}," for c in m.c_values.tolist()], tags))
+
+
+_REGION_COLORS = {
+    Classification.STABLE_NODE: "#2166ac",
+    Classification.UNSTABLE_NODE: "#b2182b",
+    Classification.SADDLE: "#fddbc7",
+    Classification.NORMALLY_HYPERBOLIC_STABLE: "#67a9cf",
+    Classification.NORMALLY_HYPERBOLIC_UNSTABLE: "#ef8a62",
+    Classification.NORMALLY_HYPERBOLIC_SADDLE: "#fee0b6",
+    Classification.NON_HYPERBOLIC: "#999999",
+    Classification.DEGENERATE: "#40004b",
+    Classification.UNDEFINED: "#f0f0f0",
+}
+
+
+def write_region_svg(m: RegionMap, eq: EquilibriumId, path) -> None:
+    """Heat map of ``eq``'s classification over (v, c), with the four lines.
+
+    One rect per node, v across and c up, row-major in v then c, each
+    filled with its tag's colour.  Each v row is one ``_row_texts`` text:
+    the row's ``<rect x=... y="`` as head, the y texts as columns and a
+    fill's ``" width=.../>`` and newline as a run's tail.  The rows are
+    built when ``Canvas.write`` reaches them.
+    """
+    size, margin = 420, 40
+    cv = Canvas(size + 2 * margin, size + 2 * margin)
+    spec = m.spec
+    dv = size / spec.n_v
+    dc = size / spec.n_c
+    plane = m.codes[EQUILIBRIUM_IDS.index(eq)][None]
+    tails = {(code,): _rect_tail(dv + 0.5, dc + 0.5, _REGION_COLORS[tag], "none", 0.0) + "\n"
+             for code, tag in enumerate(CLASS_BY_CODE)}
+    cv.lines(lambda: _row_texts(
+        plane, (f'<rect x="{_fmt(margin + i * dv)}" y="' for i in range(spec.n_v)),
+        [_fmt(margin + size - (j + 1) * dc) for j in range(spec.n_c)], tails.__getitem__))
+
+    def frac(t, lo, hi):
+        # a zero-width axis (a 1-D sweep) maps to the middle of the panel;
+        # the others are divided by the power of two that the scan's axes use
+        # (exact), so hi - lo cannot overflow
+        if not hi > lo:
+            return 0.5
+        e = math.frexp(max(abs(lo), abs(hi)))[1]
+        t, lo, hi = (math.ldexp(x, -e) for x in (t, lo, hi))
+        return (t - lo) / (hi - lo)
+
+    def to_canvas(v, c):
+        fx = frac(v, spec.v_min, spec.v_max)
+        fy = frac(c, spec.c_min, spec.c_max)
+        return margin + fx * size, margin + size - fy * size
+
+    for _, _, ((v1, c1), (v2, c2)) in _line_segments(spec):
+        cv.line(*to_canvas(v1, c1), *to_canvas(v2, c2), stroke="black", width=1.2)
+    cv.text(margin, margin - 8, f"{eq.value} classification over (v, c)", size=12)
+    cv.write(path)

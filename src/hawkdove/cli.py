@@ -27,12 +27,12 @@ from . import __version__
 from .bifurcation import (
     DEFAULT_GRID,
     GridSpec,
-    _line_segments,
     detect_transitions,
     scan,
     write_region_csv,
+    write_region_svg,
 )
-from .equilibrium_catalog import CLASS_BY_CODE, EQUILIBRIUM_IDS, EquilibriumId, catalog
+from .equilibrium_catalog import EquilibriumId, catalog
 from .game_core import Params
 from .integrator import (
     DEFAULT_SEED,
@@ -43,7 +43,6 @@ from .integrator import (
     write_trajectory_csv,
     trajectory_sidecar,
 )
-from .linear_analysis import Classification
 from .nash import nash_report
 from .replicator_field import ReducedState
 from .svg import Canvas
@@ -229,52 +228,6 @@ def cmd_simulate(args) -> tuple:
 
 # --------------------------------------------------------------- bifurcation
 
-_REGION_COLORS = {
-    Classification.STABLE_NODE: "#2166ac",
-    Classification.UNSTABLE_NODE: "#b2182b",
-    Classification.SADDLE: "#fddbc7",
-    Classification.NORMALLY_HYPERBOLIC_STABLE: "#67a9cf",
-    Classification.NORMALLY_HYPERBOLIC_UNSTABLE: "#ef8a62",
-    Classification.NORMALLY_HYPERBOLIC_SADDLE: "#fee0b6",
-    Classification.NON_HYPERBOLIC: "#999999",
-    Classification.DEGENERATE: "#40004b",
-    Classification.UNDEFINED: "#f0f0f0",
-}
-
-
-def _region_svg(m, eq: EquilibriumId, path) -> None:
-    size, margin = 420, 40
-    cv = Canvas(size + 2 * margin, size + 2 * margin)
-    spec = m.spec
-    dv = size / spec.n_v
-    dc = size / spec.n_c
-    k = EQUILIBRIUM_IDS.index(eq)
-    cv.rect_grid([margin + i * dv for i in range(spec.n_v)],
-                 [margin + size - (j + 1) * dc for j in range(spec.n_c)],
-                 dv + 0.5, dc + 0.5, m.codes[k],
-                 [_REGION_COLORS[tag] for tag in CLASS_BY_CODE])
-
-    def frac(t, lo, hi):
-        # a zero-width axis (a 1-D sweep) maps to the middle of the panel;
-        # the others are divided by the power of two that the scan's axes use
-        # (exact), so hi - lo cannot overflow
-        if not hi > lo:
-            return 0.5
-        e = math.frexp(max(abs(lo), abs(hi)))[1]
-        t, lo, hi = (math.ldexp(x, -e) for x in (t, lo, hi))
-        return (t - lo) / (hi - lo)
-
-    def to_canvas(v, c):
-        fx = frac(v, spec.v_min, spec.v_max)
-        fy = frac(c, spec.c_min, spec.c_max)
-        return margin + fx * size, margin + size - fy * size
-
-    for _, _, ((v1, c1), (v2, c2)) in _line_segments(spec):
-        cv.line(*to_canvas(v1, c1), *to_canvas(v2, c2), stroke="black", width=1.2)
-    cv.text(margin, margin - 8, f"{eq.value} classification over (v, c)", size=12)
-    cv.write(path)
-
-
 def cmd_bifurcation(args) -> tuple:
     m = scan(GridSpec(args.v_min, args.v_max, args.c_min, args.c_max, args.nv, args.nc))
     lines = detect_transitions(m)
@@ -294,7 +247,7 @@ def cmd_bifurcation(args) -> tuple:
     if args.svg:
         eq = EquilibriumId(args.point)
         svg_path = out / f"region_{eq.value}.svg"
-        files.append((svg_path, functools.partial(_region_svg, m, eq)))
+        files.append((svg_path, functools.partial(write_region_svg, m, eq)))
         report["svg"] = str(svg_path)
     return json.dumps(report, indent=2) + "\n", None, files, EXIT_OK
 

@@ -7,10 +7,8 @@ number formatting.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
 from itertools import chain
-
-from .bifurcation import _row_runs
 
 __all__ = ["Canvas"]
 
@@ -28,7 +26,7 @@ class Canvas:
     def __init__(self, width: float, height: float):
         self.width = width
         self.height = height
-        self._parts: list[str | Callable[[], Iterator[str]]] = [
+        self._parts: list[str | Callable[[], Iterable[str]]] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
             f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
         ]
@@ -37,32 +35,12 @@ class Canvas:
         self._parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}' + _rect_tail(w, h, fill, stroke, stroke_width))
 
-    def rect_grid(self, xs, ys, width, height, fill_index, fills):
-        """One rect per cell (xs[i], ys[j]) with fill ``fills[fill_index[i, j]]``.
-
-        ``fill_index`` is a 2-D integer array of shape (len(xs), len(ys)).
-        Cells come row-major in i then j, each as ``rect`` writes it with
-        the default stroke, one per line.  A row is written as its runs of
-        equal fills along j (``bifurcation._row_runs``): a run is one
-        ``str.join`` of its y texts with the row's ``<rect x=...`` head and
-        the fill's tail.  A row is built only when ``write`` reaches it:
-        ``fill_index`` is read then, and the grid holds one row's text and
-        one chunk of rows' runs at a time.
-        """
-        tails = [_rect_tail(width, height, fill, "none", 0.0) for fill in fills]
-        y_text = [_fmt(y) for y in ys]
-
-        def rows():
-            for x, runs in zip(xs, _row_runs(fill_index[None])):
-                head = f'<rect x="{_fmt(x)}" y="'
-                parts = []
-                for a, b, (fill,) in runs:
-                    tail = tails[fill]
-                    parts += (head, (tail + "\n" + head).join(y_text[a:b]), tail, "\n")
-                parts.pop()     # write ends the row's last line
-                yield "".join(parts)
-
-        self._parts.append(rows)
+    def lines(self, texts: Callable[[], Iterable[str]]):
+        """Text that ``texts()`` yields when ``write`` reaches it, written
+        as it comes: whole lines, each ending in a newline.  A large part,
+        such as a heat map's rects, is then built piece by piece as it is
+        written, and none of it is held in the canvas."""
+        self._parts.append(texts)
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -94,14 +72,13 @@ class Canvas:
             f'{content}</text>')
 
     def write(self, path) -> None:
-        """One element per line, written part by part.
-
-        A part is an element's text, or a function returning the lines of a
-        ``rect_grid`` one at a time, so no part holds the whole grid.
-        """
+        """One element per line, written part by part: an element's text and
+        a newline, or the text of a ``lines`` part as its function yields it."""
         with open(path, "w", encoding="utf-8") as fh:
             for part in self._parts:
-                for text in (part,) if isinstance(part, str) else part():
-                    fh.write(text)
+                if isinstance(part, str):
+                    fh.write(part)
                     fh.write("\n")
+                else:
+                    fh.writelines(part())
             fh.write("</svg>\n")

@@ -14,7 +14,7 @@ from hawkdove.bifurcation import (
     _line_segments,
     write_region_csv,
 )
-from hawkdove.cli import _REGION_COLORS, _region_svg
+from hawkdove.bifurcation import _REGION_COLORS, write_region_svg as _region_svg
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
@@ -668,6 +668,24 @@ def test_region_writer_on_a_wide_grid_holds_little_beyond_the_bytes_it_writes(wr
     peak = traced_peak(write, m, tmp_path / "out")[0]
     assert peak <= 4 * (tmp_path / "out").stat().st_size, peak
 
+
+
+@pytest.fixture(scope="module")
+def rows_10k_and_100k():
+    """The default box at 2 c columns with 10,000 and with 100,000 v rows."""
+    return [scan(GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, 2)) for n_v in (10000, 100000)]
+
+
+@pytest.mark.parametrize("write", [_region_svg_p1, write_region_csv], ids=["svg", "csv"])
+def test_region_writer_on_a_tall_grid_holds_no_per_row_list(rows_10k_and_100k, tmp_path, write):
+    # the rows' heads come one at a time.  With a list of every row's x,
+    # the SVG writer peaked at 0.94 MB at 10,000 rows and 3.83 MB at
+    # 100,000; both writers now peak at 0.2-0.4 MB from 10,000 rows to
+    # 300,000.  The bound leaves room for allocator noise.
+    write(scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 3)), tmp_path / "warm-up")
+    peaks = [traced_peak(write, m, tmp_path / "out")[0] for m in rows_10k_and_100k]
+    assert peaks[1] <= 2 * peaks[0], peaks
+    assert peaks[1] < (tmp_path / "out").stat().st_size / 8, peaks
 
 # -- transition lines from the direction table --------------------------------
 

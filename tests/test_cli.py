@@ -357,6 +357,34 @@ def test_bifurcation_svg_lines_are_finite_on_a_box_whose_width_overflows(tmp_pat
                      ("250", "460", "250", "40"), ("145", "460", "355", "40")]
 
 
+
+# SHA-256 of region_map.csv and of the heat map, on three boxes: 13x7 on the
+# default box, +-1.7e308 at 41x41 and the 1-D sweep at v = 0.1.
+_GOLDEN_REGION_MAPS = {
+    "13x7": (("--nv", "13", "--nc", "7", "--point", "P3"),
+             "b6ee05e9cae1e7f88b3e57ee7ef3b63613c80e9fb7f53d8eb81c6105ee35e6b5",
+             "c88d9bb1dc06906637e67d4d45c586412d1160d8b9baa75e606af90d02273ded"),
+    "1.7e308-41x41": (("--v-min=-1.7e308", "--v-max=1.7e308", "--c-min=-1.7e308",
+                       "--c-max=1.7e308", "--nv", "41", "--nc", "41", "--point", "P6"),
+                      "8503ff09561a5133e1fb7ce6fe27ab525e2476ce5543e1efa26a8ba4890eee64",
+                      "47d2c7810cc1742d2779b2bc9b43dabbe8f3f4444ed81c844c7cfde4d8f1a078"),
+    "1x9-sweep": (("--v-min", "0.1", "--v-max", "0.1", "--nv", "1", "--nc", "9",
+                   "--point", "P5"),
+                  "83e0b569686fc01938746e972a8688d08f4e6fa9b80bae3419fca2f63e09ee67",
+                  "4772a60562e008ce139061eab73232fe35d5776c827bb7efcf77226235f5c73e"),
+}
+
+
+@pytest.mark.parametrize("box", list(_GOLDEN_REGION_MAPS))
+def test_bifurcation_region_files_golden_bytes(tmp_path, capsys, box):
+    options, csv, svg = _GOLDEN_REGION_MAPS[box]
+    code, _ = run(capsys, "bifurcation", *options, "--svg", "--out-dir", str(tmp_path))
+    assert code == 0
+    point = options[-1]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [f"region_{point}.svg", "region_map.csv"]
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (digest("region_map.csv"), digest(f"region_{point}.svg")) == (csv, svg)
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"not JSON: {name}")
