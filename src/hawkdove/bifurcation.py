@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -111,8 +110,7 @@ class GridSpec(NamedTuple):
 DEFAULT_GRID = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 201)
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     spec: GridSpec
     v_values: np.ndarray          # (n_v,)
     c_values: np.ndarray          # (n_c,)
@@ -152,8 +150,7 @@ def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
     return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
 
 
-@dataclass(frozen=True)
-class BifurcationLine:
+class BifurcationLine(NamedTuple):
     """The changes at one line's rays that the box meets, as (equilibrium,
     "TagA<->TagB"), tags in alphabetical order, sorted by point then pair:
     ``affected`` from the sector on one side of a ray to the other,

@@ -74,9 +74,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -226,7 +225,9 @@ def _classify(v, c, work=None):
     raised to DEGENERATE where more real parts are zero than the point's
     structural count, and UNDEFINED where an eigenvalue is not finite:
     where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
-    where an eigenvalue overflows at (v, c) itself.
+    where an eigenvalue overflows at (v, c) itself.  All seven are
+    UNDEFINED where v or c is NaN or +-inf, P7 too, whose eigenvalues do
+    not involve c.
 
     ``work`` is a float array of shape (2, 3, 7) + shape that receives the
     table and the columns, which are its second half; without one a fresh
@@ -245,9 +246,11 @@ def _classify(v, c, work=None):
         re, eigs = np.empty((2, 3, 7) + e.shape) if work is None else work
         _eigenvalue_table(v, c, q, re)
         np.ldexp(re, e, out=eigs)
+        # |v|, |c| < 1 once scaled: the sum is not finite only where v or c is not
+        finite = np.isfinite(v + c)
     codes, zeros = stability_codes(re, zero_tol(v, c))
     np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
-    np.copyto(codes, _UNDEFINED, where=~np.isfinite(eigs).all(axis=0))
+    np.copyto(codes, _UNDEFINED, where=~(np.isfinite(eigs).all(axis=0) & finite))
     return eigs, codes
 
 
@@ -339,8 +342,9 @@ def classification_codes(v, c) -> np.ndarray:
     shape of (v, c).
 
     Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
-    lines and UNDEFINED where a point's formula divides by zero.  The
-    catalog's tags at a point are these codes at that (v, c).
+    lines, UNDEFINED where a point's formula divides by zero, and all
+    seven UNDEFINED where v or c is not finite.  The catalog's tags at a
+    point are these codes at that (v, c).
 
     The nodes go in ``_chunks`` of at most _BLOCK_NODES nodes through two
     passes.  ``_sector_codes`` gives each node its sector's codes and marks
@@ -375,8 +379,7 @@ def classification_codes(v, c) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True)
-class EquilibriumRecord:
+class EquilibriumRecord(NamedTuple):
     id: EquilibriumId
     coords: ReducedState
     defined: bool

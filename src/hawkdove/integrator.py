@@ -64,9 +64,8 @@ import enum
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,8 +128,7 @@ class Terminal(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
+class IntegrationConfig(NamedTuple):
     """Step control and stopping rules of ``batch_integrate`` and the 1D oracle.
 
     ``t_end``, ``max_step``, ``record_stride`` and the first step are in
@@ -172,8 +170,7 @@ def _attempt_budget(cfg: IntegrationConfig) -> float:
     return _ATTEMPT_ALLOWANCE + 4.0 * (cfg.t_end / cfg.max_step)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Recorded samples (t, x, y, z, w), terminal status and bookkeeping."""
 
     samples: np.ndarray                  # shape (n, 5), t strictly increasing

@@ -25,7 +25,7 @@ picking a side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .equilibrium_catalog import catalog
 from .game_core import (
@@ -66,8 +66,7 @@ def nash_tol(p: Params) -> float:
     return math.ldexp(1e-10 * (math.ldexp(1.0, -e) + abs(unit.v) + abs(unit.c)), e)
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(NamedTuple):
     candidate: SimplexState
     via_stability: bool
     via_best_response: bool
@@ -118,7 +117,7 @@ def nash_via_stability(p: Params) -> list[NashReport]:
         if rec.classification is not Classification.STABLE_NODE:
             continue
         checked = best_response_check(p, SimplexState(*lift(rec.coords)))
-        out.append(replace(checked, via_stability=True))
+        out.append(checked._replace(via_stability=True))
     return out
 
 

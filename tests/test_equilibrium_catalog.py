@@ -276,6 +276,28 @@ def test_classification_codes_shape_contract():
     assert np.array_equal(codes, _classify(v, c)[1])
 
 
+def test_non_finite_parameters_are_undefined_for_all_seven_points():
+    # P7's eigenvalues do not involve c, and the zero threshold
+    # 1e-9 max(|v|, |c|) is then NaN or inf: without a mask of its own a
+    # non-finite c left P7 tagged UnstableNode or Degenerate
+    undefined = CODE_BY_CLASS[C.UNDEFINED]
+    for v, c in ((np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1), (0.1, -np.inf),
+                 (-np.inf, np.inf)):
+        with np.errstate(all="raise"):
+            codes = classification_codes(v, c)
+        assert (codes == undefined).all(), (v, c, codes)
+    # a grid with one NaN column: that column is all UNDEFINED, the rest
+    # as on the grid without it
+    v = np.linspace(-0.3, 0.3, 7)[:, None]
+    c = np.linspace(-0.3, 0.3, 9)
+    c_nan = c.copy()
+    c_nan[4] = np.nan
+    codes = classification_codes(v, c_nan)
+    assert (codes[:, :, 4] == undefined).all()
+    rest = np.arange(9) != 4
+    assert np.array_equal(codes[:, :, rest], classification_codes(v, c)[:, :, rest])
+
+
 def test_small_scale_catalog_matches_closed_form():
     # (1e-7, 2e-7) sits on c = 2v, where P2 and P3 pick up an extra zero
     # eigenvalue; P6 keeps its two structural zeros
