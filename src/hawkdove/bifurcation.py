@@ -13,8 +13,8 @@ place that knows where the lines meet the box: which rays, decided
 exactly, and the segments the region SVG draws.
 
 ``scan`` is one ``classification_codes`` call on the v axis as a column
-against the c axis: sector-table lookups off and away from the lines, the
-eigenvalue table on or near them, in bounded chunks.  ``RegionMap.codes``
+against the c axis: each node takes its direction's column of the table,
+in bounded blocks.  ``RegionMap.codes``
 is (7, n_v, n_c), point first, one contiguous (n_v, n_c) plane per
 equilibrium.  Each axis is spaced with its bounds divided by a power of
 two that puts the larger in [0.5, 1), which is exact: ``hi - lo`` cannot
@@ -54,7 +54,6 @@ from .equilibrium_catalog import (
     CLASS_BY_CODE,
     EQUILIBRIUM_IDS,
     EquilibriumId,
-    _CHUNK_NODES,
     _DIRECTION_TABLE,
     _DIRECTIONS,
     classification_codes,
@@ -281,6 +280,11 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
         mat = np.diag([v / 2, v / 4, v / 4])
         return mat, zero3
     raise ValueError(f"unknown equilibrium {at!r}")
+
+
+# Nodes per chunk of whole rows that ``_row_texts`` finds the runs of, and
+# at least one row: bounds what a region writer holds whatever the grid.
+_CHUNK_NODES = 2048
 
 
 def _row_texts(planes: np.ndarray, heads, columns, tail_of):

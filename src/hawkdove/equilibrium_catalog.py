@@ -15,59 +15,42 @@ count (P3 has one, P6 has two, the rest none) and raises the tag to
 DEGENERATE whenever the numeric zero count exceeds it, i.e. exactly when
 (v, c) sits on a local bifurcation line for that point.
 
-One function classifies all seven points over any (v, c) shape, point
-axis first: ``classification_codes``.  Every eigenvalue of P1..P7 is a
-closed form in (v, c) from the stability analysis, such as (v - c)/4,
--v(c - 2v)/(4c) or 0, so the tags come from that table, with each
-structural zero an exact zero; the Jacobian with a LAPACK solve is the
-reference the tests hold the table to.  ``_classify`` evaluates it.
-(v, c) is first divided by a power of two, which is exact, so the tags at
-2^m (v, c) are bit-identical unless an eigenvalue overflows (then
-UNDEFINED).  The table is component-major: one (3, 7) + shape array of
-three eigenvalue columns, written in one assignment and scaled back in one
-call, whose real parts ``stability_codes``, still the one code rule,
-compares in one call per count; the DEGENERATE and UNDEFINED upgrades then
-overwrite codes in place.  The table and its scaled-back copy share one
-(2, 3, 7) + shape work array.
+Every eigenvalue of P1..P7 is a closed form in (v, c) from the stability
+analysis: a constant times v, c, v - c or c - 2v, 0, or one of the
+products -v(c - 2v)/(4c) (P3) and v(v - c)/(2c) (P6).  So the seven tags
+depend only on the direction of (v, c): one of the eight open sectors
+between the lines v = c, c = 0, v = 0 and c = 2v, one of their eight rays,
+or the origin.
 
-Each eigenvalue is a constant times v, c, v - c or c - 2v, or one of the
-products -v(c - 2v)/(4c) (P3) and v(v - c)/(2c) (P6).  So off the four
-lines a node's seven tags depend only on which of the eight open sectors
-it lies in.  ``classification_codes`` classifies in two passes:
+``_classify`` tags points by their eigenvalues.  ``_eigenvalue_table``
+writes them, at (v, c) divided by a power of two, which is exact, as one
+(3, 7) + shape array of three columns with each structural zero an exact
+zero; ``stability_codes``, still the one code rule, reads their real
+parts, and the DEGENERATE and UNDEFINED upgrades follow.  The Jacobian
+with a LAPACK solve is the reference the tests hold the table to.  It runs
+once, at import, at one representative of each of the 17 directions, and
+its codes there are ``_DIRECTION_TABLE``: no tag is written by hand, and
+``bifurcation`` reads its account of the local bifurcations from the same
+table.
 
-* The sector pass looks up each node's codes in ``_SECTOR_TABLE``, a
-  (7, 16) table indexed by 8 [v > c] + 4 [c > 0] + 2 [v > 0] + [c > 2v].
-  Its columns are the sector columns of ``_DIRECTION_TABLE``, which holds
-  ``_classify``'s own codes, taken once at import, at one representative
-  of each of the 17 directions: the eight sectors, the eight rays of the
-  four lines and the origin.  No tag is written by hand, and
-  ``bifurcation`` reads its account of the local bifurcations from the
-  same table.  A node keeps its sector's codes when |v|, |c|, |v - c|
-  and |c - 2v| all exceed m = mu max(|v|, |c|), with mu = _SECTOR_REL =
-  1e-3, and max(|v|, |c|) < 2^1000.  There every eigenvalue
-  has its sector's sign and clears the zero threshold, 1e-9 max(|v|, |c|),
-  by a wide margin: the linear ones are at least mu/8 max(|v|, |c|), and
-  the two products at least mu^2/4 max(|v|, |c|).  |v/c| is at most 1/mu,
-  so no eigenvalue overflows below 2^1000.  The signs of v - c and c - 2v
-  are exact in floating point, and a strict comparison with m stays right
-  on the subnormal grid.
-* Every other node, on or near a line, at +-0, NaN, +-inf or at 2^1000
-  and above, fails a comparison and goes through ``_classify``.
+``classification_codes`` classifies any (v, c) shape, point axis first,
+by direction: the signs of the four line forms v - c, c, v and c - 2v,
+each counting as zero within ZERO_REL max(|v|, |c|), the threshold of
+``zero_tol``, pick one of the 17, and a node takes its column.  (v, c) is
+first divided by its power of two, so the tags at 2^m (v, c) are those at
+(v, c) wherever both are exact, up to the largest float, where an
+eigenvalue may overflow but no sign does.  The nodes go in C-order blocks
+of at most _BLOCK_NODES nodes whose float temporaries are views of one
+scratch array per call, so what a call holds beyond its codes is bounded
+whatever the shape; a single point goes the same way on Python floats.
 
-The nodes go in C-order blocks of at most _BLOCK_NODES nodes.  A block's
-fallback nodes are compressed out and classified at most _CHUNK_NODES at
-a time.  The sector pass's float temporaries and each ``_classify`` table
-are views of one scratch array per call, so what a call holds beyond its
-codes is bounded whatever the shape.  Each chunk's other temporaries are
-then at most (7, 2048) floats, 112 KiB, under glibc's default 128 KiB
-mmap threshold: freed, they are reused rather than handed back to the OS
-and faulted in again for the next chunk, and the one scratch keeps the
-larger table from that churn.  ``catalog`` is ``_classify`` on a 0-d
-grid, with a fresh work array.  It reads each array once, with
-``tolist``, and does its display work, the descending eigenvalue triples
-and the coincidences, on the Python floats.  The coordinates are written
-there too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c
-keeps its sign at a zero v and is +-inf where it overflows.
+``catalog`` takes its tags from ``classification_codes`` at the point and
+its eigenvalues from ``_eigenvalue_table``, scaled back; an UNDEFINED
+point shows a NaN triple.  It reads each array once, with ``tolist``, and
+does its display work, the descending eigenvalue triples and the
+coincidences, on the Python floats.  The coordinates are written there
+too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
+its sign at a zero v and is +-inf where it overflows.
 """
 
 from __future__ import annotations
@@ -83,6 +66,7 @@ from .game_core import Params
 from .linear_analysis import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
+    ZERO_REL,
     Classification,
     stability_codes,
     zero_tol,
@@ -216,57 +200,53 @@ _DEGENERATE = CODE_BY_CLASS[Classification.DEGENERATE]
 _UNDEFINED = CODE_BY_CLASS[Classification.UNDEFINED]
 
 
-def _classify(v, c, work=None):
-    """(eigenvalue columns, codes) of P1..P7 at (v, c).
+def _eigenvalues(v, c):
+    """(table, columns, v, c): ``_eigenvalue_table``, a (3, 7) + shape
+    array, at (v, c) divided by the power of two that puts max(|v|, |c|)
+    in [0.5, 1), its columns scaled back to (v, c), and the divided (v, c).
 
-    Point axis first.  The three eigenvalue columns, one (3, 7) + shape
-    array, are ``_eigenvalue_table`` scaled back to (v, c);
-    structural zeros are exact zeros.  A code is the stability code,
-    raised to DEGENERATE where more real parts are zero than the point's
-    structural count, and UNDEFINED where an eigenvalue is not finite:
-    where P3 and P6 divide by c = 0 (q = v / c is then inf or NaN), and
-    where an eigenvalue overflows at (v, c) itself.  All seven are
-    UNDEFINED where v or c is NaN or +-inf, P7 too, whose eigenvalues do
-    not involve c.
-
-    ``work`` is a float array of shape (2, 3, 7) + shape that receives the
-    table and the columns, which are its second half; without one a fresh
-    array is taken.  ``classification_codes`` passes a view of its scratch.
+    Both steps are exact, so only a huge q can overflow the table, and
+    structural zeros are exact zeros.  The exponent, not 2^e, is carried,
+    since 2^1024 is not a float.  q is taken unscaled, so it stays right
+    where the divided c underflows.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
-    # exact power-of-two scale: the scaled max(|v|, |c|) lies in [0.5, 1),
-    # so only a huge q can overflow the table; the exponent, not 2^e, is
-    # carried, since 2^1024 is not a float.  q is taken unscaled, so it
-    # stays right where the scaled c underflows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = v / c
         e = np.frexp(np.maximum(np.abs(v), np.abs(c)))[1]
         v, c = np.ldexp(v, -e), np.ldexp(c, -e)
-        re, eigs = np.empty((2, 3, 7) + e.shape) if work is None else work
+        re, eigs = np.empty((2, 3, 7) + e.shape)
         _eigenvalue_table(v, c, q, re)
         np.ldexp(re, e, out=eigs)
-        # |v|, |c| < 1 once scaled: the sum is not finite only where v or c is not
-        finite = np.isfinite(v + c)
+    return re, eigs, v, c
+
+
+def _classify(v, c):
+    """(eigenvalue columns, codes) of P1..P7 at (v, c), from the eigenvalues.
+
+    Point axis first.  A code is the stability code of ``_eigenvalues``'
+    table, raised to DEGENERATE where more real parts are zero than the
+    point's structural count, and UNDEFINED where an eigenvalue is not
+    finite: where P3 and P6 divide by c = 0 (q = v / c is then inf or
+    NaN), and where an eigenvalue overflows at (v, c) itself.  All seven
+    are UNDEFINED where v or c is NaN or +-inf.  It builds the direction
+    table at import, and the tests hold the direction index to it.
+    """
+    re, eigs, v, c = _eigenvalues(v, c)
     codes, zeros = stability_codes(re, zero_tol(v, c))
     np.copyto(codes, _DEGENERATE, where=zeros > _STRUCTURAL.reshape((-1,) + (1,) * v.ndim))
+    # |v|, |c| < 1 once divided: the sum is not finite only where v or c is not
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(v + c)
     np.copyto(codes, _UNDEFINED, where=~(np.isfinite(eigs).all(axis=0) & finite))
     return eigs, codes
 
 
-# Nodes per ``_classify`` call: bounds a classification's scratch and
-# temporaries whatever the grid, each temporary below glibc's default mmap
-# threshold (see the module docstring).
-_CHUNK_NODES = 2048
-# Nodes per block of the sector pass.  Its five float temporaries are views
-# of the ``_classify`` scratch (5 * 8192 <= 42 * 2048 floats), and its masks
-# 8 KiB each.  Fewer nodes pay the per-call costs more often: 2048-node
-# blocks made the 401x401 scan twice as slow.
+# Nodes per block of ``classification_codes``, whose larger temporaries
+# take 52 bytes a node in one scratch per call.  Fewer nodes pay the
+# per-call costs more often: 2048-node blocks halved the 401x401 scan's speed.
 _BLOCK_NODES = 8192
-# A node takes its codes from the sector table when v, c, v - c and c - 2v
-# all exceed _SECTOR_REL * max(|v|, |c|), and that max is below _SECTOR_MAX.
-_SECTOR_REL = 1e-3
-_SECTOR_MAX = 2.0 ** 1000
 
 
 def _chunks(shape, nodes):
@@ -280,17 +260,6 @@ def _chunks(shape, nodes):
     return [(slice(i, i + step),) for i in range(0, shape[0], step)]
 
 
-def _sector(d, c, v, r):
-    """The sector index 8 [v > c] + 4 [c > 0] + 2 [v > 0] + [c > 2v] as int8,
-    one bit per sign of the four line forms d = v - c, c, v and r = c - 2v.
-    Eight of the sixteen indices occur."""
-    idx = (d > 0).view(np.int8)
-    for line in (c, v, r):
-        idx += idx
-        idx |= line > 0
-    return idx
-
-
 # One representative of each of the 17 directions of the (v, c) plane that
 # the tags tell apart, counterclockwise from (1, 0): a ray of one of the four
 # lines at each even position, the open sector between it and the next ray
@@ -299,83 +268,104 @@ _DIRECTIONS = ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0,
                (0.0, 1.0), (-1.0, 3.0), (-1.0, 0.0), (-1.0, -0.5), (-1.0, -1.0),
                (-1.0, -1.5), (-1.0, -2.0), (-1.0, -3.0), (0.0, -1.0), (1.0, -3.0),
                (0.0, 0.0))
-# (7, 17) int8: ``_classify``'s codes at each of _DIRECTIONS, one column each.
-_DIRECTION_TABLE = _classify(*np.array(_DIRECTIONS).T)[1]
-_DIRECTION_TABLE.flags.writeable = False
+# The direction index of a (v, c) with no direction: v or c NaN or +-inf.
+_NO_DIRECTION = len(_DIRECTIONS)
+# (7, 18) int8: ``_classify``'s codes at each of _DIRECTIONS, one column
+# each, then at (NaN, NaN), seven UNDEFINED: the codes by direction index.
+_CODE_TABLE = _classify(*np.array(_DIRECTIONS + ((math.nan, math.nan),)).T)[1]
+_CODE_TABLE.flags.writeable = False
+# (7, 17) int8: the codes of the 17 directions.
+_DIRECTION_TABLE = _CODE_TABLE[:, :_NO_DIRECTION]
 
 
-def _sector_table():
-    """(7, 16) int8 codes by sector index: the sector columns of
-    _DIRECTION_TABLE, UNDEFINED at the eight indices that no (v, c) has."""
-    v, c = np.array(_DIRECTIONS[1:16:2]).T
-    table = np.full((7, 16), _UNDEFINED, dtype=np.int8)
-    table[:, _sector(v - c, c, v, c - 2.0 * v)] = _DIRECTION_TABLE[:, 1:16:2]
+def _scratch(shape):
+    """Work arrays for ``_direction_keys`` over ``shape``."""
+    return np.empty((5,) + shape), np.empty(shape, dtype=np.intc), np.empty((2, 4) + shape, dtype=bool)
+
+
+def _direction_keys(v, c, work):
+    """One uint8 key per node: 81 [max(|v|, |c|) is finite] + 27 s(v - c)
+    + 9 s(c) + 3 s(v) + s(c - 2v), at (v, c) divided by its power of two.
+    s(f) is 1 where |f| <= t = ZERO_REL max(|v|, |c|), else 0 where f < 0
+    and 2 where f > 0.  ``work`` is ``_scratch(shape)``.
+
+    Divided, max(|v|, |c|) lies in [0.5, 1): no form overflows, t is a
+    normal float, and the keys at 2^k (v, c) are the keys at (v, c)
+    wherever both are exact.  The sign of each form is exact.
+    """
+    floats, exps, (above, within) = work
+    forms, m = floats[:4], floats[4]
+    d, cs, vs, r = forms
+    np.maximum(np.abs(v, out=d), np.abs(c, out=r), out=m)
+    np.frexp(m, out=(m, exps))
+    np.negative(exps, out=exps)
+    np.ldexp(v, exps, out=vs)
+    np.ldexp(c, exps, out=cs)
+    np.subtract(vs, cs, out=d)
+    np.subtract(cs, np.multiply(vs, 2.0, out=r), out=r)
+    m *= ZERO_REL
+    keys = (m < np.inf).view(np.uint8) * 81
+    np.greater(forms, m, out=above)
+    np.greater_equal(forms, np.negative(m, out=m), out=within)
+    digits = np.add(above.view(np.uint8), within.view(np.uint8), out=above.view(np.uint8))
+    for weight, digit in zip((27, 9, 3, 1), digits):
+        keys += weight * digit
+    return keys
+
+
+def _point_key(v, c):
+    """``_direction_keys`` at one (v, c) of Python floats, in the same
+    operations."""
+    if not (math.isfinite(v) and math.isfinite(c)):
+        return 0
+    m, e = math.frexp(max(abs(v), abs(c)))
+    v, c = math.ldexp(v, -e), math.ldexp(c, -e)
+    t = ZERO_REL * m
+    return 81 + sum(weight * ((f > t) + (f >= -t))
+                    for weight, f in zip((27, 9, 3, 1), (v - c, c, v, c - 2.0 * v)))
+
+
+def _key_table():
+    """(162,) int8: the direction index by key, each of _DIRECTIONS at its
+    representative's key and _NO_DIRECTION at the others.
+
+    A finite (v, c) has one of those 17 keys: unless it is the origin, at
+    most one of its forms is within t, and the others then have the signs
+    they have on that form's ray.  A non-finite one has a key below 81.
+    """
+    v, c = np.array(_DIRECTIONS).T
+    table = np.full(162, _NO_DIRECTION, dtype=np.int8)
+    table[_direction_keys(v, c, _scratch(v.shape))] = np.arange(_NO_DIRECTION)
     return table
 
 
-_SECTOR_TABLE = _sector_table()
-
-
-def _sector_codes(v, c, out, work):
-    """Write each node's column of _SECTOR_TABLE into ``out``, (7,) + shape;
-    return where those are its codes: where |v|, |c|, |v - c| and |c - 2v|
-    all exceed m = _SECTOR_REL max(|v|, |c|) and that max is below
-    _SECTOR_MAX (see the module docstring).  +-0, NaN and +-inf fail the
-    comparisons.  ``work`` is a (5,) + shape float array for the
-    temporaries."""
-    d, r, av, ac, m = work
-    np.subtract(v, c, out=d)
-    np.subtract(c, np.multiply(v, 2.0, out=r), out=r)
-    np.maximum(np.abs(v, out=av), np.abs(c, out=ac), out=m)
-    fast = m < _SECTOR_MAX
-    m *= _SECTOR_REL
-    fast &= av > m
-    fast &= ac > m
-    fast &= np.abs(d, out=av) > m
-    fast &= np.abs(r, out=ac) > m
-    _SECTOR_TABLE.take(_sector(d, c, v, r), axis=1, out=out)
-    return fast
+_KEY_TABLE = _key_table()
 
 
 def classification_codes(v, c) -> np.ndarray:
     """Class codes of P1..P7 over parameter arrays, shape (7,) + the broadcast
-    shape of (v, c).
+    shape of (v, c): each node's column of _CODE_TABLE by its direction,
+    ``_direction_keys`` read through _KEY_TABLE.
 
     Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
     lines, UNDEFINED where a point's formula divides by zero, and all
     seven UNDEFINED where v or c is not finite.  The catalog's tags at a
-    point are these codes at that (v, c).
-
-    The nodes go in ``_chunks`` of at most _BLOCK_NODES nodes through two
-    passes.  ``_sector_codes`` gives each node its sector's codes and marks
-    the nodes off and away from the four lines.  The others, near or on a
-    line, at +-0, NaN, +-inf or a max(|v|, |c|) of 2^1000 or more, are
-    compressed out of the block and classified by ``_classify`` at most
-    _CHUNK_NODES at a time, each in a view of one scratch array of 42
-    floats per chunk node.  Classification is per node, so the codes do not
-    depend on the blocks or chunks.
+    point are these codes at that (v, c).  The nodes go in ``_chunks`` of
+    at most _BLOCK_NODES nodes, in views of one scratch per call.
     """
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
-    if not v.ndim:      # a grid of one node, so that no block is 0-d
-        return classification_codes(v[None], c[None])[:, 0]
+    if not v.ndim:
+        return _CODE_TABLE[:, _KEY_TABLE[_point_key(float(v), float(c))]].copy()
     codes = np.empty((7,) + v.shape, dtype=np.int8)
-    scratch = np.empty(42 * min(v.size, _CHUNK_NODES))
-    # 2v and the differences may overflow, and NaN compares false: both fall back
+    scratch = _scratch((min(v.size, _BLOCK_NODES),))
+    # a non-finite (v, c) is not divided, so its forms may overflow or be
+    # inf - inf; its key does not read them
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _chunks(v.shape, _BLOCK_NODES):
             vb, cb = v[block], c[block]
-            out = codes[(slice(None),) + block]
-            work = scratch[:5 * vb.size].reshape((5,) + vb.shape)
-            slow = ~_sector_codes(vb, cb, out, work)
-            if not slow.any():
-                continue
-            vs, cs = vb[slow], cb[slow]
-            slow_codes = np.empty((7, vs.size), dtype=np.int8)
-            for (chunk,) in _chunks(vs.shape, _CHUNK_NODES):
-                vc = vs[chunk]
-                work = scratch[:42 * vc.size].reshape((2, 3, 7, vc.size))
-                slow_codes[:, chunk] = _classify(vc, cs[chunk], work)[1]
-            out[:, slow] = slow_codes
+            work = [a[..., :vb.size].reshape(a.shape[:-1] + vb.shape) for a in scratch]
+            keys = _direction_keys(vb, cb, work)
+            _CODE_TABLE.take(_KEY_TABLE.take(keys), axis=1, out=codes[(slice(None),) + block])
     return codes
 
 
@@ -400,13 +390,14 @@ class EquilibriumRecord(NamedTuple):
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
-    ``classification_codes`` on a 0-d grid.  Each array is read once, with
+    The tags are ``classification_codes`` at the point, and the
+    eigenvalues ``_eigenvalues``' columns.  Each array is read once, with
     ``tolist``, and the display work, the descending eigenvalue triples and
     the coincidences, runs on the Python floats, beside the coordinates.
     """
     p = Params(*p).validate()
-    columns, codes = _classify(p.v, p.c)
     v, c = float(p.v), float(p.c)
+    columns, codes = _eigenvalues(v, c)[1], classification_codes(v, c)
     q = v / c if c else 0.0     # on Python floats an overflow is +-inf, with no warning
     # P1..P7; P3 and P6 divide by c
     points = (ReducedState(0.0, 0.0, 1.0), ReducedState(0.0, 0.5, 0.5), ReducedState(0.0, q, q),
@@ -428,7 +419,7 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
         if not ok:
             eigenvalues = None
         elif code == _UNDEFINED:
-            eigenvalues = (np.nan,) * 3    # an overflowed triple shows as NaN
+            eigenvalues = (np.nan,) * 3    # the triple of an UNDEFINED tag shows as NaN
         else:
             # descending; adding 0.0 turns a -0.0 into 0.0
             eigenvalues = tuple(sorted([l + 0.0 for l in triple], reverse=True))

@@ -13,10 +13,13 @@ Classification reads only real-part signs against one zero threshold,
 makes every tag invariant under (v, c) -> k (v, c), which scales every
 eigenvalue by k.  Counts of zero, negative and positive real parts map
 to a class through one code table, ``stability_codes``, the only
-classification rule; the catalog and the grid scan share it.  It takes
-the real parts as three columns, one eigenvalue of every triple each,
-so each count is one comparison summed over the three columns and the
-table is read with one flat index.
+classification rule.  The catalog applies it once, at import, to the
+eigenvalues of one representative (v, c) of each direction; the catalog
+and the grid scan then read each node's tags from that table by the
+direction of (v, c), found with the same threshold.  ``stability_codes``
+takes the real parts as three columns, one eigenvalue of every triple
+each, so each count is one comparison summed over the three columns and
+the table is read with one flat index.
 """
 
 from __future__ import annotations

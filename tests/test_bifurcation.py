@@ -18,7 +18,7 @@ from hawkdove.bifurcation import _REGION_COLORS, write_region_svg as _region_svg
 from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
-    _CHUNK_NODES,
+    _BLOCK_NODES,
     _DIRECTION_TABLE,
     _DIRECTIONS,
     EquilibriumId,
@@ -70,7 +70,7 @@ def test_scan_is_deterministic():
 
 def test_scan_chunks_match_one_whole_grid_classification():
     spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 201, 101)
-    assert spec.n_v * spec.n_c > 2 * _CHUNK_NODES      # more than two chunks, the last short
+    assert spec.n_v * spec.n_c > 2 * _BLOCK_NODES      # more than two blocks, the last short
     m = scan(spec)
     # one unchunked _classify call: classification_codes chunks too
     vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
@@ -78,9 +78,9 @@ def test_scan_chunks_match_one_whole_grid_classification():
 
 
 def test_scan_of_rows_wider_than_a_chunk_matches_one_whole_grid_classification():
-    # each row split into chunks of its own, the last short
-    spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 5000)
-    assert spec.n_c > _CHUNK_NODES
+    # each row split into blocks of its own, the last short
+    spec = GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 9000)
+    assert spec.n_c > _BLOCK_NODES
     m = scan(spec)
     vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
     assert np.array_equal(m.codes, _classify(vv, cc)[1])
@@ -315,11 +315,11 @@ def test_subnormal_boxes_keep_the_integer_box_codes_and_lines(half_width):
 
 @pytest.mark.parametrize("exponent", [-1000, 0, 1000])
 def test_scan_codes_match_closed_form_and_catalog_over_chunks(exponent):
-    # more than two chunks, the last short, at 2^m times the +-0.3 box:
+    # more than two blocks, the last short, at 2^m times the +-0.3 box:
     # scaling by a power of two is exact, so the nodes are 2^m times the
     # unit box's and every code is the closed-form code at the unit node
-    unit = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 121, 101))
-    assert unit.codes.shape[1] * unit.codes.shape[2] > 2 * _CHUNK_NODES
+    unit = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 161, 121))
+    assert unit.codes.shape[1] * unit.codes.shape[2] > 2 * _BLOCK_NODES
     spec = GridSpec(*(math.ldexp(b, exponent) for b in unit.spec[:4]), *unit.spec[4:])
     m = scan(spec)
     assert np.array_equal(np.ldexp(m.v_values, -exponent), unit.v_values)

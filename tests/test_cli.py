@@ -8,8 +8,10 @@ import pytest
 
 from hawkdove import integrator
 from hawkdove.cli import build_parser, main
+from hawkdove.equilibrium_catalog import CODE_BY_CLASS, _DIRECTION_TABLE
+from hawkdove.linear_analysis import Classification
 
-from util import run_fresh
+from util import reference_direction, run_fresh
 
 
 def run(capsys, *argv):
@@ -39,6 +41,23 @@ def test_equilibria_saddle_regime(capsys):
     assert code == 0
     p1_line = next(line for line in out.splitlines() if line.startswith("P1"))
     assert "Saddle" in p1_line
+
+
+@pytest.mark.parametrize("v, c, direction", [("0.6", "1e-9", 1), ("0.6", "-1e-9", 15),
+                                             ("1.0", "1e-300", 0)])
+def test_equilibria_near_c_eq_0_tags_one_direction(capsys, v, c, direction):
+    # (0.6, +-1e-9) lie in open sectors, 1e-9 from c = 0 against a zero
+    # threshold of 6e-10, and (1.0, 1e-300) on the ray (1, 0), within it.
+    # At (0.6, 1e-9) P1, P2 and P4 were Degenerate, as on c = 0, while P3
+    # and P6 had their sector's tags, and two rows disagreed with the paper.
+    code, out = run(capsys, "equilibria", f"--v={v}", f"--c={c}", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["equilibria"]
+    tags = [CODE_BY_CLASS[Classification(row["classification"])] for row in rows]
+    assert reference_direction(float(v), float(c)) == direction
+    assert tags == _DIRECTION_TABLE[:, direction].tolist()
+    if direction % 2:       # a sector: all four line forms clear the threshold
+        assert all(row["paper_agrees"] != "False" for row in rows)
 
 
 def test_equilibria_json_and_csv(tmp_path, capsys):
@@ -366,8 +385,8 @@ _GOLDEN_REGION_MAPS = {
              "c88d9bb1dc06906637e67d4d45c586412d1160d8b9baa75e606af90d02273ded"),
     "1.7e308-41x41": (("--v-min=-1.7e308", "--v-max=1.7e308", "--c-min=-1.7e308",
                        "--c-max=1.7e308", "--nv", "41", "--nc", "41", "--point", "P6"),
-                      "8503ff09561a5133e1fb7ce6fe27ab525e2476ce5543e1efa26a8ba4890eee64",
-                      "47d2c7810cc1742d2779b2bc9b43dabbe8f3f4444ed81c844c7cfde4d8f1a078"),
+                      "0dc8e762e1a5069d008c3d1c9af11e34eb1fcf12210f6286e6ecd82ad277050b",
+                      "c560f6fcbb7a7a6341a960ab2234d4953611f5cfaa4bd2bb5d590e52ffd82206"),
     "1x9-sweep": (("--v-min", "0.1", "--v-max", "0.1", "--nv", "1", "--nc", "9",
                    "--point", "P5"),
                   "83e0b569686fc01938746e972a8688d08f4e6fa9b80bae3419fca2f63e09ee67",

@@ -10,13 +10,21 @@ from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
     EquilibriumId,
+    _DIRECTION_TABLE,
+    _DIRECTIONS,
     _classify,
     classification_codes,
     region_predicate,
 )
 from hawkdove.linear_analysis import Classification
 
-from util import closed_form_codes, closed_form_eigs, multiset_close, rand_params
+from util import (
+    closed_form_codes,
+    closed_form_eigs,
+    multiset_close,
+    rand_params,
+    reference_direction,
+)
 
 C = Classification
 EQS = list(EquilibriumId)
@@ -238,12 +246,18 @@ def test_catalog_tags_are_scale_invariant_and_match_the_scan():
 def test_catalog_eigenvalues_are_the_scan_columns_at_every_node(box):
     # one classification path: at each node of a scanned box, catalog's
     # descending triples are the grid's _classify columns at that node, with
-    # an UNDEFINED triple as NaN, sorted and -0.0 turned to 0.0 the same way
+    # the triple of an UNDEFINED code as NaN, sorted and -0.0 turned to 0.0
+    # the same way.  The codes are the scan's, which equal _classify's
+    # wherever no eigenvalue overflows; where P3's or P6's does (the +-1e308
+    # box), the scan keeps the direction's tag and catalog the overflowed value
     lo, hi = box
     m = scan(GridSpec(lo, hi, lo, hi, 21, 21))
     vv, cc = np.meshgrid(m.v_values, m.c_values, indexing="ij")
-    columns, codes = _classify(vv, cc)
-    assert np.array_equal(codes, m.codes)
+    columns, ref = _classify(vv, cc)
+    codes = m.codes
+    overflow = ~np.isfinite(columns).all(axis=0) & (cc != 0.0)
+    assert np.array_equal(codes[~overflow], ref[~overflow])
+    assert overflow.any() == (box[1] == 1e308)
     triples = np.stack(columns, axis=-1)
     triples[codes == CODE_BY_CLASS[C.UNDEFINED]] = np.nan
     triples = np.sort(triples, axis=-1)[..., ::-1] + 0.0
@@ -327,18 +341,29 @@ def test_p1_and_p4_get_bit_identical_eigenvalues_and_tags():
 
 
 def test_overflowing_jacobian_is_not_an_error_and_matches_predicate():
-    # v/c = 1e300 overflows P3's and P6's Jacobian entries, but their
-    # eigenvalues, about 5e299, are finite
+    # v/c = 1e300 overflows P3's and P6's Jacobian entries, but not the
+    # point's coordinates.  c = 1e-300 is within the zero threshold
+    # 1e-9 max(|v|, |c|) of c = 0, so all seven tags are the ray (1, 0)'s,
+    # P3 and P6 Undefined, as at (1e300, 1e-300)
     p = Params(1.0, 1e-300)
     recs = by_id(catalog(p))
-    codes = classification_codes([1.0, 0.1], [1e-300, 0.3])[EQS.index(EquilibriumId.P3)]
+    codes = classification_codes([1.0, 0.1], [1e-300, 0.3])
+    ray = _DIRECTION_TABLE[:, _DIRECTIONS.index((1.0, 0.0))]
+    assert [CODE_BY_CLASS[rec.classification] for rec in recs.values()] == ray.tolist()
+    assert codes[:, 0].tolist() == ray.tolist() == classification_codes(1e300, 1e-300).tolist()
+    for eq in (EquilibriumId.P3, EquilibriumId.P6):
+        assert recs[eq].defined and recs[eq].classification is C.UNDEFINED
+    assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
+    assert codes[EQS.index(EquilibriumId.P3), 1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
+    # v v / (4c) overflows at (1e300, 1e292), while c clears the threshold
+    # and the eigenvalues, about 5e307, are finite: the predicate's tags
+    p = Params(1e300, 1e292)
+    recs = by_id(catalog(p))
     assert recs[EquilibriumId.P3].classification is C.NORMALLY_HYPERBOLIC_UNSTABLE
     assert recs[EquilibriumId.P6].classification is C.NON_HYPERBOLIC
     for eq in (EquilibriumId.P3, EquilibriumId.P6):
         assert recs[eq].classification is region_predicate(eq, p)
-    assert recs[EquilibriumId.P5].classification is C.STABLE_NODE
-    assert codes[0] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_UNSTABLE]
-    assert codes[1] == CODE_BY_CLASS[C.NORMALLY_HYPERBOLIC_SADDLE]
+        assert all(math.isfinite(l) for l in recs[eq].eigenvalues)
 
 
 def closed_form_tag(eq, p):
@@ -389,18 +414,19 @@ def test_power_of_two_scaling_is_exact():
     for m in range(-1000, 1001, 25):
         assert classification_codes(np.ldexp(v, m), np.ldexp(c, m)).tobytes() == base.tobytes(), m
     # 2^1024 puts max(|v|, |c|) at or above 2^1023, where 2^frexp(...) is not
-    # a float; only P3 at (-0.7, -0.2) turns UNDEFINED, its eigenvalue -1.05
-    # overflows as -1.05 * 2^1024
-    top = base.copy()
-    top[EQS.index(EquilibriumId.P3), points.index((-0.7, -0.2))] = CODE_BY_CLASS[C.UNDEFINED]
-    assert classification_codes(np.ldexp(v, 1024), np.ldexp(c, 1024)).tobytes() == top.tobytes()
-    # at 2^996 an unscaled a * d of the block overflows
+    # a float; the codes are still the base codes, P3 at (-0.7, -0.2) too,
+    # whose eigenvalue -1.05 overflows as -1.05 * 2^1024
+    assert classification_codes(np.ldexp(v, 1024), np.ldexp(c, 1024)).tobytes() == base.tobytes()
+    # at 2^996 an unscaled a * d of the block overflows; an eigenvalue past
+    # the float range is -inf, as ldexp gives it
     for m in (996, 1024):
         for p in points:
             scaled = catalog(Params(np.ldexp(p[0], m), np.ldexp(p[1], m)))
             for rec, big in zip(catalog(Params(*p)), scaled):
                 if big.classification is not C.UNDEFINED:
-                    assert tuple(big.eigenvalues) == tuple(np.ldexp(l, m) for l in rec.eigenvalues), p
+                    with np.errstate(over="ignore"):
+                        want = tuple(np.ldexp(l, m) for l in rec.eigenvalues)
+                    assert tuple(big.eigenvalues) == want, p
 
 
 def test_overflowing_eigenvalue_is_undefined():
@@ -420,73 +446,103 @@ def test_predicate_made_no_claim_on_lines():
     assert region_predicate(EquilibriumId.P2, Params(-0.2, 0.3)) is None
 
 
-def _sector_pairs(rng):
-    """About 114k seeded (v, c) pairs for the sector pass: log-uniform
-    magnitudes over the whole float range at all angles; pairs exactly on
-    each of v = c, c = 0, v = 0 and c = 2v, and at relative distances
-    log-uniform in 1e-12..1e-1 from each; and +-0.0, subnormals and
-    max(|v|, |c|) at or above 2^1000."""
+def _float_range_pairs(rng):
+    """About 20k seeded (v, c) pairs over the float range: log-uniform
+    magnitudes at all angles; pairs exactly on each of v = c, c = 0, v = 0
+    and c = 2v, and at relative distances log-uniform in 1e-12..1e-6 from
+    each; and +-0.0, subnormals and max(|v|, |c|) at or above 2^1000, up
+    to the largest float."""
     def signed_magnitudes(n, lo=-1074.0, hi=1023.0):
         return np.exp2(rng.uniform(lo, hi, n)) * rng.choice([-1.0, 1.0], n)
 
-    n = 50000
+    n = 5000
     r, theta = np.exp2(rng.uniform(-1074.0, 1023.0, n)), rng.uniform(0.0, 2 * np.pi, n)
     vs, cs = [r * np.cos(theta)], [r * np.sin(theta)]
-    t = signed_magnitudes(4 * 2000, hi=1022.0).reshape(4, -1)
+    t = signed_magnitudes(4 * 250, hi=1022.0).reshape(4, -1)
     vs += [t[0], t[1], 0.0 * t[2], t[3]]
     cs += [t[0], 0.0 * t[1], t[2], 2.0 * t[3]]
-    m = 12000
+    m = 3000
     t = signed_magnitudes(4 * m, hi=1021.0).reshape(4, -1)
-    delta = 10.0 ** rng.uniform(-12.0, -1.0, (4, m)) * rng.choice([-1.0, 1.0], (4, m))
+    delta = 10.0 ** rng.uniform(-12.0, -6.0, (4, m)) * rng.choice([-1.0, 1.0], (4, m))
     vs += [t[0], t[1], delta[2] * t[2], t[3]]
     cs += [t[0] * (1.0 + delta[0]), delta[1] * t[1], t[2], 2.0 * t[3] * (1.0 + delta[3])]
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.0 ** -1022,
                         0.3, -0.7, 2.0 ** 1000, -2.0 ** 1000, 1.7e308, -1.7e308,
-                        np.nextafter(2.0 ** 1000, 0.0)])
+                        1.7976931348623157e308, -1.7976931348623157e308])
     sv, sc = np.meshgrid(special, special, indexing="ij")
     vs += [sv.ravel()]
     cs += [sc.ravel()]
-    huge = signed_magnitudes(2 * 4000, lo=999.0, hi=1021.0).reshape(2, -1)
+    huge = signed_magnitudes(2 * 1000, lo=999.0, hi=1023.0).reshape(2, -1)
     vs += [huge[0], 0.3 * huge[1]]
-    cs += [huge[1] * rng.uniform(-3.0, 3.0, 4000), huge[0]]
+    cs += [huge[1] * rng.uniform(-1.0, 1.0, 1000), huge[0]]
     return np.concatenate(vs), np.concatenate(cs)
 
 
-def test_the_sector_pass_matches_one_unchunked_classify():
-    # classification_codes takes most nodes' codes from one lookup in the
-    # sector table and sends the rest, near or on the lines, at +-0, subnormal
-    # or above 2^1000, through _classify.  Whichever way a node goes, its
-    # codes must be _classify's.  A sector gate below ZERO_REL (1e-10 in
-    # place of 1e-3) tags nodes within 1e-9 max(|v|, |c|) of a line from the
-    # table instead of Degenerate, and fails here.
-    v, c = _sector_pairs(np.random.default_rng(241))
-    assert v.size > 100000
-    with np.errstate(over="ignore"):
-        ref = _classify(v, c)[1]
+def test_every_node_takes_the_tags_of_its_exact_direction():
+    # A node's seven tags are the column of _DIRECTION_TABLE of its
+    # direction, which reference_direction finds from the exact signs of
+    # the four line forms.  Classified by its eigenvalues against one zero
+    # threshold, a node 1e-9..8e-9 from v = c, c = 0 or v = 0 got seven
+    # tags of no direction, and near the top of the float range P3 and P6
+    # were Undefined where an eigenvalue overflowed.
+    v, c = _float_range_pairs(np.random.default_rng(241))
+    assert v.size > 20000
     codes = classification_codes(v, c)
-    bad = np.flatnonzero((codes != ref).any(axis=0))
+    want = _DIRECTION_TABLE[:, [reference_direction(a, b) for a, b in zip(v.tolist(), c.tolist())]]
+    bad = np.flatnonzero((codes != want).any(axis=0))
     assert bad.size == 0, [(v[i], c[i]) for i in bad[:5]]
-    # both paths are exercised: Degenerate and Undefined tags and sector tags
-    degenerate, undefined = CODE_BY_CLASS[C.DEGENERATE], CODE_BY_CLASS[C.UNDEFINED]
-    assert (codes == degenerate).any(axis=0).sum() > 10000
-    assert (codes == undefined).any(axis=0).sum() > 1000
-    assert (~np.isin(codes, [degenerate, undefined])).all(axis=0).sum() > 50000
+    # the point path gives the grid's codes
+    for i in range(0, v.size, 7):
+        assert np.array_equal(classification_codes(v[i], c[i]), codes[:, i]), (v[i], c[i])
+    # all 17 directions occur, and every Undefined tag is P3's and P6's on c = 0
+    directions = {tuple(col) for col in codes.T.tolist()}
+    assert directions == {tuple(col) for col in _DIRECTION_TABLE.T.tolist()}
 
 
-def test_sector_table_rows_agree_with_the_region_predicate():
-    # each sector's column of the table, read at its index 8 [v > c] +
-    # 4 [c > 0] + 2 [v > 0] + [c > 2v], is the transcribed region wherever
-    # the predicate makes a claim; every sector is visited
-    from hawkdove.equilibrium_catalog import _SECTOR_TABLE
+def test_tags_are_exact_under_every_power_of_two_scaling():
+    # the codes at 2^k (v, c) are the codes at (v, c) for each k at which
+    # both stay exact: no rounding of v or c, no overflow
+    v, c = _float_range_pairs(np.random.default_rng(243))
+    base = classification_codes(v, c)
+    checked = 0
+    for k in [*range(-2150, 2151, 43), -1, 1]:
+        with np.errstate(over="ignore"):
+            sv, sc = np.ldexp(v, k), np.ldexp(c, k)
+            exact = (np.ldexp(sv, -k) == v) & (np.ldexp(sc, -k) == c)
+        exact &= np.isfinite(sv) & np.isfinite(sc)
+        scaled = classification_codes(sv[exact], sc[exact])
+        bad = np.flatnonzero((scaled != base[:, exact]).any(axis=0))
+        assert bad.size == 0, (k, [(v[exact][i], c[exact][i]) for i in bad[:5]])
+        checked += exact.sum()
+    assert checked > 40 * v.size
 
+
+def test_a_non_finite_pair_has_no_direction():
+    # all seven tags are Undefined wherever v or c is NaN or +-inf, with no
+    # warning, on the grid path and the point path alike
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, -0.5, 1e308, -1e308, 5e-324]
+    pairs = [(a, b) for a in values for b in values
+             if not (math.isfinite(a) and math.isfinite(b))]
+    v, c = np.array(pairs).T
+    undefined = CODE_BY_CLASS[C.UNDEFINED]
+    with np.errstate(all="raise"):
+        assert (classification_codes(v, c) == undefined).all()
+        for a, b in pairs:
+            assert (classification_codes(a, b) == undefined).all(), (a, b)
+
+
+def test_sector_columns_of_the_direction_table_agree_with_the_region_predicate():
+    # each sector's column of _DIRECTION_TABLE, found by reference_direction,
+    # is the transcribed region wherever the predicate makes a claim; every
+    # sector is visited
     rng = np.random.default_rng(251)
     seen = set()
     for _ in range(400):
         v, c = rand_params(rng, line_margin=1e-3)
-        index = 8 * (v > c) + 4 * (c > 0) + 2 * (v > 0) + (c > 2 * v)
+        index = reference_direction(v, c)
         seen.add(index)
         for k, eq in enumerate(EQS):
             claim = region_predicate(eq, Params(v, c))
             if claim is not None:
-                assert CLASS_BY_CODE[_SECTOR_TABLE[k, index]] is claim, (eq, v, c)
-    assert len(seen) == 8
+                assert CLASS_BY_CODE[_DIRECTION_TABLE[k, index]] is claim, (eq, v, c)
+    assert seen == set(range(1, 16, 2))

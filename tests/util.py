@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 import hawkdove
 from hawkdove import Params
-from hawkdove.equilibrium_catalog import CODE_BY_CLASS, STRUCTURAL_ZERO_EIGS
+from hawkdove.equilibrium_catalog import _DIRECTIONS, CODE_BY_CLASS, STRUCTURAL_ZERO_EIGS
 from hawkdove.game_core import TOL_SIMPLEX
 from hawkdove.integrator import (
     _ERR,
@@ -27,7 +28,7 @@ from hawkdove.integrator import (
     Terminal,
     _attempt_budget,
 )
-from hawkdove.linear_analysis import Classification, stability_codes, zero_tol
+from hawkdove.linear_analysis import ZERO_REL, Classification, stability_codes, zero_tol
 
 
 SRC = str(Path(hawkdove.__file__).resolve().parent.parent)
@@ -110,6 +111,25 @@ def closed_form_codes(eq, v, c):
     lam = np.broadcast_arrays(*closed_form_eigs(eq.value, v, c))
     code, zeros = stability_codes(lam, zero_tol(v, c))
     return np.where(zeros > STRUCTURAL_ZERO_EIGS[eq], CODE_BY_CLASS[Classification.DEGENERATE], code)
+
+
+def _exact_signs(v, c) -> tuple[int, ...]:
+    """Signs of the four line forms v - c, c, v and c - 2v at (v, c) in
+    exact arithmetic, a form within ZERO_REL max(|v|, |c|) of zero as 0."""
+    v, c = Fraction(v), Fraction(c)
+    tol = Fraction(ZERO_REL) * max(abs(v), abs(c))
+    return tuple(0 if abs(f) <= tol else 1 if f > 0 else -1 for f in (v - c, c, v, c - 2 * v))
+
+
+_DIRECTION_OF_SIGNS = {_exact_signs(v, c): k for k, (v, c) in enumerate(_DIRECTIONS)}
+
+
+def reference_direction(v: float, c: float) -> int:
+    """The index into ``_DIRECTIONS`` of the direction of a finite (v, c),
+    from ``fractions.Fraction`` signs of the four line forms: the column of
+    ``_DIRECTION_TABLE`` that holds its tags.  A sign vector of no
+    direction raises KeyError."""
+    return _DIRECTION_OF_SIGNS[_exact_signs(v, c)]
 
 
 def multiset_close(got, expected, tol: float) -> bool:
