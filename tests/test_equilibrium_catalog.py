@@ -494,7 +494,7 @@ def test_every_node_takes_the_tags_of_its_exact_direction():
     # the point path gives the grid's codes
     for i in range(0, v.size, 7):
         assert np.array_equal(classification_codes(v[i], c[i]), codes[:, i]), (v[i], c[i])
-    # all 17 directions occur, and every Undefined tag is P3's and P6's on c = 0
+    # every one of the 17 directions occurs
     directions = {tuple(col) for col in codes.T.tolist()}
     assert directions == {tuple(col) for col in _DIRECTION_TABLE.T.tolist()}
 
