@@ -12,26 +12,26 @@ either sector to the ray (``on_line``).  ``_line_segments`` is the one
 place that knows where the lines meet the box: which rays, decided
 exactly, and the segments the region SVG draws.
 
-``scan`` is one ``classification_codes`` call on the v axis as a column
-against the c axis: each node takes its direction's column of the table,
-in bounded blocks.  ``RegionMap.codes``
-is (7, n_v, n_c), point first, one contiguous (n_v, n_c) plane per
-equilibrium.  Each axis is spaced with its bounds divided by a power of
-two that puts the larger in [0.5, 1), which is exact: ``hi - lo`` cannot
-overflow, and on a subnormal box each node rounds once.  An axis node
-within rounding of zero is put exactly on zero, so the lines c = 0 and
-v = 0 pass through nodes on every box that straddles them.
+``scan`` is one ``direction_index`` call on the v axis as a column
+against the c axis: ``RegionMap.directions`` is one (n_v, n_c) int8
+plane of columns of the catalog's code table, and ``RegionMap.codes``,
+(7, n_v, n_c) and point first, is built from it on access.  Each axis is
+spaced with its bounds divided by a power of two that puts the larger in
+[0.5, 1), which is exact: ``hi - lo`` cannot overflow, and on a
+subnormal box each node rounds once.  An axis node within rounding of
+zero is put exactly on zero, so the lines c = 0 and v = 0 pass through
+nodes on every box that straddles them.
 
 ``write_region_csv`` and ``write_region_svg`` write the region map's
-two files, and both write each v row as one ``_row_texts`` text: tags
-change only where a row crosses one of the four lines, so a row is a few
-runs of equal codes along c, and a run is its row's head, its columns'
-texts joined with its tail and the head, then the tail.  The CSV's head
-is the v text, its columns the c texts and its tails the tag rows; the
-heat map's head is a rect's x, its columns the rects' y and its tails the
-fills.  Their bytes match a cell-by-cell writer's.  Beyond the codes, a
-writer holds its column texts, one chunk of rows' runs and one row's
-text.
+two files, and both write each v row as one ``_row_texts`` text: the
+direction changes only where a row crosses one of the four lines, so a
+row is a few runs of one direction along c, and a run is its row's head,
+its columns' texts joined with its direction's tail and the head, then
+that tail.  The CSV's tails are the 18 tag rows and the heat map's the
+18 fills; a CSV head is a v text and its columns the c texts, a heat map
+head a rect's x and its columns the rects' y.  Their bytes match a
+cell-by-cell writer's.  Beyond the directions, a writer holds its column
+texts, one chunk of rows' runs and one row's text.
 
 ``linearized_field`` gives the per-point linear systems in their
 conventional transcription, including the dangling constant in the first
@@ -43,7 +43,6 @@ eigenvalues.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from itertools import islice
 from typing import NamedTuple
@@ -54,9 +53,10 @@ from .equilibrium_catalog import (
     CLASS_BY_CODE,
     EQUILIBRIUM_IDS,
     EquilibriumId,
+    _CODE_TABLE,
     _DIRECTION_TABLE,
     _DIRECTIONS,
-    classification_codes,
+    direction_index,
 )
 from .game_core import Params
 from .linear_analysis import Classification
@@ -113,7 +113,11 @@ class RegionMap(NamedTuple):
     spec: GridSpec
     v_values: np.ndarray          # (n_v,)
     c_values: np.ndarray          # (n_c,)
-    codes: np.ndarray             # (7, n_v, n_c) int8 indexing CLASS_BY_CODE, point first
+    directions: np.ndarray        # (n_v, n_c) int8, each node's column of _CODE_TABLE
+
+    @property
+    def codes(self) -> np.ndarray:     # (7, n_v, n_c) int8, point first, built on access
+        return _CODE_TABLE[:, self.directions]
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -133,20 +137,18 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def scan(spec: GridSpec = DEFAULT_GRID) -> RegionMap:
-    """Classify all seven equilibria at every grid node.
+    """Each grid node's direction, which fixes all seven tags there.
 
-    One ``classification_codes`` call on the v axis as a column against
-    the c axis gives the (7, n_v, n_c) int8 codes; it classifies the grid
-    in blocks of bounded size, so what the scan holds beyond its codes and
-    axes does not grow with the grid.  Classification is per node, so two
-    scans of one grid agree bitwise.
+    One ``direction_index`` call on the v axis as a column against the c
+    axis, in blocks of bounded size: what the scan holds beyond its
+    (n_v, n_c) int8 directions and its axes does not grow with the grid.
     """
     spec = GridSpec(*spec).validate()
     v_values = _axis(spec.v_min, spec.v_max, spec.n_v)
     c_values = _axis(spec.c_min, spec.c_max, spec.n_c)
-    codes = classification_codes(v_values[:, None], c_values)
-    codes.flags.writeable = False
-    return RegionMap(spec=spec, v_values=v_values, c_values=c_values, codes=codes)
+    directions = direction_index(v_values[:, None], c_values)
+    directions.flags.writeable = False
+    return RegionMap(spec=spec, v_values=v_values, c_values=c_values, directions=directions)
 
 
 class BifurcationLine(NamedTuple):
@@ -287,35 +289,32 @@ def linearized_field(p: Params, at: EquilibriumId) -> tuple[np.ndarray, np.ndarr
 _CHUNK_NODES = 2048
 
 
-def _row_texts(planes: np.ndarray, heads, columns, tail_of):
-    """Each v row's text, in order, built from its runs of equal codes
-    along c in the (k, n_v, n_c) code planes.
+def _row_texts(plane: np.ndarray, heads, columns, tails):
+    """Each v row's text, in order, from its runs of one direction along c.
 
-    The run from column a to b, with codes ``key`` (a k-tuple), is its
-    row's head, then ``columns[a:b]`` joined with ``tail_of(key)`` and the
-    head, then that tail: one ``str.join``.  ``heads`` gives the rows'
-    heads one at a time.  The runs are found one chunk of whole rows,
-    about _CHUNK_NODES nodes and at least one row, at a time, so what the
-    generator holds beyond the planes and ``columns`` is one chunk's runs
-    and one row's text.
+    The run from column a to b in direction d is its row's head, then
+    ``columns[a:b]`` joined with ``tails[d]`` and the head, then that tail.
+    ``heads`` gives the rows' heads one at a time.  The runs are found one
+    chunk of whole rows, about _CHUNK_NODES nodes and at least one row, at
+    a time, so the generator holds one chunk's runs and one row's text.
     """
-    k, n_v, n_c = planes.shape
+    n_v, n_c = plane.shape
     heads = iter(heads)
     rows = max(1, _CHUNK_NODES // n_c)
     for top in range(0, n_v, rows):
-        chunk = planes[:, top:top + rows]
-        first = np.ones(chunk.shape[1:], dtype=bool)
-        np.any(chunk[:, :, 1:] != chunk[:, :, :-1], axis=0, out=first[:, 1:])
+        chunk = plane[top:top + rows]
+        first = np.ones(chunk.shape, dtype=bool)
+        np.not_equal(chunk[:, 1:], chunk[:, :-1], out=first[:, 1:])
         at = np.flatnonzero(first)
         start = at % n_c
         # a run ends where the next one starts, in its row or at the next row
         end = np.append(at[1:], first.size) - (at - start)
-        runs = zip(start.tolist(), end.tolist(), zip(*chunk.reshape(k, -1)[:, at].tolist()))
+        runs = zip(start.tolist(), end.tolist(), chunk.ravel()[at].tolist())
         for n in first.sum(axis=1).tolist():
             head = next(heads)
             parts = []
-            for a, b, key in islice(runs, n):
-                tail = tail_of(key)
+            for a, b, d in islice(runs, n):
+                tail = tails[d]
                 parts += (head, (tail + head).join(columns[a:b]), tail)
             yield "".join(parts)
 
@@ -323,15 +322,14 @@ def _row_texts(planes: np.ndarray, heads, columns, tail_of):
 def write_region_csv(m: RegionMap, path) -> None:
     """Region map as CSV: header v,c,P1..P7, row-major in v then c.
 
-    Each v row is one ``_row_texts`` text: the v text as head, the
-    ",c," texts as columns and a run's tags and newline as its tail,
-    each tag row's text built when a run first has it.
+    Each v row is one ``_row_texts`` text: the v text as head, the ",c,"
+    texts as columns and a direction's tags and newline as a run's tail.
     """
-    tags = functools.cache(lambda key: ",".join(CLASS_BY_CODE[c].value for c in key) + "\n")
+    tags = [",".join(CLASS_BY_CODE[k].value for k in col) + "\n" for col in _CODE_TABLE.T.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQUILIBRIUM_IDS) + "\n")
         # the v values one at a time: a list of them all would grow with n_v
-        fh.writelines(_row_texts(m.codes, (f"{v:.17g}" for v in m.v_values),
+        fh.writelines(_row_texts(m.directions, (f"{v:.17g}" for v in m.v_values),
                                  [f",{c:.17g}," for c in m.c_values.tolist()], tags))
 
 
@@ -353,21 +351,20 @@ def write_region_svg(m: RegionMap, eq: EquilibriumId, path) -> None:
 
     One rect per node, v across and c up, row-major in v then c, each
     filled with its tag's colour.  Each v row is one ``_row_texts`` text:
-    the row's ``<rect x=... y="`` as head, the y texts as columns and a
-    fill's ``" width=.../>`` and newline as a run's tail.  The rows are
-    built when ``Canvas.write`` reaches them.
+    the row's ``<rect x=... y="`` as head, the y texts as columns and the
+    ``" width=.../>`` and newline of its direction's fill as a run's tail.
+    The rows are built when ``Canvas.write`` reaches them.
     """
     size, margin = 420, 40
     cv = Canvas(size + 2 * margin, size + 2 * margin)
     spec = m.spec
     dv = size / spec.n_v
     dc = size / spec.n_c
-    plane = m.codes[EQUILIBRIUM_IDS.index(eq)][None]
-    tails = {(code,): _rect_tail(dv + 0.5, dc + 0.5, _REGION_COLORS[tag], "none", 0.0) + "\n"
-             for code, tag in enumerate(CLASS_BY_CODE)}
+    tails = [_rect_tail(dv + 0.5, dc + 0.5, _REGION_COLORS[CLASS_BY_CODE[k]], "none", 0.0) + "\n"
+             for k in _CODE_TABLE[EQUILIBRIUM_IDS.index(eq)].tolist()]
     cv.lines(lambda: _row_texts(
-        plane, (f'<rect x="{_fmt(margin + i * dv)}" y="' for i in range(spec.n_v)),
-        [_fmt(margin + size - (j + 1) * dc) for j in range(spec.n_c)], tails.__getitem__))
+        m.directions, (f'<rect x="{_fmt(margin + i * dv)}" y="' for i in range(spec.n_v)),
+        [_fmt(margin + size - (j + 1) * dc) for j in range(spec.n_c)], tails))
 
     def frac(t, lo, hi):
         # a zero-width axis (a 1-D sweep) maps to the middle of the panel;

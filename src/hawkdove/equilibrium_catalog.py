@@ -33,22 +33,24 @@ its codes there are ``_DIRECTION_TABLE``: no tag is written by hand, and
 ``bifurcation`` reads its account of the local bifurcations from the same
 table.
 
-``classification_codes`` classifies any (v, c) shape, point axis first,
-by direction: the signs of the four line forms v - c, c, v and c - 2v,
-each counting as zero within ZERO_REL max(|v|, |c|), the threshold of
-``zero_tol``, pick one of the 17, and a node takes its column.  (v, c) is
-first divided by its power of two, so the tags at 2^m (v, c) are those at
-(v, c) wherever both are exact, up to the largest float, where an
-eigenvalue may overflow but no sign does.  The nodes go in C-order blocks
-of at most _BLOCK_NODES nodes whose float temporaries are views of one
-scratch array per call, so what a call holds beyond its codes is bounded
+``direction_index`` gives any (v, c) shape one int8 per node, a column
+of ``_CODE_TABLE``: the signs of the four line forms v - c, c, v and
+c - 2v, each counting as zero within ZERO_REL max(|v|, |c|), the
+threshold of ``zero_tol``, pick one of the 17 directions, and a v or c
+that is not finite an 18th column, seven UNDEFINED.  (v, c) is first
+divided by its power of two, so the index at 2^m (v, c) is the one at
+(v, c) wherever both are exact, up to the largest float.  The nodes go
+in C-order blocks of at most _BLOCK_NODES nodes in views of one scratch
+array per call, so what a call holds beyond its index is bounded
 whatever the shape; a single point goes the same way on Python floats.
 
-``catalog`` takes its tags from ``classification_codes`` at the point and
-its eigenvalues from ``_eigenvalue_table``, scaled back; an UNDEFINED
-point shows a NaN triple.  It reads each array once, with ``tolist``, and
-does its display work, the descending eigenvalue triples and the
-coincidences, on the Python floats.  The coordinates are written there
+``catalog`` takes its tags from its point's column, reads the paper's
+regions at its direction's representative, so that a point in the zero
+band of a line is judged on the line, and takes its eigenvalues from
+``_eigenvalue_table``, scaled back; an UNDEFINED point shows a NaN
+triple.  It reads each array once, with ``tolist``, and does its display
+work, the descending eigenvalue triples and the coincidences, on the
+Python floats.  The coordinates are written there
 too, as Python floats from one v/c: 0, 1/2 and 1 are fixed, and v/c keeps
 its sign at a zero v and is +-inf where it overflows.
 """
@@ -81,6 +83,7 @@ __all__ = [
     "region_predicate",
     "catalog",
     "classification_codes",
+    "direction_index",
     "CLASS_BY_CODE",
     "CODE_BY_CLASS",
 ]
@@ -243,7 +246,7 @@ def _classify(v, c):
     return eigs, codes
 
 
-# Nodes per block of ``classification_codes``, whose larger temporaries
+# Nodes per block of ``direction_index``, whose larger temporaries
 # take 52 bytes a node in one scratch per call.  Fewer nodes pay the
 # per-call costs more often: 2048-node blocks halved the 401x401 scan's speed.
 _BLOCK_NODES = 8192
@@ -314,8 +317,7 @@ def _direction_keys(v, c, work):
 
 
 def _point_key(v, c):
-    """``_direction_keys`` at one (v, c) of Python floats, in the same
-    operations."""
+    """``_direction_keys`` at one (v, c) of Python floats, in the same operations."""
     if not (math.isfinite(v) and math.isfinite(c)):
         return 0
     m, e = math.frexp(max(abs(v), abs(c)))
@@ -342,21 +344,15 @@ def _key_table():
 _KEY_TABLE = _key_table()
 
 
-def classification_codes(v, c) -> np.ndarray:
-    """Class codes of P1..P7 over parameter arrays, shape (7,) + the broadcast
-    shape of (v, c): each node's column of _CODE_TABLE by its direction,
-    ``_direction_keys`` read through _KEY_TABLE.
-
-    Codes index CLASS_BY_CODE, with the DEGENERATE upgrade at bifurcation
-    lines, UNDEFINED where a point's formula divides by zero, and all
-    seven UNDEFINED where v or c is not finite.  The catalog's tags at a
-    point are these codes at that (v, c).  The nodes go in ``_chunks`` of
-    at most _BLOCK_NODES nodes, in views of one scratch per call.
-    """
+def direction_index(v, c) -> np.ndarray:
+    """Each node's int8 index into _DIRECTIONS, or _NO_DIRECTION, over the
+    broadcast shape of (v, c): ``_direction_keys`` through _KEY_TABLE, in
+    ``_chunks`` of at most _BLOCK_NODES nodes in views of one scratch per
+    call.  A single (v, c) is keyed on Python floats."""
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
     if not v.ndim:
-        return _CODE_TABLE[:, _KEY_TABLE[_point_key(float(v), float(c))]].copy()
-    codes = np.empty((7,) + v.shape, dtype=np.int8)
+        return np.array(_KEY_TABLE[_point_key(float(v), float(c))])
+    out = np.empty(v.shape, dtype=np.int8)
     scratch = _scratch((min(v.size, _BLOCK_NODES),))
     # a non-finite (v, c) is not divided, so its forms may overflow or be
     # inf - inf; its key does not read them
@@ -364,9 +360,15 @@ def classification_codes(v, c) -> np.ndarray:
         for block in _chunks(v.shape, _BLOCK_NODES):
             vb, cb = v[block], c[block]
             work = [a[..., :vb.size].reshape(a.shape[:-1] + vb.shape) for a in scratch]
-            keys = _direction_keys(vb, cb, work)
-            _CODE_TABLE.take(_KEY_TABLE.take(keys), axis=1, out=codes[(slice(None),) + block])
-    return codes
+            _KEY_TABLE.take(_direction_keys(vb, cb, work), out=out[block])
+    return out
+
+
+def classification_codes(v, c) -> np.ndarray:
+    """Class codes of P1..P7 indexing CLASS_BY_CODE, shape (7,) + the
+    broadcast shape of (v, c): each node's column of _CODE_TABLE, indexed
+    with its int8 ``direction_index`` (``take`` would copy that to intp)."""
+    return _CODE_TABLE[:, direction_index(v, c)]
 
 
 class EquilibriumRecord(NamedTuple):
@@ -390,14 +392,15 @@ class EquilibriumRecord(NamedTuple):
 def catalog(p: Params) -> list[EquilibriumRecord]:
     """All seven equilibrium records at parameters ``p``.
 
-    The tags are ``classification_codes`` at the point, and the
+    The tags are the column of the point's ``direction_index``, and the
     eigenvalues ``_eigenvalues``' columns.  Each array is read once, with
     ``tolist``, and the display work, the descending eigenvalue triples and
     the coincidences, runs on the Python floats, beside the coordinates.
     """
     p = Params(*p).validate()
     v, c = float(p.v), float(p.c)
-    columns, codes = _eigenvalues(v, c)[1], classification_codes(v, c)
+    k = direction_index(v, c)      # the paper's regions are read at its representative
+    columns, codes, on = _eigenvalues(v, c)[1], _CODE_TABLE[:, k], Params(*_DIRECTIONS[k])
     q = v / c if c else 0.0     # on Python floats an overflow is +-inf, with no warning
     # P1..P7; P3 and P6 divide by c
     points = (ReducedState(0.0, 0.0, 1.0), ReducedState(0.0, 0.5, 0.5), ReducedState(0.0, q, q),
@@ -428,6 +431,6 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
             id=eq, coords=coords, defined=ok, in_simplex=ok and on_reduced_simplex(coords),
             eigenvalues=eigenvalues,
             classification=CLASS_BY_CODE[code],
-            paper_region_class=region_predicate(eq, p) if ok else None,
+            paper_region_class=region_predicate(eq, on) if ok else None,
             coincides_with=tuple(twin)))
     return records

@@ -19,6 +19,7 @@ from hawkdove.equilibrium_catalog import (
     CLASS_BY_CODE,
     CODE_BY_CLASS,
     _BLOCK_NODES,
+    _CODE_TABLE,
     _DIRECTION_TABLE,
     _DIRECTIONS,
     EquilibriumId,
@@ -34,26 +35,28 @@ C = Classification
 EQS = list(EquilibriumId)
 
 
-def tag_at(m, i, j, eq):
-    return CLASS_BY_CODE[m.codes[EQS.index(eq), i, j]]
-
-
-def tags_at(m, i, j):
-    return tuple(CLASS_BY_CODE[k] for k in m.codes[:, i, j])
+def tags_at(codes, i, j):
+    return tuple(CLASS_BY_CODE[k] for k in codes[:, i, j])
 
 
 def test_scan_shape_2x2():
     m = scan(GridSpec(0.05, 0.06, 0.2, 0.21, 2, 2))
+    # the scan holds one read-only int8 direction plane; the codes are
+    # its columns of the table, built on access
+    assert m.directions.shape == (2, 2) and m.directions.dtype == np.int8
+    assert not m.directions.flags.writeable
     assert m.codes.shape == (7, 2, 2)
     assert m.codes.size == 28
+    assert np.array_equal(m.codes, _CODE_TABLE[:, m.directions])
 
 
 def test_scan_classifies_named_nodes():
     m = scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 7, 7))
     # nodes: -0.3, -0.2, ..., 0.3
     i01, i02 = 4, 5   # v = 0.1, v = 0.2
-    assert tag_at(m, i01, 5, EquilibriumId.P1) is C.STABLE_NODE     # (0.1, 0.2)
-    assert tag_at(m, i02, 4, EquilibriumId.P1) is C.SADDLE          # (0.2, 0.1)
+    p1 = m.codes[EQS.index(EquilibriumId.P1)]
+    assert CLASS_BY_CODE[p1[i01, 5]] is C.STABLE_NODE     # (0.1, 0.2)
+    assert CLASS_BY_CODE[p1[i02, 4]] is C.SADDLE          # (0.2, 0.1)
 
 
 def test_scan_uniform_region_unstable_p1():
@@ -65,7 +68,7 @@ def test_scan_uniform_region_unstable_p1():
 
 def test_scan_is_deterministic():
     spec = GridSpec(-0.25, 0.25, -0.25, 0.25, 31, 17)
-    assert np.array_equal(scan(spec).codes, scan(spec).codes)
+    assert np.array_equal(scan(spec).directions, scan(spec).directions)
 
 
 def test_scan_chunks_match_one_whole_grid_classification():
@@ -88,57 +91,63 @@ def test_scan_of_rows_wider_than_a_chunk_matches_one_whole_grid_classification()
 
 @pytest.mark.parametrize("n_v, n_c", [(400, 401), (2, 100000), (100000, 2)])
 def test_a_scan_holds_little_beyond_its_codes_whatever_the_grid_shape(n_v, n_c):
-    # the classification works in chunks of at most _CHUNK_NODES nodes, in
-    # one scratch array of 42 floats per chunk node, whatever the shape: a
-    # (2, 100000) grid in rows cut into chunks, a (100000, 2) one in runs
-    # of rows.  Chunked by whole rows only, the (2, 100000) scan peaked at
-    # 50.7 MB beyond its codes and axes.
+    # direction_index keys the nodes in C-order blocks of at most
+    # _BLOCK_NODES nodes, in one scratch of 52 bytes a block node, whatever
+    # the shape: a (2, 100000) grid in rows cut into blocks, a (100000, 2)
+    # one in runs of rows.  Beyond its int8 directions and its axes, the
+    # 400x401 scan peaks at 0.49 MiB; the narrow grids at 0.67 MiB, set by
+    # the temporaries of their 100,000-node axis.  Chunked by whole rows
+    # only, the (2, 100000) scan once peaked at 50.7 MB beyond its codes.
     scan(GridSpec(-0.3, 0.3, -0.3, 0.3, 3, 3))   # one-time allocations fall outside
     peak, m = traced_peak(scan, GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, n_c))
-    held = m.codes.nbytes + m.v_values.nbytes + m.c_values.nbytes
-    assert peak - held < 2 * 2**20, peak - held
+    held = m.directions.nbytes + m.v_values.nbytes + m.c_values.nbytes
+    assert peak - held < 2**20, peak - held
 
 
 def test_classification_codes_holds_little_beyond_its_codes():
-    # a broadcast (v, c) pair is classified chunk by chunk, without a
-    # meshgrid or an eigenvalue table of the whole grid (77.9 MB here)
+    # a broadcast (v, c) pair is keyed block by block, without a meshgrid
+    # or an eigenvalue table of the whole grid (77.9 MB here), and its
+    # codes index the table with the int8 directions: a take would copy
+    # them to intp first, 1.28 MB here
     v, c = np.linspace(-0.3, 0.3, 400), np.linspace(-0.3, 0.3, 401)
     classification_codes(v[:3, None], c[:3])
     peak, codes = traced_peak(classification_codes, v[:, None], c)
     assert codes.shape == (7, 400, 401)
-    assert peak - codes.nbytes < 2 * 2**20, peak - codes.nbytes
+    assert peak - codes.nbytes < 2**20, peak - codes.nbytes
 
 
 def test_classification_codes_on_a_line_holds_little_beyond_its_codes():
-    # every node on v = c is near a line, so none takes the sector table:
-    # each block's nodes go through _classify at most _CHUNK_NODES at a
-    # time, in the one scratch array.  Classified in one _classify call per
-    # 8192-node block, they would take a 2.75 MB table.
+    # every node on v = c has a form within the zero band; it is keyed like
+    # any other, in the blocks' one scratch.  Classified in one _classify
+    # call per 8192-node block, these nodes would take a 2.75 MB table.
     v = np.linspace(-0.3, 0.3, 100000)
     classification_codes(v[:3], v[:3])
     peak, codes = traced_peak(classification_codes, v, v)
     assert (codes[EQS.index(EquilibriumId.P5)] == CODE_BY_CLASS[C.DEGENERATE]).all()
-    assert peak - codes.nbytes < 2 * 2**20, peak - codes.nbytes
+    assert peak - codes.nbytes < 2**20, peak - codes.nbytes
 
 
 def test_a_scan_on_the_line_c_eq_0_holds_little_beyond_its_codes():
-    # a 2 x 100000 grid on c = 0: every node falls back to _classify
+    # a 2 x 100000 grid on c = 0: every node is keyed to a ray of c = 0, in
+    # the same blocks as any other grid
     scan(GridSpec(-0.3, 0.3, 0.0, 0.0, 3, 3))
     peak, m = traced_peak(scan, GridSpec(-0.3, 0.3, 0.0, 0.0, 2, 100000))
     assert (m.codes[EQS.index(EquilibriumId.P3)] == CODE_BY_CLASS[C.UNDEFINED]).all()
-    held = m.codes.nbytes + m.v_values.nbytes + m.c_values.nbytes
-    assert peak - held < 2 * 2**20, peak - held
+    held = m.directions.nbytes + m.v_values.nbytes + m.c_values.nbytes
+    assert peak - held < 2**20, peak - held
 
 
 def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes(tmp_path):
-    # The scan's eigenvalue table and columns live in one scratch array for
-    # the whole scan, and each of its other temporaries stays under glibc's
-    # default mmap threshold.  Allocated afresh for each chunk, the table
-    # went back to the OS and was faulted in again every time: 48k-66k minor
-    # faults for the 801x801 scan, against 600-830 now.  Rows wider than a
-    # chunk once made chunks of one whole row, whose temporaries passed the
-    # threshold: 44.9k faults for the 201x5000 scan, against about 1k now.
-    # The bound allows each page of the codes two faults, and 500 more.
+    # The scan keys its blocks in one scratch of 52 bytes a block node,
+    # 426 KB, for the whole scan, and each of its other temporaries stays
+    # under glibc's default mmap threshold.  Allocated afresh for each
+    # block, such a scratch goes back to the OS and is faulted in again
+    # every time: an eigenvalue table so allocated once took 48k-66k minor
+    # faults for the 801x801 scan, and rows wider than a block once made
+    # blocks of one whole row, 44.9k faults for the 201x5000 scan.  The
+    # scan now takes about 320 faults at 801x801 and 490 at 201x5000.
+    # The bound allows each page of the int8 directions two faults, and
+    # 500 more.
     # glibc's thresholds for returning freed memory depend on what the
     # process did before: compiling the modules from source raises them and
     # hid a churn of 26k-31k faults (4096-node chunks) that loading them
@@ -155,8 +164,8 @@ def test_a_fresh_scan_faults_in_few_pages_beyond_its_codes(tmp_path):
                 from hawkdove.bifurcation import GridSpec, scan
                 spec = GridSpec(-0.3, 0.3, -0.3, 0.3, {n_v}, {n_c})
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                codes = scan(spec).codes
-                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, codes.nbytes)
+                directions = scan(spec).directions
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, directions.nbytes)
                 """, env=cache).split())
             assert faults < 2 * (nbytes // 4096) + 500, (n_v, n_c, faults)
         assert list(cache_dir.rglob("bifurcation*.pyc"))
@@ -212,10 +221,11 @@ def test_box_whose_width_overflows_has_finite_nodes():
         rng = np.random.default_rng(5)
         nodes = [(0, 0), (40, 40), (0, 40), (20, 20)] + [
             tuple(int(t) for t in rng.integers(41, size=2)) for _ in range(12)]
+        codes = m.codes
         for i, j in nodes:
             recs = {rec.id: rec.classification
                     for rec in catalog(Params(float(m.v_values[i]), float(m.c_values[j])))}
-            assert tags_at(m, i, j) == tuple(recs[eq] for eq in EQS), (i, j)
+            assert tags_at(codes, i, j) == tuple(recs[eq] for eq in EQS), (i, j)
 
 
 def test_box_near_the_top_of_the_float_range_keeps_the_unit_box_tags():
@@ -325,17 +335,18 @@ def test_scan_codes_match_closed_form_and_catalog_over_chunks(exponent):
     assert np.array_equal(np.ldexp(m.v_values, -exponent), unit.v_values)
     assert np.array_equal(np.ldexp(m.c_values, -exponent), unit.c_values)
     v, c = np.meshgrid(unit.v_values, unit.c_values, indexing="ij")
+    codes = m.codes
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, eq in enumerate(EQS):
             expected = closed_form_codes(eq, v, c)
             if eq in (EquilibriumId.P3, EquilibriumId.P6):
                 expected = np.where(c == 0.0, CODE_BY_CLASS[C.UNDEFINED], expected)
-            assert np.array_equal(m.codes[k], expected), eq
+            assert np.array_equal(codes[k], expected), eq
     from hawkdove import catalog
     rng = np.random.default_rng(131)
     for i, j in zip(rng.integers(spec.n_v, size=20), rng.integers(spec.n_c, size=20)):
         recs = catalog(Params(float(m.v_values[i]), float(m.c_values[j])))
-        assert tags_at(m, i, j) == tuple(rec.classification for rec in recs), (i, j)
+        assert tags_at(codes, i, j) == tuple(rec.classification for rec in recs), (i, j)
 
 
 def test_transitions_across_diagonal_attributed_to_veqc():
@@ -368,8 +379,7 @@ def test_on_line_nodes_split_transitions_but_stay_attributed():
     # which the report lists under VeqC's on_line.  The box meets the rays
     # v = c and c = 2v with v > 0, and no other.
     m = scan(GridSpec(0.05, 0.25, 0.05, 0.25, 5, 5))
-    k = EQS.index(EquilibriumId.P1)
-    diag = [m.codes[k, i, i] for i in range(5)]
+    diag = m.codes[EQS.index(EquilibriumId.P1)].diagonal()
     assert all(d == CODE_BY_CLASS[C.DEGENERATE] for d in diag)
     lines = detect_transitions(m)
     assert [bl.id for bl in lines] == [LineId.VEQC, LineId.CEQ2V]
@@ -388,12 +398,13 @@ def test_region_csv_round_trip(tmp_path):
     assert len(lines) == 1 + spec.n_v * spec.n_c
     # row-major in v then c, floats round-trip exactly
     row = 1
+    codes = m.codes
     for i in range(spec.n_v):
         for j in range(spec.n_c):
             parts = lines[row].split(",")
             assert float(parts[0]) == m.v_values[i]
             assert float(parts[1]) == m.c_values[j]
-            tags = tuple(CLASS_BY_CODE[k].value for k in m.codes[:, i, j])
+            tags = tuple(CLASS_BY_CODE[k].value for k in codes[:, i, j])
             assert tuple(parts[2:]) == tags
             row += 1
 
@@ -403,12 +414,13 @@ def test_scan_matches_scalar_catalog_path():
     spec = GridSpec(-0.29, 0.31, -0.17, 0.23, 5, 5)
     m = scan(spec)
     rng = np.random.default_rng(127)
+    codes = m.codes
     for _ in range(10):
         i = int(rng.integers(spec.n_v))
         j = int(rng.integers(spec.n_c))
         p = Params(float(m.v_values[i]), float(m.c_values[j]))
         recs = {rec.id: rec.classification for rec in catalog(p)}
-        assert tags_at(m, i, j) == tuple(recs[eq] for eq in EQS)
+        assert tags_at(codes, i, j) == tuple(recs[eq] for eq in EQS)
 
 
 def test_grid_spec_validation():
@@ -478,12 +490,13 @@ def test_linearized_undefined_at_zero_cost():
 # -- the per-cell writers the array versions replaced, kept as references ----
 
 def reference_region_csv(m, path):
+    codes = m.codes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("v,c," + ",".join(eq.value for eq in EQS) + "\n")
         for i in range(m.spec.n_v):
             v = m.v_values[i]
             for j in range(m.spec.n_c):
-                tags = ",".join(CLASS_BY_CODE[k].value for k in m.codes[:, i, j])
+                tags = ",".join(CLASS_BY_CODE[k].value for k in codes[:, i, j])
                 fh.write(f"{v:.17g},{m.c_values[j]:.17g},{tags}\n")
 
 
@@ -511,10 +524,10 @@ def reference_region_svg(m, eq, path):
     spec = m.spec
     dv = size / spec.n_v
     dc = size / spec.n_c
-    k = EQS.index(eq)
+    codes = m.codes[EQS.index(eq)]
     for i in range(spec.n_v):
         for j in range(spec.n_c):
-            tag = CLASS_BY_CODE[m.codes[k, i, j]]
+            tag = CLASS_BY_CODE[codes[i, j]]
             x = margin + i * dv
             y = margin + size - (j + 1) * dc
             cv.rect(x, y, dv + 0.5, dc + 0.5, fill=_REGION_COLORS[tag])
@@ -590,42 +603,44 @@ def test_region_svg_matches_reference_writer(writer_case, tmp_path):
         assert len(rects) == m.spec.n_v * m.spec.n_c
 
 
-def hand_built_map(codes):
-    """A RegionMap with the (7, n_v, n_c) ``codes`` on the +-0.3 box, not
-    the codes a scan of that box gives."""
-    _, n_v, n_c = codes.shape
+def hand_built_map(directions):
+    """A RegionMap with the (n_v, n_c) ``directions`` on the +-0.3 box, not
+    the directions a scan of that box gives."""
+    n_v, n_c = directions.shape
     return RegionMap(spec=GridSpec(-0.3, 0.3, -0.3, 0.3, n_v, n_c),
                      v_values=np.linspace(-0.3, 0.3, n_v), c_values=np.linspace(-0.3, 0.3, n_c),
-                     codes=codes.astype(np.int8))
+                     directions=directions.astype(np.int8))
 
 
-def _hand_built_codes():
+def _hand_built_directions():
     rng = np.random.default_rng(33)
-    # each code steps by 1..8 mod 9 from its c neighbour, so on every plane
-    # every node differs from the next one: every node is a run of its own
-    steps = rng.integers(1, 9, (7, 60, 70))
-    steps[:, :, 0] = rng.integers(0, 9, (7, 60))
+    # each direction steps by 1..17 mod 18 from its c neighbour, so every
+    # node differs from the next one: every node is a run of its own
+    steps = rng.integers(1, 18, (60, 70))
+    steps[:, 0] = rng.integers(0, 18, 60)
     return {
-        "every-node-a-run": (np.cumsum(steps, axis=2) % 9, EquilibriumId.P4),
-        "constant": (np.full((7, 40, 50), 5), EquilibriumId.P2),
-        "one-column": (rng.integers(0, 9, (7, 3000, 1)), EquilibriumId.P6),   # rows of one node
-        "one-row": (rng.integers(0, 9, (7, 1, 5000)), EquilibriumId.P7),     # wider than a chunk
+        "every-node-a-run": (np.cumsum(steps, axis=1) % 18, EquilibriumId.P4),
+        "constant": (np.full((40, 50), 5), EquilibriumId.P2),
+        "one-column": (rng.integers(0, 18, (3000, 1)), EquilibriumId.P6),   # rows of one node
+        "one-row": (rng.integers(0, 18, (1, 5000)), EquilibriumId.P7),     # wider than a chunk
     }
 
 
-HAND_BUILT = _hand_built_codes()
+HAND_BUILT = _hand_built_directions()
 
 
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_writers_match_the_references_on_hand_built_maps(name, tmp_path):
-    # scanned grids have few distinct tag rows and long runs of equal codes;
-    # these maps have thousands of distinct tag rows, runs of one node,
-    # rows of one run, one column and one row
-    codes, eq = HAND_BUILT[name]
-    m = hand_built_map(codes)
+    # scanned grids have long runs of equal directions, and sectors that no
+    # box but one around the origin meets; these maps have every direction
+    # index, the no-direction column 17 too, runs of one node, rows of one
+    # run, one column and one row
+    directions, eq = HAND_BUILT[name]
+    m = hand_built_map(directions)
+    if name != "constant":
+        assert set(np.unique(m.directions).tolist()) == set(range(18))
     if name == "every-node-a-run":
-        assert (m.codes[:, :, 1:] != m.codes[:, :, :-1]).all()
-        assert len(set(map(tuple, m.codes.reshape(7, -1).T.tolist()))) > 4000
+        assert (m.directions[:, 1:] != m.directions[:, :-1]).all()
     write_region_csv(m, tmp_path / "new.csv")
     reference_region_csv(m, tmp_path / "ref.csv")
     assert_same_lines((tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes())
@@ -712,18 +727,6 @@ def test_direction_table_goes_once_round_the_circle():
     assert len({tuple(col) for col in _DIRECTION_TABLE.T.tolist()}) == 17
 
 
-def direction_columns(m):
-    """(n_v, n_c): each node's column of _DIRECTION_TABLE, the one whose
-    seven codes are the node's."""
-    weights = 9 ** np.arange(7)
-    table = weights @ _DIRECTION_TABLE.astype(np.int64)
-    keys = np.tensordot(weights, m.codes.astype(np.int64), axes=1)
-    order = np.argsort(table)
-    pos = np.minimum(np.searchsorted(table[order], keys), 16)
-    assert (table[order][pos] == keys).all(), "a node's codes are no column of the table"
-    return order[pos]
-
-
 def arc_rays(a, b):
     """The ray columns on the shorter arc from column a to b, both ends
     included; both arcs when they are equal."""
@@ -732,8 +735,7 @@ def arc_rays(a, b):
     return {k % 16 for arc in arcs for k in arc if k % 2 == 0}
 
 
-# Grids whose every node is classified as some column of the table: no tag
-# overflows.  The ids of the old grid-reading tests' boxes are kept.
+# Grids of finite nodes, so that every node has a direction.  The ids of the old grid-reading tests' boxes are kept.
 TABLE_GRIDS = {
     **{name: spec for name, (spec, _) in REFERENCE_GRIDS.items()},
     "3e-14": GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
@@ -752,14 +754,15 @@ TABLE_GRIDS = {
 
 @pytest.mark.parametrize("spec", TABLE_GRIDS.values(), ids=TABLE_GRIDS)
 def test_transition_lines_account_for_every_changed_edge(spec):
-    # Every node's codes are a column of the table.  An edge whose codes
-    # change, and that does not touch the origin node, crosses the rays
+    # Every node has one of the 17 directions.  An edge whose direction
+    # changes, and that does not touch the origin node, crosses the rays
     # between its two columns, and the report lists each of their lines.
     # The two columns need not be neighbours: within a few grid steps of
     # the origin an edge can pass a whole sector.
     m = scan(spec)
     reported = {bl.id for bl in detect_transitions(m)}
-    col = direction_columns(m)
+    col = m.directions
+    assert col.max() < 17, "a node has no direction"
     ray_line = ray_lines()
     for a, b in ((col[:-1], col[1:]), (col[:, :-1], col[:, 1:])):
         changed = (a != b) & (a != 16) & (b != 16)

@@ -60,6 +60,27 @@ def test_equilibria_near_c_eq_0_tags_one_direction(capsys, v, c, direction):
         assert all(row["paper_agrees"] != "False" for row in rows)
 
 
+@pytest.mark.parametrize("v, c, ray", [("1", "1e-300", ("1", "0")), ("1e300", "1e-300", ("1", "0")),
+                                       ("1", "1.000000000001", ("1", "1"))])
+def test_equilibria_near_a_line_judge_the_paper_regions_on_it(capsys, v, c, ray):
+    # within the zero band of a line the catalog gives the ray's tags, and
+    # the paper's regions are read on the ray too.  Read at the exact
+    # (v, c), the predicate claimed the sector's tags: five rows at
+    # (1, 1e-300) read agree False, and four at (1, 1 + 1e-12), where P6's
+    # False is the transcription's own on v = c and stays
+    def paper(v, c):
+        code, out = run(capsys, "equilibria", f"--v={v}", f"--c={c}", "--format", "json")
+        assert code == 0
+        return [(r["classification"], r["paper_region_class"], r["paper_agrees"])
+                for r in json.loads(out)["equilibria"]]
+
+    rows = paper(v, c)
+    assert [r[1:] for r in rows] == [r[1:] for r in paper(*ray)]
+    assert "False" not in [r[2] for r in rows[:5]]
+    if ray == ("1", "0"):
+        assert [r[2] for r in rows] == ["-", "-", "-", "-", "True", "-", "True"]
+
+
 def test_equilibria_json_and_csv(tmp_path, capsys):
     jpath = tmp_path / "eq.json"
     code, _ = run(capsys, "equilibria", "--v", "0.1", "--c", "0.2",
@@ -793,7 +814,7 @@ _GOLDEN = {
     ("equilibria-json", "c=2v"):
         "c4c94e17f0dbf4611cdbb79dc267ac9f1a804b601e7d0298f560d422cd5070b1",
     ("equilibria-json", "1e300,1e-300"):
-        "13b8922473832df4109ad6009e6e903c90f551b8644d59f1fbcfbcdfa34f07de",
+        "651e5f5f6d25bf2e7c74a11895a4eef5e393094dda12f243f26d07b542e55c38",
     ("equilibria-json", "1e308,-1e308"):
         "5ecceb6841bfa5acbccdea03c63d736180bc9565e80d7aa606afa0762c0d2337",
     ("equilibria-json", "5e-324,5e-324"):
@@ -817,7 +838,7 @@ _GOLDEN = {
     ("equilibria-csv", "c=2v"):
         "9c6e657398a50abe80477a407999b4c8f9cf75ebae36fed33fba9e473472109e",
     ("equilibria-csv", "1e300,1e-300"):
-        "029b0eccb7d42d136ac3b1b8981ee811ed127d4e81d69728e3569b0019d6abda",
+        "2091e25a9ce18f6936d17f5eb1c5b5cd726e4461589fceb3ab54bda008b8dc98",
     ("equilibria-csv", "1e308,-1e308"):
         "fd152f0b37e18d9e4b7bb8d892b698602530a99b4562bae0ba5e4b188d407df9",
     ("equilibria-csv", "5e-324,5e-324"):

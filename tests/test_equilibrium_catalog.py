@@ -281,12 +281,13 @@ def test_classification_codes_shape_contract():
     v, c = np.linspace(-0.3, 0.3, 31), np.linspace(-0.3, 0.3, 29)
     vv, cc = np.meshgrid(v, c, indexing="ij")
     assert np.array_equal(classification_codes(v[:, None], c), classification_codes(vv, cc))
-    # rows of 5000 nodes are split into chunks of their own, under two
-    # levels of whole slices; one unchunked _classify call is the reference
+    # rows of 9000 nodes, wider than a block, are split into blocks of
+    # their own, the last short, under two levels of whole slices; one
+    # unblocked _classify call is the reference
     rng = np.random.default_rng(233)
-    v, c = rng.uniform(-1.0, 1.0, (2, 2, 3, 5000))
+    v, c = rng.uniform(-1.0, 1.0, (2, 2, 3, 9000))
     codes = classification_codes(v, c)
-    assert codes.shape == (7, 2, 3, 5000)
+    assert codes.shape == (7, 2, 3, 9000)
     assert np.array_equal(codes, _classify(v, c)[1])
 
 

@@ -34,7 +34,7 @@ def _records():
         "ReducedState": (ReducedState(0.2, 0.3, 0.4), ("x", "y", "z")),
         "GridSpec": (m.spec, ("v_min", "v_max", "c_min", "c_max", "n_v", "n_c")),
         "CorrespondenceEntry": (correspondence(p)[0], ("label", "z", "matches")),
-        "RegionMap": (m, ("spec", "v_values", "c_values", "codes")),
+        "RegionMap": (m, ("spec", "v_values", "c_values", "directions")),
         "BifurcationLine": (detect_transitions(m)[0], ("id", "affected", "on_line")),
         "EquilibriumRecord": (catalog(p)[0], (
             "id", "coords", "defined", "in_simplex", "eigenvalues", "classification",
