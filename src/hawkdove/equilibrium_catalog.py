@@ -399,8 +399,8 @@ def catalog(p: Params) -> list[EquilibriumRecord]:
     """
     p = Params(*p).validate()
     v, c = float(p.v), float(p.c)
-    k = direction_index(v, c)      # the paper's regions are read at its representative
-    columns, codes, on = _eigenvalues(v, c)[1], _CODE_TABLE[:, k], Params(*_DIRECTIONS[k])
+    columns, k = _eigenvalues(v, c)[1], direction_index(v, c)
+    codes, on = _CODE_TABLE[:, k], Params(*_DIRECTIONS[k])   # regions read at its representative
     q = v / c if c else 0.0     # on Python floats an overflow is +-inf, with no warning
     # P1..P7; P3 and P6 divide by c
     points = (ReducedState(0.0, 0.0, 1.0), ReducedState(0.0, 0.5, 0.5), ReducedState(0.0, q, q),

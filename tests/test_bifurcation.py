@@ -735,7 +735,8 @@ def arc_rays(a, b):
     return {k % 16 for arc in arcs for k in arc if k % 2 == 0}
 
 
-# Grids of finite nodes, so that every node has a direction.  The ids of the old grid-reading tests' boxes are kept.
+# Grids of finite nodes, so that every node has a direction.  The ids of the
+# old grid-reading tests' boxes are kept.
 TABLE_GRIDS = {
     **{name: spec for name, (spec, _) in REFERENCE_GRIDS.items()},
     "3e-14": GridSpec(-3e-14, 3e-14, -3e-14, 3e-14, 41, 41),
